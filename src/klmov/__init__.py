@@ -5,7 +5,6 @@ All arithmetic is exact (arbitrary-precision rationals); there is no
 floating point anywhere in the package.
 """
 
-from .kernel import BACKEND as KERNEL_BACKEND
 from .laurent import (
     LaurentQT,
     RationalQT,
@@ -67,7 +66,6 @@ from .torus import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "LaurentQT",
     "RationalQT",
     "ZTPoly",

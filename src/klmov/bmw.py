@@ -85,13 +85,6 @@ class XRational:
     def is_zero(self):
         return self.num.is_zero
 
-    def as_rational_qt(self):
-        """Clear the w-power; raises NotDivisible when x genuinely remains."""
-        num = self.num
-        for _ in range(self.k):
-            num = exact_div(num, _W_L)
-        return num
-
     def __str__(self):
         return str(self.num) if self.k == 0 else f"({self.num})/w^{self.k}"
 

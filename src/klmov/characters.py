@@ -76,12 +76,6 @@ def sn_character(lam, mu):
     return _mn(_beta_set(lam), tuple(sorted(mu, reverse=True)))
 
 
-def sn_table(n):
-    """Full character table {(lam, mu): value} of S_n."""
-    parts = partitions_of(n)
-    return {(lam, mu): sn_character(lam, mu) for lam in parts for mu in parts}
-
-
 def contains(outer, inner):
     """Young-diagram containment."""
     if len(inner) > len(outer):

@@ -7,10 +7,18 @@ Three value types live here:
 * ``RationalQT``: a quotient ``num / den`` where ``num`` is a LaurentQT and
   ``den`` is a Laurent polynomial in q alone.  Every denominator that occurs
   in the invariant formulas (quantum integers, hook products, q^n - q^-n)
-  has this shape once t-monomial units are moved into the numerator, which
-  lets canonicalization use univariate gcd only.
+  has this shape once t-monomial units are moved into the numerator.
 * ``ZTPoly``: a polynomial in z = q - 1/q and t, the target ring of the
   integrality checks.
+
+Canonical form of a ``RationalQT``: ``den`` is monic with a nonzero constant
+term and shares no factor with the q-content (the gcd of the t-slices) of
+``num``.  Each distinct ``den`` is split once, by trial division, into
+cyclotomic factors ``Phi_d^m`` and a residual; the invariant formulas only
+build products of ``Phi_d``.  As each ``Phi_d`` is monic and irreducible over
+Q, dividing the integer-scaled t-slices of ``num`` by it while all allow
+cancels the gcd.  Only a residual other than 1 (from user input) goes through
+the Euclidean gcd.
 
 All coefficients are ints or ``fractions.Fraction``; nothing here ever
 touches floating point.
@@ -20,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, inf, lcm
 
 from .errors import (
     NotDivisible,
@@ -28,7 +36,99 @@ from .errors import (
     NotZRepresentable,
     ZeroInput,
 )
-from .kernel import qp_iadd, qp_mul, qt_iadd, qt_mul, qt_mul_qp
+
+# ---------------------------------------------------------------------------
+# polynomial kernels on raw term dicts: bivariate ones map (qexp, texp) to a
+# nonzero int or Fraction, univariate ones map exp to a coefficient
+# ---------------------------------------------------------------------------
+
+
+def qt_mul(d1, d2):
+    """Convolution product of two bivariate term dicts."""
+    if not d1 or not d2:
+        return {}
+    if len(d1) > len(d2):
+        d1, d2 = d2, d1
+    out = {}
+    items2 = list(d2.items())
+    for (a1, b1), c1 in d1.items():
+        for (a2, b2), c2 in items2:
+            k = (a1 + a2, b1 + b2)
+            v = out.get(k)
+            if v is None:
+                out[k] = c1 * c2
+            else:
+                v = v + c1 * c2
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+    return out
+
+
+def qt_mul_qp(d, p):
+    """Product of a bivariate term dict with a q-only term dict."""
+    if not d or not p:
+        return {}
+    out = {}
+    items = list(p.items())
+    for (a1, b1), c1 in d.items():
+        for a2, c2 in items:
+            k = (a1 + a2, b1)
+            v = out.get(k)
+            if v is None:
+                out[k] = c1 * c2
+            else:
+                v = v + c1 * c2
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+    return out
+
+
+def qt_iadd(acc, d, c=1):
+    """In-place acc += c * d for term dicts of either kind; returns acc."""
+    if not c:
+        return acc
+    for k, v in d.items():
+        if c != 1:
+            v = c * v
+        old = acc.get(k)
+        if old is not None:
+            v = old + v
+        if v:
+            acc[k] = v
+        else:
+            del acc[k]
+    return acc
+
+
+def qp_mul(p1, p2):
+    """Convolution product of two univariate term dicts."""
+    if not p1 or not p2:
+        return {}
+    if len(p1) > len(p2):
+        p1, p2 = p2, p1
+    out = {}
+    items2 = list(p2.items())
+    for a1, c1 in p1.items():
+        for a2, c2 in items2:
+            k = a1 + a2
+            v = out.get(k)
+            if v is None:
+                out[k] = c1 * c2
+            else:
+                v = v + c1 * c2
+                if v:
+                    out[k] = v
+                else:
+                    del out[k]
+    return out
+
+
+qp_iadd = qt_iadd
+
 
 # ---------------------------------------------------------------------------
 # univariate helpers ({exp: coef} dicts, used for q-only and t-only values)
@@ -37,15 +137,6 @@ from .kernel import qp_iadd, qp_mul, qt_iadd, qt_mul, qt_mul_qp
 
 def p1_normalize(p):
     return {a: c for a, c in p.items() if c}
-
-def p1_add(p1, p2):
-    out = dict(p1)
-    return qp_iadd(out, p2)
-
-def p1_scale(p, c):
-    if not c:
-        return {}
-    return {a: c * v for a, v in p.items()}
 
 def p1_shift(p, k):
     if k == 0:
@@ -61,12 +152,10 @@ def p1_divmod(num, den):
     rem = dict(num)
     dmax = max(den)
     dlc = den[dmax]
-    while rem:
-        rmax = max(rem)
-        if rmax < dmax:
-            break
-        c = Fraction(rem[rmax]) / dlc
-        e = rmax - dmax
+    for e in range(max(rem, default=0) - dmax, -1, -1):
+        if e + dmax not in rem:
+            continue
+        c = Fraction(rem[e + dmax]) / dlc
         quo[e] = c
         for a, cc in den.items():
             k = a + e
@@ -111,11 +200,134 @@ def p1_gcd(p1, p2):
     return a
 
 
-def p1_pow(p, n):
-    out = {0: 1}
-    for _ in range(n):
-        out = qp_mul(out, p)
+# ---------------------------------------------------------------------------
+# cyclotomic factors (dense coefficient lists, constant term first)
+# ---------------------------------------------------------------------------
+
+
+def _dense(p):
+    """Coefficients of a q-only dict whose least exponent is 0."""
+    return tuple(p.get(a, 0) for a in range(max(p) + 1))
+
+
+def _div_monic(p, m):
+    """p / m for a monic m, or None when the remainder is nonzero."""
+    n = len(m) - 1
+    if len(p) <= n:
+        return None
+    r = list(p)
+    taps = [(j - n, c) for j, c in enumerate(m[:n]) if c]
+    for i in range(len(r) - 1, n - 1, -1):
+        c = r[i]
+        if c:
+            for j, mj in taps:
+                r[i + j] -= c * mj
+    if any(r[:n]):
+        return None
+    return r[n:]
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(d):
+    """Phi_d(q).  With p the least prime factor of d = p * m, Phi_d(q) is
+    Phi_m(q^p) when p divides m and Phi_m(q^p) / Phi_m(q) otherwise."""
+    if d == 1:
+        return (-1, 1)
+    p = next(k for k in range(2, d + 1) if d % k == 0)
+    m = d // p
+    spread = [0] * (p * (len(_cyclotomic(m)) - 1) + 1)
+    spread[::p] = _cyclotomic(m)
+    if m % p == 0:
+        return tuple(spread)
+    return tuple(_div_monic(spread, _cyclotomic(m)))
+
+
+_MAX_ORDER = 120  # a larger Phi_d stays in the residual, for Euclid
+
+
+@lru_cache(maxsize=None)
+def _factor(den):
+    """Split a monic dense den into {d: multiplicity of Phi_d} and a residual.
+
+    Every Phi_d with d < _MAX_ORDER that could divide is tried: d < 6 phi(d)
+    holds for all d below 2 * 10^8.
+    """
+    mults = {}
+    r = den
+    d = 1
+    while len(r) > 1 and d < min(6 * len(r), _MAX_ORDER):
+        phi = _cyclotomic(d)
+        while _divides(r, d, phi):
+            r = _div_monic(r, phi)
+            mults[d] = mults.get(d, 0) + 1
+        d += 1
+    return mults, tuple(r)
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_product(powers):
+    """The product of Phi_d^e over (d, e) in powers, by descending exponent."""
+    p = {0: 1}
+    for d, e in powers:
+        phi = {a: c for a, c in enumerate(_cyclotomic(d)) if c}
+        for _ in range(e):
+            p = qp_mul(p, phi)
+    return {a: p[a] for a in sorted(p, reverse=True)}
+
+
+def _cofactor(fa, fb):
+    """lcm(A, B) / B for A, B with the cyclotomic multiplicities fa, fb."""
+    extra = ((d, m - fb.get(d, 0)) for d, m in fa.items())
+    return _cyclotomic_product(tuple((d, e) for d, e in extra if e > 0))
+
+
+def _denominator_lcm(num):
+    return lcm(*{c.denominator for c in num.values()})
+
+
+def _scaled(num, scale):
+    """scale * num as a new dict with int coefficients; scale must clear every
+    denominator."""
+    if scale == 1:
+        return {k: c.numerator for k, c in num.items()}
+    return {k: c.numerator * (scale // c.denominator) for k, c in num.items()}
+
+
+def _ratio(n, d):
+    """n / d as an int when it is one, else as a Fraction."""
+    quo, rem = divmod(n, d)
+    return Fraction(n, d) if rem else quo
+
+
+def _slices(ints):
+    """Group terms by t-exponent: {texp: (least qexp, dense coefficients)}."""
+    out = {}
+    for b, row in qt_t_slices(ints).items():
+        lo = min(row)
+        p = [0] * (max(row) - lo + 1)
+        for a, c in row.items():
+            p[a - lo] = c
+        out[b] = (lo, p)
     return out
+
+
+def _divides(p, d, phi):
+    """Whether phi = Phi_d divides p, tested on p mod q^d - 1."""
+    r = [sum(p[k::d]) for k in range(d)]
+    return not any(r) or _div_monic(r, phi) is not None
+
+
+def _cancel(slices, d, most):
+    """Divide every slice by Phi_d while all allow it, at most `most` times.
+
+    Returns the quotient slices and the number of divisions.
+    """
+    phi = _cyclotomic(d)
+    k = 0
+    while k < most and all(_divides(p, d, phi) for _, p in slices.values()):
+        slices = {b: (lo, _div_monic(p, phi)) for b, (lo, p) in slices.items()}
+        k += 1
+    return slices, k
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +351,6 @@ def qt_q_slices(d):
     for (a, b), c in d.items():
         out.setdefault(a, {})[b] = c
     return out
-
-def qt_from_t_slices(slices):
-    return {(a, b): c for b, sl in slices.items() for a, c in sl.items()}
-
 
 def qt_q_content(d):
     """Monic gcd (in q, over Q) of the t-slice polynomials of d."""
@@ -232,10 +440,6 @@ class LaurentQT:
         else:
             raise TypeError(f"cannot build LaurentQT from {type(terms)!r}")
 
-    @classmethod
-    def monomial(cls, coef=1, qexp=0, texp=0):
-        return cls({(qexp, texp): coef})
-
     @property
     def is_zero(self):
         return not self.terms
@@ -305,19 +509,9 @@ class LaurentQT:
         return f"LaurentQT({self})"
 
 
-# handy generators
-Q = LaurentQT({(1, 0): 1})
-T = LaurentQT({(0, 1): 1})
-ZQT = LaurentQT({(1, 0): 1, (-1, 0): -1})  # q - 1/q
-
-
 def q_minus_qinv(n):
     """q^n - q^-n as a raw q-only dict."""
     return {n: 1, -n: -1}
-
-
-def t_minus_tinv(n):
-    return LaurentQT({(0, n): 1, (0, -n): -1})
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +534,40 @@ def _canonical(num, den):
         num = {(a - s, b): c for (a, b), c in num.items()}
     lc = den[max(den)]
     if lc != 1:
-        inv = 1 / Fraction(lc)
-        den = {a: inv * c for a, c in den.items()}
-        num = {k: inv * c for k, c in num.items()}
-    if den != {0: 1}:
-        g = p1_gcd(den, qt_q_content(num))
+        lc = Fraction(lc)
+        den = {a: _ratio(c.numerator * lc.denominator, c.denominator * lc.numerator)
+               for a, c in den.items()}
+    mults, residual = _factor(_dense(den))
+    cut = {}
+    if mults or lc != 1:
+        # num / lc == ints / scale
+        common = _denominator_lcm(num)
+        ints = _scaled(num, common * lc.denominator)
+        scale = common * lc.numerator
+    if mults:
+        # cancel each Phi_d while it divides every t-slice
+        slices = _slices(ints)
+        for d, m in mults.items():
+            slices, k = _cancel(slices, d, m)
+            if k:
+                cut[d] = k
+    if cut:
+        num = {
+            (lo + i, b): _ratio(p[i], scale)
+            for b, (lo, p) in slices.items()
+            for i in range(len(p) - 1, -1, -1)
+            if p[i]
+        }
+        p = _dense(den)
+        for d, k in cut.items():
+            for _ in range(k):
+                p = _div_monic(p, _cyclotomic(d))
+        den = {a: p[a] for a in range(len(p) - 1, -1, -1) if p[a]}
+    elif lc != 1:
+        num = {k: _ratio(n, scale) for k, n in ints.items()}
+    if len(residual) > 1:
+        # a factor outside the cyclotomic split: only here is Euclid needed
+        g = p1_gcd({a: c for a, c in enumerate(residual) if c}, qt_q_content(num))
         if g != {0: 1}:
             den = p1_div_exact(den, g)
             num = qt_div_qonly(num, g)
@@ -372,17 +595,9 @@ class RationalQT:
             den = {0: 1}
         self.num, self.den = _canonical(num, den)
 
-    @classmethod
-    def monomial(cls, coef=1, qexp=0, texp=0):
-        return cls({(qexp, texp): coef})
-
     @property
     def is_zero(self):
         return not self.num
-
-    @property
-    def is_laurent(self):
-        return self.den == {0: 1}
 
     def __bool__(self):
         return bool(self.num)
@@ -400,15 +615,23 @@ class RationalQT:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        # both numerators over one integer scale, so the products are int * int
+        scale = lcm(_denominator_lcm(self.num), _denominator_lcm(other.num))
         if self.den == other.den:
-            out = dict(self.num)
-            return RationalQT(qt_iadd(out, other.num), dict(self.den))
-        g = p1_gcd(self.den, other.den)
-        da = p1_div_exact(self.den, g)
-        db = p1_div_exact(other.den, g)
-        num = qt_mul_qp(self.num, db)
-        qt_iadd(num, qt_mul_qp(other.num, da))
-        return RationalQT(num, qp_mul(self.den, db))
+            num = qt_iadd(_scaled(self.num, scale), _scaled(other.num, scale))
+            den = self.den
+        else:
+            (fa, ra), (fb, rb) = _factor(_dense(self.den)), _factor(_dense(other.den))
+            if len(ra) > 1 or len(rb) > 1:
+                g = p1_gcd(self.den, other.den)
+                da, db = p1_div_exact(self.den, g), p1_div_exact(other.den, g)
+            else:
+                # the lcm takes the larger multiplicity of each Phi_d
+                da, db = _cofactor(fa, fb), _cofactor(fb, fa)
+            num = qt_mul_qp(_scaled(self.num, scale), db)
+            qt_iadd(num, qt_mul_qp(_scaled(other.num, scale), da))
+            den = qp_mul(self.den, db)
+        return RationalQT(num, {a: scale * c for a, c in den.items()})
 
     __radd__ = __add__
 
@@ -435,7 +658,10 @@ class RationalQT:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalQT(qt_mul(self.num, other.num), qp_mul(self.den, other.den))
+        sa, sb = _denominator_lcm(self.num), _denominator_lcm(other.num)
+        num = qt_mul(_scaled(self.num, sa), _scaled(other.num, sb))
+        den = qp_mul(self.den, other.den)
+        return RationalQT(num, {a: sa * sb * c for a, c in den.items()})
 
     __rmul__ = __mul__
 
@@ -668,37 +894,19 @@ def to_z_basis(x):
 # ---------------------------------------------------------------------------
 
 
-def _p1_q1_multiplicity(p):
-    """Order of vanishing at q = 1 of a univariate Laurent polynomial."""
-    p = p1_shift(p, -min(p))
-    m = 0
-    while True:
-        if sum(p.values()) != 0:
-            return m
-        # synthetic division by (q - 1)
-        deg = max(p)
-        dense = [p.get(i, 0) for i in range(deg + 1)]
-        out = [0] * deg
-        acc = 0
-        for i in range(deg, 0, -1):
-            acc = acc + dense[i]
-            out[i - 1] = acc
-        p = {i: c for i, c in enumerate(out) if c}
-        if not p:
-            return m + 1
-        m += 1
-
-
 def valuation_at_q1(x):
     """Order of vanishing at q = 1: mult(num) - mult(den).
 
     With q = e^u this equals the u-valuation, since u has a simple zero there.
+    The denominator's order is its Phi_1 multiplicity; the numerator's is the
+    number of times q - 1 divides every t-slice.
     """
     x = _coerce_strict(x)
     if not x.num:
         raise ZeroInput("valuation of zero")
-    m_num = min(_p1_q1_multiplicity(sl) for sl in qt_t_slices(x.num).values())
-    m_den = _p1_q1_multiplicity(x.den)
+    ints = _scaled(x.num, _denominator_lcm(x.num))
+    _, m_num = _cancel(_slices(ints), 1, inf)
+    m_den = _factor(_dense(x.den))[0].get(1, 0)
     return m_num - m_den
 
 

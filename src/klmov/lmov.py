@@ -134,9 +134,6 @@ class NTable:
     mu: tuple
     entries: dict  # (Fraction g, int beta) -> int
 
-    def genus_values(self):
-        return sorted({g for g, _ in self.entries})
-
     def beta_values(self):
         return sorted({b for _, b in self.entries})
 
@@ -214,10 +211,6 @@ def column_integrality_check(src, dvec, bound=DEFAULT_COLOR_BOUND):
     else:
         value = value * _Z_R
     return to_z_basis(value).is_integral()
-
-
-def _tpow(n):
-    return LaurentQT({(0, n): 1})
 
 
 def lickorish_millett_check(spec, bound=12):

@@ -71,13 +71,6 @@ def transpose(lam):
     return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
 
 
-def aut_order(lam):
-    out = 1
-    for m in Counter(lam).values():
-        out *= factorial(m)
-    return out
-
-
 def z_stat(lam):
     """prod_i i^{m_i} m_i! over the part multiplicities."""
     out = 1

@@ -1,0 +1,212 @@
+"""Differential tests of the exact arithmetic against sympy.
+
+Canonical forms of ``RationalQT`` values, sums, products, exact division and
+the valuation at q = 1 are compared with sympy's ``cancel`` (denominator made
+monic) on seeded random inputs.  The denominators are products of cyclotomic
+polynomials, non-cyclotomic ones, ones with fractional coefficients, and
+mixtures of these.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from klmov.laurent import LaurentQT, RationalQT, exact_div, valuation_at_q1  # noqa: E402
+
+q, t = sympy.symbols("q t")
+
+
+NON_CYCLOTOMIC = ({0: 3, 1: 1, 2: 1}, {0: -2, 3: 1}, {0: 5, 2: 1, 4: 1})
+FRACTIONAL = ({0: 1, 1: 2}, {0: Fraction(3, 4), 1: Fraction(1, 2)}, {0: Fraction(1, 3), 2: 1})
+
+
+def rational(c):
+    c = Fraction(c)
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+class Frac:
+    """q^i t^j * num / den for sympy polynomials num and den."""
+
+    def __init__(self, num, den, shift):
+        self.num, self.den, self.shift = num, den, shift
+
+    @classmethod
+    def of(cls, num, den):
+        (n, (i, j)), (d, (k, _)) = to_poly(num), to_poly({(a, 0): c for a, c in den.items()})
+        return cls(n, d, (i - k, j))
+
+    def _aligned(self, other):
+        """Both numerators, over the smaller of the two monomial shifts."""
+        i, j = min(self.shift[0], other.shift[0]), min(self.shift[1], other.shift[1])
+
+        def lift(f):
+            mono = q ** (f.shift[0] - i) * t ** (f.shift[1] - j)
+            return f.num * sympy.Poly(mono, q, t, domain="QQ")
+
+        return lift(self), lift(other), (i, j)
+
+    def __add__(self, other):
+        a, b, shift = self._aligned(other)
+        return Frac(a * other.den + b * self.den, self.den * other.den, shift)
+
+    def __sub__(self, other):
+        a, b, shift = self._aligned(other)
+        return Frac(a * other.den - b * self.den, self.den * other.den, shift)
+
+    def __mul__(self, other):
+        shift = (self.shift[0] + other.shift[0], self.shift[1] + other.shift[1])
+        return Frac(self.num * other.num, self.den * other.den, shift)
+
+    def divided_by(self, terms):
+        poly, (i, j) = to_poly(terms)
+        return Frac(self.num, self.den * poly, (self.shift[0] - i, self.shift[1] - j))
+
+    def canonical(self):
+        """(num, den) of the canonical form, read off sympy's cancelled fraction."""
+        num, den = self.num.cancel(self.den, include=True)
+        (i, j), rest = den.terms_gcd()
+        lc = rest.LC()
+        assert rest.degree(t) == 0
+        i, j = self.shift[0] - i, self.shift[1] - j
+        return (
+            {(a + i, b + j): as_fraction(c / lc) for (a, b), c in num.terms()},
+            {a: as_fraction(c / lc) for (a, _), c in rest.terms()},
+        )
+
+
+def to_poly(terms):
+    """A Laurent dict as (sympy polynomial, (least qexp, least texp))."""
+    i, j = min(a for a, _ in terms), min(b for _, b in terms)
+    shifted = {(a - i, b - j): rational(c) for (a, b), c in terms.items()}
+    return sympy.Poly.from_dict(shifted, q, t, domain="QQ"), (i, j)
+
+
+def as_fraction(c):
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def canonical(x):
+    return ({k: Fraction(c) for k, c in x.num.items()},
+            {a: Fraction(c) for a, c in x.den.items()})
+
+
+def cyclotomic(d):
+    return {a: int(c) for (a,), c in sympy.Poly(sympy.cyclotomic_poly(d, q), q).terms()}
+
+
+def multiply(p1, p2):
+    out = {}
+    for a1, c1 in p1.items():
+        for a2, c2 in p2.items():
+            out[a1 + a2] = out.get(a1 + a2, 0) + c1 * c2
+    return {a: c for a, c in out.items() if c}
+
+
+def random_laurent(rng):
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        c = rng.randint(-5, 5)
+        if rng.random() < 0.3:
+            c = Fraction(c, rng.randint(2, 6))
+        key = (rng.randint(-4, 4), rng.randint(-2, 2))
+        terms[key] = terms.get(key, 0) + c
+    terms = {k: c for k, c in terms.items() if c}
+    return terms or {(0, 0): 1}
+
+
+def random_factors(rng, family):
+    if family == "cyclotomic":
+        pool = [cyclotomic(d) for d in rng.sample(range(1, 25), 3)]
+    elif family == "non-cyclotomic":
+        pool = list(NON_CYCLOTOMIC)
+    elif family == "fractional":
+        pool = list(FRACTIONAL)
+    else:
+        pool = [cyclotomic(d) for d in rng.sample(range(1, 13), 2)]
+        pool.append(rng.choice(NON_CYCLOTOMIC + FRACTIONAL))
+    return [f for f in pool for _ in range(rng.randint(0, 2))] or [pool[0]]
+
+
+def random_rational(rng, family):
+    """A random num / den whose numerator shares some factors with den."""
+    factors = random_factors(rng, family)
+    den = {0: 1}
+    for f in factors:
+        den = multiply(den, f)
+    # a unit c * q^k in the denominator must not change the canonical form
+    shift, unit = rng.randint(-3, 3), rng.choice((1, -2, Fraction(3, 5)))
+    den = {a + shift: unit * c for a, c in den.items()}
+    num = random_laurent(rng)
+    for f in factors:
+        if rng.random() < 0.5:
+            num = times_q_poly(num, f)
+    return num, den
+
+
+def times_q_poly(num, p):
+    out = {}
+    for (a, b), c in num.items():
+        for e, pc in p.items():
+            out[(a + e, b)] = out.get((a + e, b), 0) + c * pc
+    return {k: c for k, c in out.items() if c}
+
+
+FAMILIES = ("cyclotomic", "non-cyclotomic", "fractional", "mixed")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_canonical_form_matches_sympy(family):
+    rng = random.Random(f"canonical-{family}")
+    for _ in range(20):
+        num, den = random_rational(rng, family)
+        assert canonical(RationalQT(num, den)) == Frac.of(num, den).canonical()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sum_and_product_match_sympy(family):
+    rng = random.Random(f"ring-{family}")
+    for _ in range(15):
+        x = RationalQT(*random_rational(rng, family))
+        y = RationalQT(*random_rational(rng, family))
+        fx, fy = Frac.of(x.num, x.den), Frac.of(y.num, y.den)
+        assert canonical(x + y) == (fx + fy).canonical()
+        assert canonical(x - y) == (fx - fy).canonical()
+        assert canonical(x * y) == (fx * fy).canonical()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_exact_div_matches_sympy(family):
+    rng = random.Random(f"div-{family}")
+    for _ in range(15):
+        x = RationalQT(*random_rational(rng, family))
+        # divisor: a q-only factor times a t-dependent factor of the dividend
+        qpart = rng.choice(random_factors(rng, family))
+        tpart = {(1, 1): 1, (0, 0): rng.choice((1, -3))}
+        divisor = times_q_poly(tpart, qpart)
+        multiple = x * RationalQT(tpart)
+        want = Frac.of(multiple.num, multiple.den).divided_by(divisor)
+        assert canonical(exact_div(multiple, LaurentQT(divisor))) == want.canonical()
+
+
+def q1_order(poly):
+    m = 0
+    while poly.eval(q, 1).is_zero:
+        poly = poly.exquo(sympy.Poly(q - 1, q, t, domain="QQ"))
+        m += 1
+    return m
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_valuation_at_q1_matches_sympy(family):
+    rng = random.Random(f"valuation-{family}")
+    for _ in range(20):
+        num, den = random_rational(rng, family)
+        if rng.random() < 0.5:
+            num = times_q_poly(num, {1: 1, 0: -1})
+        f = Frac.of(num, den)
+        n, d = f.num.cancel(f.den, include=True)
+        assert valuation_at_q1(RationalQT(num, den)) == q1_order(n) - q1_order(d)
