@@ -4,14 +4,30 @@ Symmetric-group characters come from the Murnaghan-Nakayama border-strip
 recursion on beta-sets.  Littlewood-Richardson coefficients are computed by
 transporting both Schur functions to the power-sum basis (one shared code
 path, easy to validate against orthogonality).  Brauer characters on the
-symmetric-group conjugacy classes are lifted from symmetric-group ones by
+symmetric-group conjugacy classes follow Ram's restriction formula
 
-    chi_A(gamma_mu) = sum_{nu |- |mu|, nu >= A} (sum_beta c_{A beta}^nu)
-                      chi_nu^{S_|mu|}(gamma_mu)
+    chi_A(gamma_mu) = sum_{nu |- |mu|} (sum_beta c_{A beta}^nu) chi_nu(mu)
 
 with beta ranging over partitions of |mu| - |A| all of whose parts are even
 (the even-part reading reproduces the reference tables; the even-column one
-does not).  Completed tables can be mirrored to a small JSON cache on disk.
+does not).  The tables are evaluated in closed form rather than term by term.
+Since sum_nu c_{A beta}^nu chi_nu(mu) = <s_A s_beta, p_mu>, expanding both
+Schur functions in power sums and using <p_rho, p_mu> = z_mu delta_{rho mu}
+gives
+
+    chi_A(gamma_mu) = z_mu [p_mu] (s_A sum_beta s_beta)
+                    = sum_{mu' <= mu, |mu'| = |A|}
+                          prod_i C(m_i(mu), m_i(mu')) chi_A(mu') E(mu - mu'),
+
+    E(rho) = sum_{beta |- |rho|, all parts even} chi_beta(rho),
+
+where mu' runs over the sub-multisets of the parts of mu, m_i counts the
+parts equal to i, and z_mu / (z_mu' z_rho) is the binomial product.  Only
+integers appear.  The splits of a class depend on the label size alone, so
+they are enumerated once per size and shared by all labels of that size.
+``lr_coefficient`` keeps the term-by-term definition available as an
+independent route for the tests.  Completed tables can be mirrored to a small
+JSON cache on disk.
 """
 
 from __future__ import annotations
@@ -21,6 +37,7 @@ import os
 import tempfile
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
 from .errors import ParityMismatch, SizeMismatch
 from .partitions import (
@@ -76,13 +93,6 @@ def sn_character(lam, mu):
     return _mn(_beta_set(lam), tuple(sorted(mu, reverse=True)))
 
 
-def contains(outer, inner):
-    """Young-diagram containment."""
-    if len(inner) > len(outer):
-        return False
-    return all(outer[i] >= inner[i] for i in range(len(inner)))
-
-
 @lru_cache(maxsize=None)
 def lr_coefficient(lam, beta, nu):
     """Littlewood-Richardson coefficient, via the power-sum basis.
@@ -126,23 +136,37 @@ def _even_partitions(m):
     return tuple(tuple(2 * p for p in lam) for lam in partitions_of(m // 2))
 
 
-def _brauer_character_raw(a, mu):
-    n = sum(mu)
-    diff = n - sum(a)
-    if diff < 0 or diff % 2:
-        raise ParityMismatch(f"|{mu}| - |{a}| must be even and nonnegative")
-    if diff == 0:
-        return sn_character(a, mu)
-    total = 0
-    for nu in partitions_of(n):
-        if not contains(nu, a):
-            continue
-        mult = 0
-        for beta in _even_partitions(diff):
-            mult += lr_coefficient(a, beta, nu)
-        if mult:
-            total += mult * sn_character(nu, mu)
-    return total
+@lru_cache(maxsize=None)
+def _even_sum(rho):
+    """E(rho): the characters at rho of all even-part partitions of |rho|, summed."""
+    return sum(_mn(_beta_set(beta), rho) for beta in _even_partitions(sum(rho)))
+
+
+def _splits(mu, k):
+    """[(mu', weight)] over the sub-multisets mu' of mu of size k.
+
+    weight = prod_i C(m_i(mu), m_i(mu')) * E(mu - mu'); zero weights are
+    dropped.  Both mu' and its complement come out weakly decreasing.
+    """
+    groups = [(part, mu.count(part)) for part in sorted(set(mu), reverse=True)]
+    out = []
+
+    def walk(i, size, sub, rest, weight):
+        if size > k:
+            return
+        if i == len(groups):
+            if size == k:
+                weight *= _even_sum(rest)
+                if weight:
+                    out.append((sub, weight))
+            return
+        part, m = groups[i]
+        for c in range(m, -1, -1):
+            walk(i + 1, size + c * part, sub + (part,) * c,
+                 rest + (part,) * (m - c), weight * comb(m, c))
+
+    walk(0, 0, (), (), 1)
+    return out
 
 
 def _cache_path(n):
@@ -150,9 +174,15 @@ def _cache_path(n):
 
 
 def _compute_brauer_table(n):
-    labels = brauer_labels(n)
     classes = partitions_of(n)
-    return {(a, mu): _brauer_character_raw(a, mu) for a in labels for mu in classes}
+    table = {}
+    for k in brauer_label_sizes(n):
+        splits = [(mu, _splits(mu, k)) for mu in classes]
+        for a in partitions_of(k):
+            betas = _beta_set(a)
+            for mu, split in splits:
+                table[(a, mu)] = sum(w * _mn(betas, sub) for sub, w in split)
+    return table
 
 
 def _load_brauer_table(n):

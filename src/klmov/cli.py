@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a conjecture check produced a finding (a
-non-integral or non-representable value), 2 usage error.
+non-integral or non-representable value), 2 usage error, 141 standard output
+was closed before everything was written (as by ``klmov ... | head``; nothing
+is printed on standard error, and 141 is what a shell reports for a process
+ended by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -287,9 +290,7 @@ def cmd_rmatrix(args):
 
 
 def cmd_verify(args):
-    results = verify.run_suite(
-        suite=args.suite, only=args.only, seed=args.seed, jobs=args.jobs or 1
-    )
+    results = verify.run_suite(suite=args.suite, only=args.only, seed=args.seed)
     lines = []
     for name, ok, detail in results:
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name:<28} {detail}")
@@ -299,13 +300,19 @@ def cmd_verify(args):
     return 0 if passed == len(results) else 1
 
 
+def rank(text):
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"rank must be nonnegative, got {n}")
+    return n
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"), default="text")
     common.add_argument("--out", help="write output to this file")
     common.add_argument("--cache-dir", help="directory for the character-table cache")
     common.add_argument("--no-cache", action="store_true", help="disable the disk cache")
-    common.add_argument("--jobs", type=int, default=0, help="parallel workers (verify)")
     common.add_argument("--bound", type=int, default=0, help="override size bounds")
 
     parser = argparse.ArgumentParser(
@@ -316,7 +323,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("char-table", parents=[common], help="print a character table")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=rank, required=True)
     p.set_defaults(func=cmd_char_table)
 
     p = sub.add_parser("sb", parents=[common], help="type-B Schur data for a partition")
@@ -372,7 +379,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _configure_cache(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away: route the interpreter's final flush of the
+        # unwritten rest to /dev/null so that it cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except KlmovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

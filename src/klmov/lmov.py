@@ -35,7 +35,13 @@ from .partitions import (
     splittings,
     z_stat_multi,
 )
-from .torus import TorusLinkSpec, bracket_coefficients, torus_invariant, unlink_invariant
+from .torus import (
+    DEFAULT_CABLE_BOUND,
+    TorusLinkSpec,
+    bracket_coefficients,
+    torus_invariant,
+    unlink_invariant,
+)
 
 DEFAULT_COLOR_BOUND = 6
 
@@ -48,9 +54,10 @@ class UnlinkSpec(NamedTuple):
     L: int
 
 
-def invariant(src, colors):
+def invariant(src, colors, bound=DEFAULT_CABLE_BOUND):
+    """Colored invariant of either source; bound may only raise the cable limit."""
     if isinstance(src, TorusLinkSpec):
-        return torus_invariant(src, colors)
+        return torus_invariant(src, colors, max(bound, DEFAULT_CABLE_BOUND))
     if isinstance(src, UnlinkSpec):
         if len(colors) != src.L:
             raise ValueError(f"{len(colors)} colors for {src.L} components")
@@ -78,7 +85,7 @@ def z_coefficient(src, mu, bound=DEFAULT_COLOR_BOUND):
     for avec in product(*label_sets):
         ch = multi_character(avec, mu)
         if ch:
-            acc = acc + invariant(src, avec) * ch
+            acc = acc + invariant(src, avec, bound) * ch
     return acc * Fraction(1, z_stat_multi(mu))
 
 

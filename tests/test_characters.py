@@ -96,6 +96,28 @@ def test_brauer_reduces_to_sn():
                 assert brauer_character(a, mu) == sn_character(a, mu)
 
 
+def _restriction_formula_table(n):
+    """Ram's formula term by term: sum_nu (sum_beta c^nu_{A beta}) chi_nu(mu)."""
+    table = {}
+    for a in brauer_labels(n):
+        half = (n - sum(a)) // 2
+        evens = [tuple(2 * p for p in lam) for lam in partitions_of(half)]
+        mult = {
+            nu: sum(lr_coefficient(a, beta, nu) for beta in evens)
+            for nu in partitions_of(n)
+        }
+        for mu in partitions_of(n):
+            table[(a, mu)] = sum(m * sn_character(nu, mu) for nu, m in mult.items())
+    return table
+
+
+def test_brauer_closed_form_matches_restriction_formula():
+    for n in range(10):
+        assert list(brauer_table(n).items()) == list(
+            _restriction_formula_table(n).items()
+        )
+
+
 def test_brauer_parity():
     with pytest.raises(ParityMismatch):
         brauer_character((1,), (2, 2))

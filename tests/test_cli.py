@@ -1,6 +1,10 @@
 """Command-line interface: flags, formats, exit codes, JSON round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +95,32 @@ def test_char_table(capsys):
     assert "1,1" in out and "chi" in out
 
 
+def test_char_table_negative_rank(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["char-table", "--n", "-1"])
+    assert exc.value.code == 2
+    assert "rank must be nonnegative, got -1" in capsys.readouterr().err
+
+
+def test_char_table_closed_pipe_exits_quietly():
+    # the rank-12 table (about 300 KB) overruns the pipe buffer, so the
+    # writer is still writing when the reader goes away
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "klmov", "char-table", "--n", "12", "--no-cache"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline().startswith(b"chi")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_sb_command(capsys):
     code, out = run(capsys, "sb", "--partition", "2")
     assert code == 0
@@ -119,6 +149,41 @@ def test_verify_subset(capsys):
     code, out = run(capsys, "verify", "--suite", "properties", "--only", "kappa")
     assert code == 0
     assert "PASS" in out
+
+
+def test_lmov_bound_reaches_cable_limit(capsys):
+    # T(13,2) = T(2,13); the r = 13 cable of the single box has size 13 > 12
+    code, swapped = run(capsys, "lmov", "--torus", "13,2,1", "--mu", "1",
+                        "--bound", "13", "--format", "csv")
+    assert code == 0
+    code, out = run(capsys, "lmov", "--torus", "2,13,1", "--mu", "1",
+                    "--format", "csv")
+    assert code == 0
+    assert swapped == out
+
+
+def test_invariant_torus_knot_symmetry(capsys):
+    # T(5,2) = T(2,5): the r = 5 side cables through the rank-10 table
+    code, swapped = run(capsys, "invariant", "--torus", "5,2,1", "--colors", "2")
+    assert code == 0
+    code, out = run(capsys, "invariant", "--torus", "2,5,1", "--colors", "2")
+    assert code == 0
+    assert swapped == out
+
+
+def test_verify_type_error_is_not_retried(monkeypatch):
+    from klmov import verify
+
+    seeds = []
+
+    def check(seed=0):
+        seeds.append(seed)
+        raise TypeError("a defect inside the check")
+
+    monkeypatch.setattr(verify, "PROPERTY_CHECKS", [("ring-axioms", check)])
+    with pytest.raises(TypeError):
+        verify.run_suite("properties", seed=5)
+    assert seeds == [5]
 
 
 def test_usage_error_exit_code(capsys):
