@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 a conjecture check produced a finding (a
-non-integral or non-representable value), 2 usage error, 141 standard output
-was closed before everything was written (as by ``klmov ... | head``; nothing
-is printed on standard error, and 141 is what a shell reports for a process
-ended by SIGPIPE).
+non-integral or non-representable value), 2 usage error, 3 a size limit was
+exceeded (``BoundExceeded``; ``--bound`` raises the limit), 141 standard
+output was closed before everything was written (as by ``klmov ... | head``;
+nothing is printed on standard error, and 141 is what a shell reports for a
+process ended by SIGPIPE).  The error cases print one ``error:`` line on
+standard error.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 
 from . import characters, verify
 from .errors import (
+    BoundExceeded,
     KlmovError,
     NonIntegerCoefficient,
     NotDivisible,
@@ -25,6 +28,7 @@ from .errors import (
 )
 from .laurent import RationalQT
 from .lmov import (
+    DEFAULT_COLOR_BOUND,
     UnlinkSpec,
     conjecture_lhs,
     degree_check,
@@ -35,7 +39,13 @@ from .lmov import (
 from .partitions import format_partition, parse_multipartition, parse_partition
 from .rmatrix import bmw_relations_check, braid_relation_check, ribbon_check
 from .schur import pb_in_sb, sb_closed_form
-from .torus import TorusLinkSpec, ctilde, torus_invariant, unlink_invariant
+from .torus import (
+    DEFAULT_CABLE_BOUND,
+    TorusLinkSpec,
+    ctilde,
+    torus_invariant,
+    unlink_invariant,
+)
 from . import bmw
 
 SCHEMA = "klmov-v1"
@@ -145,7 +155,7 @@ def cmd_sb(args):
 
 def cmd_ctilde(args):
     colors = parse_multipartition(args.colors)
-    table = ctilde(colors, args.r, args.bound) if args.bound else ctilde(colors, args.r)
+    table = ctilde(colors, args.r, max(args.bound, DEFAULT_CABLE_BOUND))
     entries = sorted(table.entries.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
     if args.format == "json":
         data = {
@@ -168,11 +178,7 @@ def cmd_invariant(args):
     src = _parse_source(args)
     colors = parse_multipartition(args.colors)
     if isinstance(src, TorusLinkSpec):
-        value = (
-            torus_invariant(src, colors, args.bound)
-            if args.bound
-            else torus_invariant(src, colors)
-        )
+        value = torus_invariant(src, colors, max(args.bound, DEFAULT_CABLE_BOUND))
     else:
         value = unlink_invariant(colors)
     if args.format == "json":
@@ -193,8 +199,8 @@ def cmd_lmov(args):
     src = _parse_source(args)
     mu = parse_multipartition(args.mu)
     try:
-        kwargs = {"bound": args.bound} if args.bound else {}
-        poly = conjecture_lhs(src, mu, antisymmetrize=not args.no_antisym, **kwargs)
+        poly = conjecture_lhs(src, mu, antisymmetrize=not args.no_antisym,
+                              bound=max(args.bound, DEFAULT_COLOR_BOUND))
         table = extract_n_table(poly, mu)
     except _FINDINGS as exc:
         finding = {
@@ -238,7 +244,7 @@ def cmd_lmov(args):
 def cmd_degree(args):
     src = _parse_source(args)
     mu = parse_multipartition(args.mu)
-    res = degree_check(src, mu, args.bound) if args.bound else degree_check(src, mu)
+    res = degree_check(src, mu, max(args.bound, DEFAULT_COLOR_BOUND))
     if args.format == "json":
         data = {
             "schema": SCHEMA,
@@ -313,7 +319,8 @@ def build_parser():
     common.add_argument("--out", help="write output to this file")
     common.add_argument("--cache-dir", help="directory for the character-table cache")
     common.add_argument("--no-cache", action="store_true", help="disable the disk cache")
-    common.add_argument("--bound", type=int, default=0, help="override size bounds")
+    common.add_argument("--bound", type=int, default=0,
+                        help="raise the size limits (never lowers a default)")
 
     parser = argparse.ArgumentParser(
         prog="klmov",
@@ -382,6 +389,9 @@ def main(argv=None):
         code = args.func(args)
         sys.stdout.flush()
         return code
+    except BoundExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # the reader went away: route the interpreter's final flush of the
         # unwritten rest to /dev/null so that it cannot fail again

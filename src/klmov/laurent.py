@@ -20,6 +20,14 @@ Q, dividing the integer-scaled t-slices of ``num`` by it while all allow
 cancels the gcd.  Only a residual other than 1 (from user input) goes through
 the Euclidean gcd.
 
+Sums and products are canonicalized once, not once per operand.
+``rational_sum`` takes the lcm of all denominators as the per-d maximum of
+their Phi_d multiplicities, brings every numerator to ints over one common
+scale, multiplies each by its cofactor lcm / den and accumulates them, then
+canonicalizes the total.  ``rational_product`` multiplies raw numerators and
+denominators and canonicalizes the product.  ``+`` and ``*`` are the
+two-operand cases of these.
+
 All coefficients are ints or ``fractions.Fraction``; nothing here ever
 touches floating point.
 """
@@ -278,7 +286,7 @@ def _cyclotomic_product(powers):
 def _cofactor(fa, fb):
     """lcm(A, B) / B for A, B with the cyclotomic multiplicities fa, fb."""
     extra = ((d, m - fb.get(d, 0)) for d, m in fa.items())
-    return _cyclotomic_product(tuple((d, e) for d, e in extra if e > 0))
+    return _cyclotomic_product(tuple(sorted((d, e) for d, e in extra if e > 0)))
 
 
 def _denominator_lcm(num):
@@ -574,6 +582,71 @@ def _canonical(num, den):
     return num, den
 
 
+def rational_sum(terms):
+    """The canonical sum of m * x over (x, m) pairs, canonicalized once.
+
+    x is a RationalQT and m an int, a Fraction or a term dict with nonzero
+    coefficients, such as the monomial {(a, b): c}.  Each numerator is scaled
+    to ints, and all of them share one integer scale; each is multiplied by
+    the cofactor lcm / den of its denominator and accumulated, so the sum
+    builds one lcm and canonicalizes once, not once per term.
+    """
+    parts = []
+    for x, m in terms:
+        if not x.num or not m:
+            continue
+        s = _denominator_lcm(x.num)
+        ints = _scaled(x.num, s)
+        if isinstance(m, dict):
+            sm = _denominator_lcm(m)
+            ints = qt_mul(ints, _scaled(m, sm))
+            s, k = s * sm, 1
+        else:
+            s, k = s * m.denominator, m.numerator
+        parts.append((ints, s, k, x.den))
+    if not parts:
+        return RationalQT(0)
+    dens = [den for *_, den in parts]
+    factored = [_factor(_dense(den)) for den in dens]
+    if all(len(r) == 1 for _, r in factored):
+        # the lcm takes the largest multiplicity of each Phi_d
+        top = {}
+        for f, _ in factored:
+            for d, e in f.items():
+                if e > top.get(d, 0):
+                    top[d] = e
+        lcm_den = _cyclotomic_product(tuple(sorted(top.items())))
+        cofactors = [_cofactor(top, f) for f, _ in factored]
+    else:
+        lcm_den = {0: 1}
+        for den in dens:
+            lcm_den = qp_mul(lcm_den, p1_div_exact(den, p1_gcd(lcm_den, den)))
+        cofactors = [p1_div_exact(lcm_den, den) for den in dens]
+    scale = lcm(*(s for _, s, _, _ in parts))
+    num = {}
+    for (ints, s, k, _), cofactor in zip(parts, cofactors):
+        if cofactor != {0: 1}:
+            ints = qt_mul_qp(ints, cofactor)
+        qt_iadd(num, ints, k * (scale // s))
+    return RationalQT(num, {a: scale * c for a, c in lcm_den.items()})
+
+
+def rational_product(factors):
+    """The canonical product of RationalQT values or raw (num, den) pairs of
+    term dicts, canonicalized once."""
+    factors = list(factors)
+    if len(factors) == 1 and isinstance(factors[0], RationalQT):
+        return factors[0]
+    num, den, scale = {(0, 0): 1}, {0: 1}, 1
+    for f in factors:
+        n, d = (f.num, f.den) if isinstance(f, RationalQT) else f
+        s = _denominator_lcm(n)
+        num = qt_mul(num, _scaled(n, s))
+        den = qp_mul(den, d)
+        scale *= s
+    return RationalQT(num, {a: scale * c for a, c in den.items()})
+
+
 class RationalQT:
     """Quotient of a bivariate Laurent polynomial by a q-only one."""
 
@@ -615,23 +688,7 @@ class RationalQT:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # both numerators over one integer scale, so the products are int * int
-        scale = lcm(_denominator_lcm(self.num), _denominator_lcm(other.num))
-        if self.den == other.den:
-            num = qt_iadd(_scaled(self.num, scale), _scaled(other.num, scale))
-            den = self.den
-        else:
-            (fa, ra), (fb, rb) = _factor(_dense(self.den)), _factor(_dense(other.den))
-            if len(ra) > 1 or len(rb) > 1:
-                g = p1_gcd(self.den, other.den)
-                da, db = p1_div_exact(self.den, g), p1_div_exact(other.den, g)
-            else:
-                # the lcm takes the larger multiplicity of each Phi_d
-                da, db = _cofactor(fa, fb), _cofactor(fb, fa)
-            num = qt_mul_qp(_scaled(self.num, scale), db)
-            qt_iadd(num, qt_mul_qp(_scaled(other.num, scale), da))
-            den = qp_mul(self.den, db)
-        return RationalQT(num, {a: scale * c for a, c in den.items()})
+        return rational_sum(((self, 1), (other, 1)))
 
     __radd__ = __add__
 
@@ -658,10 +715,7 @@ class RationalQT:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        sa, sb = _denominator_lcm(self.num), _denominator_lcm(other.num)
-        num = qt_mul(_scaled(self.num, sa), _scaled(other.num, sb))
-        den = qp_mul(self.den, other.den)
-        return RationalQT(num, {a: sa * sb * c for a, c in den.items()})
+        return rational_product((self, other))
 
     __rmul__ = __mul__
 

@@ -22,6 +22,8 @@ from .laurent import (
     RationalQT,
     ZTPoly,
     exact_div,
+    rational_product,
+    rational_sum,
     to_z_basis,
     valuation_at_q1,
 )
@@ -81,24 +83,22 @@ def z_coefficient(src, mu, bound=DEFAULT_COLOR_BOUND):
     if mp_norm(mu) > bound:
         raise BoundExceeded(f"color size {mp_norm(mu)} exceeds bound {bound}")
     label_sets = [brauer_labels(sum(lam)) for lam in mu]
-    acc = RationalQT(0)
+    z = z_stat_multi(mu)
+    terms = []
     for avec in product(*label_sets):
         ch = multi_character(avec, mu)
         if ch:
-            acc = acc + invariant(src, avec, bound) * ch
-    return acc * Fraction(1, z_stat_multi(mu))
+            terms.append((invariant(src, avec, bound), Fraction(ch, z)))
+    return rational_sum(terms)
 
 
 @lru_cache(maxsize=None)
 def free_energy(src, mu, bound=DEFAULT_COLOR_BOUND):
     """Coefficient of pb_mu in the logarithm of the partition function."""
-    acc = RationalQT(0)
-    for parts, coeff in splittings(mu, bound=max(bound, mp_norm(mu))):
-        term = RationalQT(coeff)
-        for part in parts:
-            term = term * z_coefficient(src, part, bound)
-        acc = acc + term
-    return acc
+    return rational_sum(
+        (rational_product(z_coefficient(src, part, bound) for part in parts), coeff)
+        for parts, coeff in splittings(mu, bound=max(bound, mp_norm(mu)))
+    )
 
 
 @lru_cache(maxsize=None)
@@ -106,14 +106,14 @@ def reformulated_g(src, mu, bound=DEFAULT_COLOR_BOUND):
     """Moebius-inverted free energy over simultaneous row divisors."""
     if mp_is_zero(mu):
         raise ValueError("needs a nonzero multi-partition")
-    acc = RationalQT(0)
+    terms = []
     for k in common_divisors(mu):
         mk = mobius(k)
         if not mk:
             continue
         f = free_energy(src, mp_div(mu, k), bound)
-        acc = acc + f.substitute(qpow=k, tpow=k) * Fraction(mk, k)
-    return acc
+        terms.append((f.substitute(qpow=k, tpow=k), Fraction(mk, k)))
+    return rational_sum(terms)
 
 
 def conjecture_lhs(src, mu, antisymmetrize=True, bound=DEFAULT_COLOR_BOUND):

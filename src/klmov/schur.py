@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .errors import BoundExceeded
 from .characters import brauer_character, brauer_labels, sn_character
-from .laurent import RationalQT, q_minus_qinv
+from .laurent import RationalQT, q_minus_qinv, rational_product, rational_sum
 from .partitions import partitions_of, transpose, z_stat
 
 DEFAULT_SIZE_BOUND = 12
@@ -183,7 +183,7 @@ def sb_closed_form(a):
     """
     a = tuple(a)
     at = transpose(a)
-    out = RationalQT(1)
+    cells = []
 
     def row(i):
         return a[i - 1] if i <= len(a) else 0
@@ -200,22 +200,19 @@ def sb_closed_form(a):
                 num = {(e, 1): 1, (-e, -1): -1}
                 num[(h, 0)] = num.get((h, 0), 0) + 1
                 num[(-h, 0)] = num.get((-h, 0), 0) - 1
-                out = out * RationalQT(num, den)
+                cells.append((num, den))
             else:
                 if i <= j:
                     d = row(i) + row(j) - i - j + 1
                 else:
                     d = -col(i) - col(j) + i + j - 1
-                out = out * RationalQT({(d, 1): 1, (-d, -1): -1}, den)
-    return out
+                cells.append(({(d, 1): 1, (-d, -1): -1}, den))
+    return rational_product(cells)
 
 
 def evaluate_sb_element(x):
     """Evaluate an SbElement to a RationalQT through the closed forms."""
-    out = RationalQT(0)
-    for a, c in x.items():
-        out = out + sb_closed_form(a) * c
-    return out
+    return rational_sum((sb_closed_form(a), c) for a, c in x.items())
 
 
 def pb_value(n):
@@ -225,10 +222,7 @@ def pb_value(n):
 
 
 def pb_product_value(mu):
-    out = RationalQT(1)
-    for part in mu:
-        out = out * pb_value(part)
-    return out
+    return rational_product(pb_value(part) for part in mu)
 
 
 def unknot_identity_check(mu, bound=DEFAULT_SIZE_BOUND):

@@ -16,7 +16,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import BoundExceeded, ComponentCountMismatch, NonIntegerExponent
-from .laurent import LaurentQT, RationalQT, to_z_basis
+from .laurent import LaurentQT, RationalQT, rational_product, rational_sum, to_z_basis
 from .partitions import kappa
 from .schur import loop_weight, pb_in_sb, pb_one, sb_closed_form, sb_in_pb
 
@@ -81,7 +81,10 @@ def ctilde(colors, r, bound=DEFAULT_CABLE_BOUND):
 def _torus_invariant_active(r, k, colors, bound):
     n = sum(sum(a) for a in colors)
     table = _ctilde_entries(colors, r, bound)
-    total = RationalQT(0)
+    # the framing prefactor q^pq t^pt joins every term's monomial
+    pq = -k * r * sum(kappa(a) for a in colors)
+    pt = -k * (r - 1) * n
+    terms = []
     for lam, c in table.items():
         if not c:
             continue
@@ -92,12 +95,8 @@ def _torus_invariant_active(r, k, colors, bound):
             raise NonIntegerExponent(
                 f"fractional framing exponent at {lam} with coefficient {c}"
             )
-        mono = RationalQT({(int(qexp), int(texp)): c})
-        total = total + sb_closed_form(lam) * mono
-    prefactor = RationalQT(
-        {(-k * r * sum(kappa(a) for a in colors), -k * (r - 1) * n): 1}
-    )
-    return total * prefactor
+        terms.append((sb_closed_form(lam), {(int(qexp) + pq, int(texp) + pt): c}))
+    return rational_sum(terms)
 
 
 def torus_invariant(spec, colors, bound=DEFAULT_CABLE_BOUND):
@@ -121,10 +120,7 @@ def torus_invariant(spec, colors, bound=DEFAULT_CABLE_BOUND):
 
 def unlink_invariant(colors):
     """Invariant of an unlink: product of quantum dimensions."""
-    out = RationalQT(1)
-    for a in colors:
-        out = out * sb_closed_form(tuple(a))
-    return out
+    return rational_product(sb_closed_form(tuple(a)) for a in colors)
 
 
 @lru_cache(maxsize=None)

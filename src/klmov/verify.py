@@ -24,7 +24,15 @@ from .bmw import (
 )
 from .characters import brauer_table, sn_character
 from .errors import KlmovError
-from .laurent import LaurentQT, RationalQT, ZTPoly, to_z_basis, valuation_at_q1
+from .laurent import (
+    LaurentQT,
+    RationalQT,
+    ZTPoly,
+    rational_product,
+    rational_sum,
+    to_z_basis,
+    valuation_at_q1,
+)
 from .lmov import (
     UnlinkSpec,
     column_integrality_check,
@@ -151,11 +159,10 @@ def check_ctilde_tables():
 
 
 def _expected_torus(terms, k):
-    out = RationalQT(0)
-    for coef, qslope, tslope, label in terms:
-        mono = RationalQT({(qslope * k, tslope * k): coef})
-        out = out + sb_closed_form(label) * mono
-    return out
+    return rational_sum(
+        (sb_closed_form(label), {(qslope * k, tslope * k): coef})
+        for coef, qslope, tslope, label in terms
+    )
 
 
 def check_torus_expansions():
@@ -486,13 +493,12 @@ def check_ctilde_identity():
         if mp_norm(colors) > 3:
             continue
         for r in (1, 2):
-            lhs = RationalQT(0)
-            for lam, c in ctilde(colors, r).entries.items():
-                if c:
-                    lhs = lhs + sb_closed_form(lam) * c
-            rhs = RationalQT(1)
-            for a in colors:
-                rhs = rhs * sb_closed_form(a).substitute(qpow=r, tpow=r)
+            lhs = rational_sum(
+                (sb_closed_form(lam), c) for lam, c in ctilde(colors, r).entries.items()
+            )
+            rhs = rational_product(
+                sb_closed_form(a).substitute(qpow=r, tpow=r) for a in colors
+            )
             if lhs != rhs:
                 return False, f"defining identity fails for {colors} at r={r}"
             checked += 1

@@ -162,6 +162,28 @@ def test_lmov_bound_reaches_cable_limit(capsys):
     assert swapped == out
 
 
+@pytest.mark.parametrize("argv", [
+    # the default color limit 6 admits mu = 5
+    ("lmov", "--torus", "2,3,1", "--mu", "5", "--format", "csv"),
+    ("degree", "--torus", "2,3,1", "--mu", "5"),
+    # the default cable limit 12 admits the size-4 cables
+    ("invariant", "--torus", "2,3,1", "--colors", "2"),
+    ("ctilde", "--colors", "2", "--r", "2"),
+])
+def test_bound_never_lowers_a_default(capsys, argv):
+    code, low = run(capsys, *argv, "--bound", "3")
+    assert code == 0
+    assert run(capsys, *argv) == (0, low)
+
+
+def test_size_limit_exit_code(capsys):
+    code = main(["lmov", "--torus", "2,3,1", "--mu", "7", "--bound", "6"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: color size 7 exceeds bound 6\n"
+    assert captured.out == ""
+
+
 def test_invariant_torus_knot_symmetry(capsys):
     # T(5,2) = T(2,5): the r = 5 side cables through the rank-10 table
     code, swapped = run(capsys, "invariant", "--torus", "5,2,1", "--colors", "2")

@@ -1,20 +1,30 @@
 """Differential tests of the exact arithmetic against sympy.
 
-Canonical forms of ``RationalQT`` values, sums, products, exact division and
-the valuation at q = 1 are compared with sympy's ``cancel`` (denominator made
-monic) on seeded random inputs.  The denominators are products of cyclotomic
-polynomials, non-cyclotomic ones, ones with fractional coefficients, and
-mixtures of these.
+Canonical forms of ``RationalQT`` values, sums (pairwise and over one lcm),
+products, exact division and the valuation at q = 1 are compared with sympy's
+``cancel`` (denominator made monic) on seeded random inputs.  The
+denominators are products of cyclotomic polynomials, non-cyclotomic ones,
+ones with fractional coefficients, and mixtures of these.  ``to_z_basis`` is
+compared with sympy's substitution z = q - 1/q.
 """
 
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from klmov.laurent import LaurentQT, RationalQT, exact_div, valuation_at_q1  # noqa: E402
+from klmov.errors import NotZRepresentable  # noqa: E402
+from klmov.laurent import (  # noqa: E402
+    LaurentQT,
+    RationalQT,
+    exact_div,
+    rational_sum,
+    to_z_basis,
+    valuation_at_q1,
+)
 
 q, t = sympy.symbols("q t")
 
@@ -210,3 +220,79 @@ def test_valuation_at_q1_matches_sympy(family):
         f = Frac.of(num, den)
         n, d = f.num.cancel(f.den, include=True)
         assert valuation_at_q1(RationalQT(num, den)) == q1_order(n) - q1_order(d)
+
+
+def random_term(rng, family, previous):
+    """(x, m) for rational_sum: x may be zero, share the previous term's
+    denominator or raise the multiplicity of one of its factors; m is an int
+    (maybe 0), a Fraction or a monomial dict."""
+    num, den = random_rational(rng, family)
+    roll = rng.random()
+    if roll < 0.15:
+        x = RationalQT(0)
+    elif roll < 0.35 and previous is not None:
+        x = RationalQT(num, previous.den)
+    elif roll < 0.6 and previous is not None:
+        x = RationalQT(num, multiply(previous.den, rng.choice(random_factors(rng, family))))
+    else:
+        x = RationalQT(num, den)
+    roll = rng.random()
+    if roll < 0.3:
+        m = rng.randint(-3, 3)
+    elif roll < 0.6:
+        m = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(2, 9))
+    else:
+        c = rng.choice((1, -2, Fraction(5, 3)))
+        m = {(rng.randint(-3, 3), rng.randint(-2, 2)): c}
+    return x, m
+
+
+def as_terms(m):
+    return m if isinstance(m, dict) else {(0, 0): m}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_rational_sum_matches_sympy(family):
+    rng = random.Random(f"rational-sum-{family}")
+    for _ in range(12):
+        terms = []
+        for _ in range(rng.randint(2, 8)):
+            terms.append(random_term(rng, family, terms[-1][0] if terms else None))
+        rng.shuffle(terms)
+        fracs = [
+            Frac.of(x.num, x.den) * Frac.of(as_terms(m), {0: 1})
+            for x, m in terms
+            if x.num and m
+        ]
+        want = reduce(Frac.__add__, fracs).canonical() if fracs else ({}, {0: Fraction(1)})
+        got = rational_sum(terms)
+        assert canonical(got) == want
+        assert got == reduce(RationalQT.__add__, (x * RationalQT(as_terms(m)) for x, m in terms))
+
+
+def z_substituted(terms):
+    """sum c * (q - 1/q)^z * t^b as a Laurent dict, expanded by sympy."""
+    expr = sum(rational(c) * (q - 1 / q) ** z * t**b for (z, b), c in terms.items())
+    poly = sympy.Poly(sympy.expand(expr * q**8 * t**3), q, t, domain="QQ")
+    return {(a - 8, b - 3): as_fraction(c) for (a, b), c in poly.terms()}
+
+
+def test_to_z_basis_matches_sympy():
+    rng = random.Random("z-basis")
+    for _ in range(25):
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            c = rng.choice((1, -1)) * rng.randint(1, 9)
+            if rng.random() < 0.3:
+                c = Fraction(c, rng.randint(2, 5))
+            terms[(rng.randint(0, 6), rng.randint(-2, 2))] = c
+        lau = z_substituted(terms)
+        # a common factor in num and den must cancel before the rewrite
+        f = rng.choice([cyclotomic(d) for d in (1, 2, 3, 6)] + list(NON_CYCLOTOMIC))
+        x = RationalQT(times_q_poly(lau, f), f)
+        assert to_z_basis(x).terms == terms
+        a = rng.choice((-3, -2, -1, 1, 2, 3))
+        asymmetric = dict(lau)
+        asymmetric[(a, 0)] = asymmetric.get((a, 0), 0) + 1
+        with pytest.raises(NotZRepresentable):
+            to_z_basis(RationalQT(asymmetric))
