@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotDivisible
-from .laurent import LaurentQT, RationalQT, exact_div
+from .laurent import LaurentQT, RationalQT
 from .torus import TorusLinkSpec, torus_invariant
 
 # w = q - 1/q + t - 1/t; x = w / (q - 1/q)
@@ -38,12 +37,6 @@ class XRational:
     def __init__(self, num, k=0):
         if not isinstance(num, RationalQT):
             num = RationalQT(num)
-        while k > 0:
-            try:
-                num = exact_div(num, _W_L)
-            except NotDivisible:
-                break
-            k -= 1
         if not num:
             k = 0
         self.num = num

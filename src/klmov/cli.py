@@ -1,5 +1,15 @@
 """Command-line front end.
 
+Size limits live here and nowhere else: each command checks the size of its
+request once, before computing anything, against ``LIMITS`` raised by
+``--bound`` (which never lowers a default):
+
+    char-table           rank n                             20
+    sb                   |lambda| (power-sum expansion)     12
+    ctilde, invariant    cable size r * |colors| (torus)    12
+    lmov, degree         color size |mu|                     6
+    rmatrix              N                                   4
+
 Exit codes: 0 success, 1 a conjecture check produced a finding (a
 non-integral or non-representable value), 2 usage error, 3 a size limit was
 exceeded (``BoundExceeded``; ``--bound`` raises the limit), 141 standard
@@ -28,7 +38,6 @@ from .errors import (
 )
 from .laurent import RationalQT
 from .lmov import (
-    DEFAULT_COLOR_BOUND,
     UnlinkSpec,
     conjecture_lhs,
     degree_check,
@@ -36,11 +45,10 @@ from .lmov import (
     extract_n_table,
     format_genus,
 )
-from .partitions import format_partition, parse_multipartition, parse_partition
+from .partitions import format_partition, mp_norm, parse_multipartition, parse_partition
 from .rmatrix import bmw_relations_check, braid_relation_check, ribbon_check
 from .schur import pb_in_sb, sb_closed_form
 from .torus import (
-    DEFAULT_CABLE_BOUND,
     TorusLinkSpec,
     ctilde,
     torus_invariant,
@@ -51,6 +59,17 @@ from . import bmw
 SCHEMA = "klmov-v1"
 
 _FINDINGS = (NotDivisible, NotPolynomial, NotZRepresentable, NonIntegerCoefficient)
+
+# command -> (what is measured, default limit)
+LIMITS = {
+    "char-table": ("rank", 20),
+    "sb": ("partition size", 12),
+    "ctilde": ("cable size", 12),
+    "invariant": ("cable size", 12),
+    "lmov": ("color size", 6),
+    "degree": ("color size", 6),
+    "rmatrix": ("N =", 4),
+}
 
 
 def rationalqt_to_json(x):
@@ -83,6 +102,14 @@ def _configure_cache(args):
         characters.set_cache_dir(cache_dir)
 
 
+def _check_size(args, size):
+    """Refuse a request above its command's limit, before any computation."""
+    what, default = LIMITS[args.command]
+    bound = max(args.bound, default)
+    if size > bound:
+        raise BoundExceeded(f"{what} {size} exceeds bound {bound}")
+
+
 def _parse_source(args):
     if getattr(args, "torus", None):
         try:
@@ -102,6 +129,7 @@ def _source_json(src):
 
 
 def cmd_char_table(args):
+    _check_size(args, args.n)
     table = characters.brauer_table(args.n)
     labels = characters.brauer_labels(args.n)
     from .partitions import partitions_of
@@ -131,6 +159,9 @@ def cmd_char_table(args):
 
 def cmd_sb(args):
     lam = parse_partition(args.partition)
+    if args.pb or not args.closed or args.format == "json":
+        # the closed form alone needs no character table and has no limit
+        _check_size(args, sum(lam))
     lines = []
     if args.pb or not args.closed:
         lines.append(f"pb expansion of {format_partition(lam)}: {pb_in_sb(lam)}")
@@ -155,7 +186,8 @@ def cmd_sb(args):
 
 def cmd_ctilde(args):
     colors = parse_multipartition(args.colors)
-    table = ctilde(colors, args.r, max(args.bound, DEFAULT_CABLE_BOUND))
+    _check_size(args, args.r * mp_norm(colors))
+    table = ctilde(colors, args.r)
     entries = sorted(table.entries.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
     if args.format == "json":
         data = {
@@ -178,7 +210,8 @@ def cmd_invariant(args):
     src = _parse_source(args)
     colors = parse_multipartition(args.colors)
     if isinstance(src, TorusLinkSpec):
-        value = torus_invariant(src, colors, max(args.bound, DEFAULT_CABLE_BOUND))
+        _check_size(args, src.r * mp_norm(colors))
+        value = torus_invariant(src, colors)
     else:
         value = unlink_invariant(colors)
     if args.format == "json":
@@ -198,9 +231,9 @@ def cmd_invariant(args):
 def cmd_lmov(args):
     src = _parse_source(args)
     mu = parse_multipartition(args.mu)
+    _check_size(args, mp_norm(mu))
     try:
-        poly = conjecture_lhs(src, mu, antisymmetrize=not args.no_antisym,
-                              bound=max(args.bound, DEFAULT_COLOR_BOUND))
+        poly = conjecture_lhs(src, mu, antisymmetrize=not args.no_antisym)
         table = extract_n_table(poly, mu)
     except _FINDINGS as exc:
         finding = {
@@ -244,7 +277,8 @@ def cmd_lmov(args):
 def cmd_degree(args):
     src = _parse_source(args)
     mu = parse_multipartition(args.mu)
-    res = degree_check(src, mu, max(args.bound, DEFAULT_COLOR_BOUND))
+    _check_size(args, mp_norm(mu))
+    res = degree_check(src, mu)
     if args.format == "json":
         data = {
             "schema": SCHEMA,
@@ -283,6 +317,7 @@ def cmd_bmw(args):
 
 def cmd_rmatrix(args):
     n = args.N
+    _check_size(args, n)
     results = []
     if args.check in ("all", "ribbon"):
         results.append(("ribbon", ribbon_check(n)))
@@ -310,6 +345,13 @@ def rank(text):
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"rank must be nonnegative, got {n}")
+    return n
+
+
+def positive(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"N must be positive, got {n}")
     return n
 
 
@@ -368,7 +410,7 @@ def build_parser():
     p.set_defaults(func=cmd_bmw)
 
     p = sub.add_parser("rmatrix", parents=[common], help="braiding matrix checks")
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=positive, required=True)
     p.add_argument("--check", choices=("all", "ribbon", "braid", "bmw"), default="all")
     p.set_defaults(func=cmd_rmatrix)
 

@@ -6,7 +6,7 @@ class KlmovError(Exception):
 
 
 class BoundExceeded(KlmovError):
-    """A size bound was exceeded; raise the bound explicitly to proceed."""
+    """A request exceeds its command's size limit, checked once at CLI entry."""
 
 
 class NotDivisible(KlmovError):

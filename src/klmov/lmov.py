@@ -16,7 +16,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .characters import brauer_labels, multi_character
-from .errors import BoundExceeded, NonIntegerCoefficient
+from .errors import NonIntegerCoefficient
 from .laurent import (
     LaurentQT,
     RationalQT,
@@ -33,19 +33,15 @@ from .partitions import (
     mp_div,
     mp_is_zero,
     mp_len,
-    mp_norm,
     splittings,
     z_stat_multi,
 )
 from .torus import (
-    DEFAULT_CABLE_BOUND,
     TorusLinkSpec,
     bracket_coefficients,
     torus_invariant,
     unlink_invariant,
 )
-
-DEFAULT_COLOR_BOUND = 6
 
 _Z_R = RationalQT({(1, 0): 1, (-1, 0): -1})
 
@@ -56,10 +52,10 @@ class UnlinkSpec(NamedTuple):
     L: int
 
 
-def invariant(src, colors, bound=DEFAULT_CABLE_BOUND):
-    """Colored invariant of either source; bound may only raise the cable limit."""
+def invariant(src, colors):
+    """Colored invariant of either source."""
     if isinstance(src, TorusLinkSpec):
-        return torus_invariant(src, colors, max(bound, DEFAULT_CABLE_BOUND))
+        return torus_invariant(src, colors)
     if isinstance(src, UnlinkSpec):
         if len(colors) != src.L:
             raise ValueError(f"{len(colors)} colors for {src.L} components")
@@ -74,35 +70,33 @@ def describe_source(src):
 
 
 @lru_cache(maxsize=None)
-def z_coefficient(src, mu, bound=DEFAULT_COLOR_BOUND):
+def z_coefficient(src, mu):
     """Coefficient of pb_mu in the partition function.
 
     Sum over label tuples of multi_character * invariant / z_mu; an empty
     component admits only the empty label.
     """
-    if mp_norm(mu) > bound:
-        raise BoundExceeded(f"color size {mp_norm(mu)} exceeds bound {bound}")
     label_sets = [brauer_labels(sum(lam)) for lam in mu]
     z = z_stat_multi(mu)
     terms = []
     for avec in product(*label_sets):
         ch = multi_character(avec, mu)
         if ch:
-            terms.append((invariant(src, avec, bound), Fraction(ch, z)))
+            terms.append((invariant(src, avec), Fraction(ch, z)))
     return rational_sum(terms)
 
 
 @lru_cache(maxsize=None)
-def free_energy(src, mu, bound=DEFAULT_COLOR_BOUND):
+def free_energy(src, mu):
     """Coefficient of pb_mu in the logarithm of the partition function."""
     return rational_sum(
-        (rational_product(z_coefficient(src, part, bound) for part in parts), coeff)
-        for parts, coeff in splittings(mu, bound=max(bound, mp_norm(mu)))
+        (rational_product(z_coefficient(src, part) for part in parts), coeff)
+        for parts, coeff in splittings(mu)
     )
 
 
 @lru_cache(maxsize=None)
-def reformulated_g(src, mu, bound=DEFAULT_COLOR_BOUND):
+def reformulated_g(src, mu):
     """Moebius-inverted free energy over simultaneous row divisors."""
     if mp_is_zero(mu):
         raise ValueError("needs a nonzero multi-partition")
@@ -111,12 +105,12 @@ def reformulated_g(src, mu, bound=DEFAULT_COLOR_BOUND):
         mk = mobius(k)
         if not mk:
             continue
-        f = free_energy(src, mp_div(mu, k), bound)
+        f = free_energy(src, mp_div(mu, k))
         terms.append((f.substitute(qpow=k, tpow=k), Fraction(mk, k)))
     return rational_sum(terms)
 
 
-def conjecture_lhs(src, mu, antisymmetrize=True, bound=DEFAULT_COLOR_BOUND):
+def conjecture_lhs(src, mu, antisymmetrize=True):
     """The candidate integer-coefficient polynomial in z and t.
 
     z_mu z^2 g / prod(q^row - q^-row), with g replaced by its odd t-part when
@@ -124,7 +118,7 @@ def conjecture_lhs(src, mu, antisymmetrize=True, bound=DEFAULT_COLOR_BOUND):
     value fails to land in the polynomial ring; callers treat those as
     findings.
     """
-    g = reformulated_g(src, mu, bound)
+    g = reformulated_g(src, mu)
     if antisymmetrize:
         g = (g - g.substitute(tsign=-1)) * Fraction(1, 2)
     value = g * z_stat_multi(mu) * _Z_R * _Z_R
@@ -191,9 +185,9 @@ class DegreeResult(NamedTuple):
     passed: bool
 
 
-def degree_check(src, mu, bound=DEFAULT_COLOR_BOUND):
+def degree_check(src, mu):
     """Order of vanishing of the free energy at q = 1 against len(mu) - 2."""
-    f = free_energy(src, mu, bound)
+    f = free_energy(src, mu)
     target = mp_len(mu) - 2
     if f.is_zero:
         return DegreeResult(None, target, True)
@@ -201,10 +195,10 @@ def degree_check(src, mu, bound=DEFAULT_COLOR_BOUND):
     return DegreeResult(val, target, val >= target)
 
 
-def column_integrality_check(src, dvec, bound=DEFAULT_COLOR_BOUND):
+def column_integrality_check(src, dvec):
     """d! z^(2-d) F on column colors lands in the integer polynomial ring."""
     mu = tuple((1,) * d for d in dvec)
-    f = free_energy(src, mu, bound)
+    f = free_energy(src, mu)
     if f.is_zero:
         return True
     d = sum(dvec)
@@ -220,7 +214,7 @@ def column_integrality_check(src, dvec, bound=DEFAULT_COLOR_BOUND):
     return to_z_basis(value).is_integral()
 
 
-def lickorish_millett_check(spec, bound=12):
+def lickorish_millett_check(spec):
     """Verify the two low-order bracket-coefficient relations for a torus link.
 
     Both relations express p_{2-L} and p_{3-L} of the link through the
@@ -233,8 +227,8 @@ def lickorish_millett_check(spec, bound=12):
     if L == 1:
         return True
     tau = LaurentQT({(0, 1): 1, (0, -1): -1})
-    p_link = bracket_coefficients(spec, bound)
-    p_knot = bracket_coefficients(TorusLinkSpec(spec.r, spec.k, 1), bound)
+    p_link = bracket_coefficients(spec)
+    p_knot = bracket_coefficients(TorusLinkSpec(spec.r, spec.k, 1))
     k0 = p_knot.get(0, LaurentQT(0))
     k1 = p_knot.get(1, LaurentQT(0))
     k2 = p_knot.get(2, LaurentQT(0))
@@ -247,7 +241,7 @@ def lickorish_millett_check(spec, bound=12):
     # p_{3-L} = C(L-1,2) tau^(L-3) k0^L
     #         + tau^(L-2) C(L,2) p1(pair) k0^(L-2)
     #         - (L-2) tau^(L-1) L k2 k0^(L-1)
-    pair = bracket_coefficients(TorusLinkSpec(spec.r, spec.k, 2), bound)
+    pair = bracket_coefficients(TorusLinkSpec(spec.r, spec.k, 2))
     pair1 = pair.get(1, LaurentQT(0))
     rhs = comb(L, 2) * tau ** (L - 2) * pair1 * k0 ** (L - 2)
     if L >= 3:

@@ -12,10 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 
-from .errors import BoundExceeded, ParityMismatch
-
-DEFAULT_PARTITION_BOUND = 20
-DEFAULT_SPLITTING_BOUND = 8
+from .errors import ParityMismatch
 
 
 def is_partition(parts):
@@ -49,10 +46,8 @@ def format_multipartition(mu):
 
 
 @lru_cache(maxsize=None)
-def partitions_of(n, bound=DEFAULT_PARTITION_BOUND):
+def partitions_of(n):
     """All partitions of n, ordered lexicographically descending."""
-    if n > bound:
-        raise BoundExceeded(f"partitions of {n} exceeds bound {bound}")
 
     def gen(remaining, maxpart):
         if remaining == 0:
@@ -163,7 +158,7 @@ def _atoms_to_multipartition(atom_counts, ncomp):
     return tuple(tuple(sorted(c, reverse=True)) for c in comps)
 
 
-def splittings(mu, bound=DEFAULT_SPLITTING_BOUND):
+def splittings(mu):
     """Multisets of nonzero multi-partitions whose rows reassemble mu.
 
     Returns (parts, coefficient) pairs where parts is a sorted tuple with
@@ -171,8 +166,6 @@ def splittings(mu, bound=DEFAULT_SPLITTING_BOUND):
     """
     if mp_is_zero(mu):
         raise ValueError("cannot split the zero multi-partition")
-    if mp_norm(mu) > bound:
-        raise BoundExceeded(f"splittings of size {mp_norm(mu)} exceed bound {bound}")
     ncomp = len(mu)
     atoms = Counter()
     for alpha, lam in enumerate(mu):

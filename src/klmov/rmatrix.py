@@ -17,11 +17,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import BoundExceeded, HalfIntegerExponent, NotDivisible
+from .errors import HalfIntegerExponent, NotDivisible
 from .laurent import p1_div_exact, qp_iadd, qp_mul
-
-DEFAULT_N_BOUND = 4
-DEFAULT_RELATION_BOUND = 3
 
 
 class QMatrix:
@@ -120,10 +117,8 @@ def _exchange_exponent(i, j, n):
 
 
 @lru_cache(maxsize=None)
-def build_rhat(n, bound=DEFAULT_N_BOUND):
+def build_rhat(n):
     """The braiding operator on V (x) V, dim (2N+1)^2."""
-    if n > bound:
-        raise BoundExceeded(f"N = {n} exceeds bound {bound}")
     dim_v = 2 * n + 1
     mid = n + 1
     mat = QMatrix(dim_v * dim_v)
@@ -156,10 +151,8 @@ def build_rhat(n, bound=DEFAULT_N_BOUND):
 
 
 @lru_cache(maxsize=None)
-def build_k2rho(n, bound=DEFAULT_N_BOUND):
+def build_k2rho(n):
     """Diagonal enhancement diag(q^(1-2N), ..., q^-1, 1, q, ..., q^(2N-1))."""
-    if n > bound:
-        raise BoundExceeded(f"N = {n} exceeds bound {bound}")
     dim_v = 2 * n + 1
     mat = QMatrix(dim_v)
     for i in range(1, dim_v + 1):
@@ -182,10 +175,10 @@ def k2rho_trace(n):
     return out
 
 
-def ribbon_check(n, bound=DEFAULT_N_BOUND):
+def ribbon_check(n):
     """Partial quantum trace of the braiding must be the scalar q^(2N)."""
-    rhat = build_rhat(n, bound)
-    k = build_k2rho(n, bound)
+    rhat = build_rhat(n)
+    k = build_k2rho(n)
     dim_v = 2 * n + 1
     theta = {}
     for (rowflat, colflat, poly) in rhat.entries():
@@ -222,11 +215,9 @@ def _lift_three(mat, dim_v, side):
     return out
 
 
-def braid_relation_check(n, bound=DEFAULT_RELATION_BOUND):
-    if n > bound:
-        raise BoundExceeded(f"N = {n} exceeds bound {bound}")
+def braid_relation_check(n):
     dim_v = 2 * n + 1
-    g = build_rhat(n, max(bound, DEFAULT_N_BOUND))
+    g = build_rhat(n)
     g1 = _lift_three(g, dim_v, "left")
     g2 = _lift_three(g, dim_v, "right")
     return g1 @ g2 @ g1 == g2 @ g1 @ g2
@@ -244,11 +235,9 @@ def _g_inverse_from_cubic(g, n):
     return acc.scaled({tneg: -1})
 
 
-def bmw_relations_check(n, bound=DEFAULT_RELATION_BOUND):
+def bmw_relations_check(n):
     """Cubic, inverse, tangle idempotent, and loop relations at t = q^(2N)."""
-    if n > bound:
-        raise BoundExceeded(f"N = {n} exceeds bound {bound}")
-    g = build_rhat(n, max(bound, DEFAULT_N_BOUND))
+    g = build_rhat(n)
     dim = g.dim
     ident = QMatrix.identity(dim)
     ginv = _g_inverse_from_cubic(g, n)
@@ -278,4 +267,4 @@ def bmw_relations_check(n, bound=DEFAULT_RELATION_BOUND):
     qp_iadd(x, {0: 1})
     if e @ e != e.scaled(x):
         return False
-    return braid_relation_check(n, bound)
+    return braid_relation_check(n)

@@ -13,12 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import BoundExceeded
 from .characters import brauer_character, brauer_labels, sn_character
 from .laurent import RationalQT, q_minus_qinv, rational_product, rational_sum
 from .partitions import partitions_of, transpose, z_stat
-
-DEFAULT_SIZE_BOUND = 12
 
 
 class _BasisElement:
@@ -129,11 +126,9 @@ def pb_one():
 
 
 @lru_cache(maxsize=None)
-def pb_in_sb(mu, bound=DEFAULT_SIZE_BOUND):
+def pb_in_sb(mu):
     """Expand pb_mu over sb symbols via the Brauer character transition."""
     mu = tuple(mu)
-    if sum(mu) > bound:
-        raise BoundExceeded(f"|mu| = {sum(mu)} exceeds bound {bound}")
     out = {}
     for a in brauer_labels(sum(mu)):
         ch = brauer_character(a, mu)
@@ -143,7 +138,7 @@ def pb_in_sb(mu, bound=DEFAULT_SIZE_BOUND):
 
 
 @lru_cache(maxsize=None)
-def sb_in_pb(a, bound=DEFAULT_SIZE_BOUND):
+def sb_in_pb(a):
     """Invert the transition: express sb_a in power sums.
 
     The top block of the Brauer character table is the S_n table, so
@@ -152,8 +147,6 @@ def sb_in_pb(a, bound=DEFAULT_SIZE_BOUND):
     """
     a = tuple(a)
     n = sum(a)
-    if n > bound:
-        raise BoundExceeded(f"|a| = {n} exceeds bound {bound}")
     if n == 0:
         return pb_one()
     lower = [b for b in brauer_labels(n) if sum(b) < n]
@@ -166,7 +159,7 @@ def sb_in_pb(a, bound=DEFAULT_SIZE_BOUND):
         for b in lower:
             ch_b = brauer_character(b, mu)
             if ch_b:
-                residual = residual - sb_in_pb(b, bound) * ch_b
+                residual = residual - sb_in_pb(b) * ch_b
         out = out + residual * Fraction(chi, z_stat(mu))
     return out
 
@@ -225,10 +218,10 @@ def pb_product_value(mu):
     return rational_product(pb_value(part) for part in mu)
 
 
-def unknot_identity_check(mu, bound=DEFAULT_SIZE_BOUND):
+def unknot_identity_check(mu):
     """Character sum of quantum dimensions against the product formula."""
     mu = tuple(mu)
-    return evaluate_sb_element(pb_in_sb(mu, bound)) == pb_product_value(mu)
+    return evaluate_sb_element(pb_in_sb(mu)) == pb_product_value(mu)
 
 
 def loop_weight():

@@ -15,12 +15,10 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .errors import BoundExceeded, ComponentCountMismatch, NonIntegerExponent
+from .errors import ComponentCountMismatch, NonIntegerExponent
 from .laurent import LaurentQT, RationalQT, rational_product, rational_sum, to_z_basis
 from .partitions import kappa
 from .schur import loop_weight, pb_in_sb, pb_one, sb_closed_form, sb_in_pb
-
-DEFAULT_CABLE_BOUND = 12
 
 
 class TorusLinkSpec(NamedTuple):
@@ -52,17 +50,14 @@ class CTildeTable:
 
 
 @lru_cache(maxsize=None)
-def _ctilde_entries(colors, r, bound):
-    n = sum(sum(a) for a in colors)
-    if r * n > bound:
-        raise BoundExceeded(f"cable size {r * n} exceeds bound {bound}")
+def _ctilde_entries(colors, r):
     prod = pb_one()
     for a in colors:
-        prod = prod.pb_mul(sb_in_pb(a, bound))
+        prod = prod.pb_mul(sb_in_pb(a))
     prod = prod.adams(r)
     collected = {}
     for mu, c in prod.items():
-        for lam, ch in pb_in_sb(mu, bound).items():
+        for lam, ch in pb_in_sb(mu).items():
             v = collected.get(lam, 0) + c * ch
             if v:
                 collected[lam] = v
@@ -71,16 +66,16 @@ def _ctilde_entries(colors, r, bound):
     return {lam: Fraction(c) for lam, c in collected.items()}
 
 
-def ctilde(colors, r, bound=DEFAULT_CABLE_BOUND):
+def ctilde(colors, r):
     """Cabling constants of the color tuple at cable degree r."""
     colors = tuple(tuple(a) for a in colors)
-    return CTildeTable(colors, r, dict(_ctilde_entries(colors, r, bound)))
+    return CTildeTable(colors, r, dict(_ctilde_entries(colors, r)))
 
 
 @lru_cache(maxsize=None)
-def _torus_invariant_active(r, k, colors, bound):
+def _torus_invariant_active(r, k, colors):
     n = sum(sum(a) for a in colors)
-    table = _ctilde_entries(colors, r, bound)
+    table = _ctilde_entries(colors, r)
     # the framing prefactor q^pq t^pt joins every term's monomial
     pq = -k * r * sum(kappa(a) for a in colors)
     pt = -k * (r - 1) * n
@@ -99,7 +94,7 @@ def _torus_invariant_active(r, k, colors, bound):
     return rational_sum(terms)
 
 
-def torus_invariant(spec, colors, bound=DEFAULT_CABLE_BOUND):
+def torus_invariant(spec, colors):
     """Colored invariant of a torus link; empty colors delete components.
 
     The sublink of T(rL, kL) on the components that remain colored is the
@@ -115,7 +110,7 @@ def torus_invariant(spec, colors, bound=DEFAULT_CABLE_BOUND):
     active = tuple(a for a in colors if a)
     if not active:
         return RationalQT(1)
-    return _torus_invariant_active(spec.r, spec.k, active, bound)
+    return _torus_invariant_active(spec.r, spec.k, active)
 
 
 def unlink_invariant(colors):
@@ -124,25 +119,25 @@ def unlink_invariant(colors):
 
 
 @lru_cache(maxsize=None)
-def kauffman_bracket(spec, bound=DEFAULT_CABLE_BOUND):
+def kauffman_bracket(spec):
     """Bracket polynomial of the torus link with the round-unknot normalization.
 
     Dividing the vector-colored invariant by the loop weight is exact; the
     failure of that division would contradict the skein normalization.
     """
     spec = TorusLinkSpec(*spec).validate()
-    w = torus_invariant(spec, ((1,),) * spec.L, bound)
+    w = torus_invariant(spec, ((1,),) * spec.L)
     return w / loop_weight()
 
 
-def bracket_coefficients(spec, bound=DEFAULT_CABLE_BOUND):
+def bracket_coefficients(spec):
     """Coefficients p_n(t) of z^n in the bracket, n >= 1 - L.
 
     Computed by rewriting z^(L-1) * bracket in the z basis and shifting.
     """
     spec = TorusLinkSpec(*spec).validate()
     shift = spec.L - 1
-    value = kauffman_bracket(spec, bound)
+    value = kauffman_bracket(spec)
     zpoly = RationalQT({(1, 0): 1, (-1, 0): -1})
     ztp = to_z_basis(value * zpoly**shift)
     out = {}

@@ -184,6 +184,51 @@ def test_size_limit_exit_code(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("sb", "--partition", "13"),
+    ("char-table", "--n", "21"),
+    ("rmatrix", "--N", "5"),
+    ("invariant", "--torus", "2,3,1", "--colors", "7"),
+    ("lmov", "--unlink", "1", "--mu", "7"),
+], ids=["sb", "char-table", "rmatrix", "invariant", "lmov"])
+def test_size_limit_at_entry(capsys, argv):
+    # each command checks its default limit once, before computing anything
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sb", "--partition", "13", "--bound", "13"),
+    ("rmatrix", "--N", "5", "--bound", "5"),
+], ids=["sb", "rmatrix"])
+def test_bound_raises_every_limit(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0 and out
+
+
+def test_lmov_cable_limit_follows_from_color_size(capsys):
+    # T(7,2) = T(2,7); the r = 7 cable of mu = 2 has size 14, and only the
+    # color size is limited
+    code, swapped = run(capsys, "lmov", "--torus", "7,2,1", "--mu", "2",
+                        "--format", "csv")
+    assert code == 0
+    code, out = run(capsys, "lmov", "--torus", "2,7,1", "--mu", "2",
+                    "--format", "csv")
+    assert code == 0
+    assert swapped == out
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_rmatrix_rank_must_be_positive(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["rmatrix", "--N", value])
+    assert exc.value.code == 2
+    assert f"N must be positive, got {value}" in capsys.readouterr().err
+
+
 def test_invariant_torus_knot_symmetry(capsys):
     # T(5,2) = T(2,5): the r = 5 side cables through the rank-10 table
     code, swapped = run(capsys, "invariant", "--torus", "5,2,1", "--colors", "2")

@@ -181,17 +181,6 @@ def test_case_a_family_closed_form():
     assert f == want
 
 
-def test_color_bound():
-    import pytest as _pytest
-
-    from klmov.errors import BoundExceeded
-
-    with _pytest.raises(BoundExceeded):
-        z_coefficient(UnlinkSpec(1), ((7,),))
-    # explicit bound overrides the default
-    assert not z_coefficient(UnlinkSpec(1), ((7,),), bound=8).is_zero
-
-
 def test_knot_row_antisymmetrized_closed_form():
     # the antisymmetrized combination z_mu (g(q,t) - g(q,-t))/2 for the row
     # color on T(2,k) has a closed form valid for every odd k; checked well

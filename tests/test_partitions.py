@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from klmov.errors import BoundExceeded, ParityMismatch
+from klmov.errors import ParityMismatch
 from klmov.partitions import (
     common_divisors,
     format_multipartition,
@@ -27,11 +27,6 @@ def test_partitions_of_small():
     assert partitions_of(0) == ((),)
     assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     assert len(partitions_of(3)) == 3
-
-
-def test_partitions_bound():
-    with pytest.raises(BoundExceeded):
-        partitions_of(25)
 
 
 def test_z_stat():

@@ -1,8 +1,5 @@
 """Braiding matrix identities for the vector representation."""
 
-import pytest
-
-from klmov.errors import BoundExceeded
 from klmov.rmatrix import (
     QMatrix,
     bmw_relations_check,
@@ -65,11 +62,6 @@ def test_bmw_relations():
 def test_trace_is_quantum_dimension():
     for n in range(1, 5):
         assert k2rho_trace(n) == sb_closed_form((1,)).specialize_t(2 * n)
-
-
-def test_bound():
-    with pytest.raises(BoundExceeded):
-        build_rhat(7)
 
 
 def test_quantum_trace_matches_cabling_formula():

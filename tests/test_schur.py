@@ -2,9 +2,6 @@
 
 from fractions import Fraction
 
-import pytest
-
-from klmov.errors import BoundExceeded
 from klmov.golden import PB_IN_SB, SB_IN_PB, sb_closed_reference
 from klmov.laurent import RationalQT
 from klmov.partitions import partitions_of
@@ -57,11 +54,6 @@ def test_round_trip_is_identity():
             for mu, c in sb_in_pb(a).items():
                 acc = acc + pb_in_sb(mu) * c
             assert acc == SbElement({a: 1})
-
-
-def test_bound():
-    with pytest.raises(BoundExceeded):
-        pb_in_sb((13,))
 
 
 def test_closed_forms_match_reference():
