@@ -6,7 +6,6 @@ floating point anywhere in the package.
 """
 
 from .laurent import (
-    LaurentQT,
     RationalQT,
     ZTPoly,
     exact_div,
@@ -66,7 +65,6 @@ from .torus import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "LaurentQT",
     "RationalQT",
     "ZTPoly",
     "NTable",

@@ -19,14 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import LaurentQT, RationalQT
+from .laurent import RationalQT
 from .torus import TorusLinkSpec, torus_invariant
 
 # w = q - 1/q + t - 1/t; x = w / (q - 1/q)
-_W_L = LaurentQT({(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1})
+_W_L = {(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1}
 _W_R = RationalQT(_W_L)
 _Z_R = RationalQT({(1, 0): 1, (-1, 0): -1})
-_X_R = RationalQT(_W_L.terms, {1: 1, -1: -1})
+_X_R = RationalQT(_W_L, {1: 1, -1: -1})
 
 
 class XRational:

@@ -53,9 +53,9 @@ _CACHE_SCHEMA = "brauer-chars-v1"
 def set_cache_dir(path):
     """Enable (path) or disable (None) the on-disk character table cache."""
     global _CACHE_DIR
-    _CACHE_DIR = path
     if path:
         os.makedirs(path, exist_ok=True)
+    _CACHE_DIR = path
     _brauer_table_cached.cache_clear()
 
 

@@ -4,19 +4,26 @@ Size limits live here and nowhere else: each command checks the size of its
 request once, before computing anything, against ``LIMITS`` raised by
 ``--bound`` (which never lowers a default):
 
-    char-table           rank n                             20
-    sb                   |lambda| (power-sum expansion)     12
-    ctilde, invariant    cable size r * |colors| (torus)    12
-    lmov, degree         color size |mu|                     6
-    rmatrix              N                                   4
+    char-table           rank n                                  20
+    sb                   |lambda| (power-sum expansion)          12
+    ctilde               cable size r * |colors|                 12
+    invariant            cable size min(r, k) * |colors| (torus) 12
+    lmov, degree         color size |mu|                          6
+    rmatrix              N                                        4
+
+A torus link T(rL, kL) equals T(kL, rL) and is cabled through min(r, k).
+
+``verify --only NAME`` runs the checks whose names match NAME exactly, or
+match it as a shell-style pattern such as ``'ctilde*'``.
 
 Exit codes: 0 success, 1 a conjecture check produced a finding (a
-non-integral or non-representable value), 2 usage error, 3 a size limit was
-exceeded (``BoundExceeded``; ``--bound`` raises the limit), 141 standard
-output was closed before everything was written (as by ``klmov ... | head``;
-nothing is printed on standard error, and 141 is what a shell reports for a
-process ended by SIGPIPE).  The error cases print one ``error:`` line on
-standard error.
+non-integral or non-representable value), 2 usage error or a file that
+cannot be read or written (``OSError``, as for ``--out`` or ``--cache-dir``),
+3 a size limit was exceeded (``BoundExceeded``; ``--bound`` raises the
+limit), 141 standard output was closed before everything was written (as by
+``klmov ... | head``; nothing is printed on standard error, and 141 is what a
+shell reports for a process ended by SIGPIPE).  The error cases print one
+``error:`` line on standard error.
 """
 
 from __future__ import annotations
@@ -44,16 +51,12 @@ from .lmov import (
     describe_source,
     extract_n_table,
     format_genus,
+    invariant,
 )
 from .partitions import format_partition, mp_norm, parse_multipartition, parse_partition
 from .rmatrix import bmw_relations_check, braid_relation_check, ribbon_check
 from .schur import pb_in_sb, sb_closed_form
-from .torus import (
-    TorusLinkSpec,
-    ctilde,
-    torus_invariant,
-    unlink_invariant,
-)
+from .torus import TorusLinkSpec, ctilde
 from . import bmw
 
 SCHEMA = "klmov-v1"
@@ -210,10 +213,8 @@ def cmd_invariant(args):
     src = _parse_source(args)
     colors = parse_multipartition(args.colors)
     if isinstance(src, TorusLinkSpec):
-        _check_size(args, src.r * mp_norm(colors))
-        value = torus_invariant(src, colors)
-    else:
-        value = unlink_invariant(colors)
+        _check_size(args, min(src.r, src.k) * mp_norm(colors))
+    value = invariant(src, colors)
     if args.format == "json":
         data = {
             "schema": SCHEMA,
@@ -348,11 +349,17 @@ def rank(text):
     return n
 
 
-def positive(text):
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"N must be positive, got {n}")
-    return n
+def positive(name):
+    """An argparse type for a positive int called name in its error message."""
+
+    def parse(text):
+        n = int(text)
+        if n < 1:
+            raise argparse.ArgumentTypeError(f"{name} must be positive, got {n}")
+        return n
+
+    parse.__name__ = "positive"  # argparse's "invalid positive value" message
+    return parse
 
 
 def build_parser():
@@ -388,20 +395,20 @@ def build_parser():
 
     p = sub.add_parser("invariant", parents=[common], help="colored link invariant")
     p.add_argument("--torus", help="r,k,L for the torus link T(rL,kL)")
-    p.add_argument("--unlink", type=int, help="number of unknot components")
+    p.add_argument("--unlink", type=positive("L"), help="number of unknot components")
     p.add_argument("--colors", required=True)
     p.set_defaults(func=cmd_invariant)
 
     p = sub.add_parser("lmov", parents=[common], help="integer coefficient table")
     p.add_argument("--torus")
-    p.add_argument("--unlink", type=int)
+    p.add_argument("--unlink", type=positive("L"))
     p.add_argument("--mu", required=True)
     p.add_argument("--no-antisym", action="store_true")
     p.set_defaults(func=cmd_lmov)
 
     p = sub.add_parser("degree", parents=[common], help="free-energy degree check")
     p.add_argument("--torus")
-    p.add_argument("--unlink", type=int)
+    p.add_argument("--unlink", type=positive("L"))
     p.add_argument("--mu", required=True)
     p.set_defaults(func=cmd_degree)
 
@@ -410,13 +417,14 @@ def build_parser():
     p.set_defaults(func=cmd_bmw)
 
     p = sub.add_parser("rmatrix", parents=[common], help="braiding matrix checks")
-    p.add_argument("--N", type=positive, required=True)
+    p.add_argument("--N", type=positive("N"), required=True)
     p.add_argument("--check", choices=("all", "ribbon", "braid", "bmw"), default="all")
     p.set_defaults(func=cmd_rmatrix)
 
     p = sub.add_parser("verify", parents=[common], help="run a verification suite")
     p.add_argument("--suite", choices=("paper", "properties", "all"), default="paper")
-    p.add_argument("--only", help="substring filter on check names")
+    p.add_argument("--only", help="run the checks with this name, or matching this "
+                   "shell-style pattern (as 'ctilde*')")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
@@ -439,6 +447,9 @@ def main(argv=None):
         # unwritten rest to /dev/null so that it cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except KlmovError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

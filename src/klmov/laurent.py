@@ -1,13 +1,14 @@
 """Exact bivariate Laurent arithmetic over arbitrary-precision rationals.
 
-Three value types live here:
+Two value types live here:
 
-* ``LaurentQT``: a Laurent polynomial in q and t with rational coefficients,
-  stored sparsely as ``{(qexp, texp): coefficient}``.
-* ``RationalQT``: a quotient ``num / den`` where ``num`` is a LaurentQT and
-  ``den`` is a Laurent polynomial in q alone.  Every denominator that occurs
-  in the invariant formulas (quantum integers, hook products, q^n - q^-n)
-  has this shape once t-monomial units are moved into the numerator.
+* ``RationalQT``: a quotient ``num / den`` where ``num`` is a Laurent
+  polynomial in q and t with rational coefficients, stored sparsely as
+  ``{(qexp, texp): coefficient}``, and ``den`` is a Laurent polynomial in q
+  alone.  Every denominator that occurs in the invariant formulas (quantum
+  integers, hook products, q^n - q^-n) has this shape once t-monomial units
+  are moved into the numerator.  A Laurent polynomial is a RationalQT whose
+  canonical denominator is ``{0: 1}``.
 * ``ZTPoly``: a polynomial in z = q - 1/q and t, the target ring of the
   integrality checks.
 
@@ -426,97 +427,6 @@ def qt_substitute(d, qpow, tsign, tpow):
     return out
 
 
-# ---------------------------------------------------------------------------
-# LaurentQT
-# ---------------------------------------------------------------------------
-
-
-class LaurentQT:
-    """Sparse exact Laurent polynomial in q and t."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        if terms is None:
-            self.terms = {}
-        elif isinstance(terms, LaurentQT):
-            self.terms = dict(terms.terms)
-        elif isinstance(terms, dict):
-            self.terms = qt_normalize(terms)
-        elif isinstance(terms, (int, Fraction)):
-            self.terms = {(0, 0): terms} if terms else {}
-        else:
-            raise TypeError(f"cannot build LaurentQT from {type(terms)!r}")
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def items(self):
-        return self.terms.items()
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentQT(other)
-        if not isinstance(other, LaurentQT):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        other = other if isinstance(other, LaurentQT) else LaurentQT(other)
-        out = dict(self.terms)
-        return LaurentQT(qt_iadd(out, other.terms))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = other if isinstance(other, LaurentQT) else LaurentQT(other)
-        out = dict(self.terms)
-        return LaurentQT(qt_iadd(out, other.terms, -1))
-
-    def __rsub__(self, other):
-        return LaurentQT(other) - self
-
-    def __neg__(self):
-        return LaurentQT({k: -c for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LaurentQT({k: other * c for k, c in self.terms.items()} if other else {})
-        if isinstance(other, LaurentQT):
-            return LaurentQT(qt_mul(self.terms, other.terms))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = LaurentQT(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
-    def substitute(self, qpow=1, tsign=1, tpow=1):
-        return LaurentQT(qt_substitute(self.terms, qpow, tsign, tpow))
-
-    def __str__(self):
-        return render_qt(self.terms)
-
-    def __repr__(self):
-        return f"LaurentQT({self})"
-
-
 def q_minus_qinv(n):
     """q^n - q^-n as a raw q-only dict."""
     return {n: 1, -n: -1}
@@ -658,12 +568,8 @@ class RationalQT:
                 raise TypeError("den not allowed when copying a RationalQT")
             self.num, self.den = num.num, num.den
             return
-        if isinstance(num, LaurentQT):
-            num = num.terms
-        elif isinstance(num, (int, Fraction)):
+        if isinstance(num, (int, Fraction)):
             num = {(0, 0): num} if num else {}
-        if isinstance(den, LaurentQT):
-            den = {a: c for (a, b), c in den.terms.items()}
         if den is None:
             den = {0: 1}
         self.num, self.den = _canonical(num, den)
@@ -722,19 +628,14 @@ class RationalQT:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power; use exact_div")
-        out = RationalQT(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return rational_product([self] * n)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             return self * (1 / Fraction(other))
-        if isinstance(other, LaurentQT):
-            return exact_div(self, other)
         if isinstance(other, RationalQT):
             scaled = self * RationalQT({(a, 0): c for a, c in other.den.items()})
-            return exact_div(scaled, LaurentQT(other.num))
+            return exact_div(scaled, other.num)
         return NotImplemented
 
     def substitute(self, qpow=1, tsign=1, tpow=1):
@@ -744,12 +645,6 @@ class RationalQT:
         num = qt_substitute(self.num, qpow, tsign, tpow)
         den = {a * qpow: c for a, c in self.den.items()}
         return RationalQT(num, den)
-
-    def as_laurent(self):
-        """Reduce to a LaurentQT; raises NotPolynomial when den does not divide."""
-        if self.den == {0: 1}:
-            return LaurentQT(dict(self.num))
-        return LaurentQT(qt_div_qonly(self.num, self.den, error=NotPolynomial))
 
     def specialize_t(self, m):
         """Substitute t = q^m; result is a q-only dict and must be polynomial."""
@@ -780,7 +675,7 @@ class RationalQT:
 def _coerce(x):
     if isinstance(x, RationalQT):
         return x
-    if isinstance(x, (int, Fraction, LaurentQT)):
+    if isinstance(x, (int, Fraction)):
         return RationalQT(x)
     return NotImplemented
 
@@ -799,14 +694,15 @@ ZERO = RationalQT(0)
 def exact_div(x, d):
     """Divide x by the Laurent polynomial d, exactly.
 
-    The q-only content of d joins the denominator; the remaining t-dependent
-    cofactor must divide the numerator exactly or NotDivisible is raised.
+    d is a RationalQT with denominator 1 or a raw term dict.  The q-only
+    content of d joins the denominator; the remaining t-dependent cofactor
+    must divide the numerator exactly or NotDivisible is raised.
     """
     x = _coerce_strict(x)
-    if isinstance(d, LaurentQT):
-        d = d.terms
-    elif isinstance(d, (int, Fraction)):
-        d = {(0, 0): d} if d else {}
+    if isinstance(d, RationalQT):
+        if d.den != {0: 1}:
+            raise TypeError("exact_div wants a Laurent polynomial divisor; use /")
+        d = d.num
     d = qt_normalize(d)
     if not d:
         raise ZeroInput("division by zero")
@@ -934,7 +830,9 @@ def to_z_basis(x):
     parity of d.
     """
     x = _coerce_strict(x)
-    lau = x.as_laurent().terms
+    lau = x.num
+    if x.den != {0: 1}:
+        lau = qt_div_qonly(x.num, x.den, error=NotPolynomial)
     even = {k: c for k, c in lau.items() if k[0] % 2 == 0}
     odd = {k: c for k, c in lau.items() if k[0] % 2}
     out = {}

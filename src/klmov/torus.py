@@ -16,7 +16,7 @@ from math import gcd
 from typing import NamedTuple
 
 from .errors import ComponentCountMismatch, NonIntegerExponent
-from .laurent import LaurentQT, RationalQT, rational_product, rational_sum, to_z_basis
+from .laurent import RationalQT, rational_product, rational_sum, to_z_basis
 from .partitions import kappa
 from .schur import loop_weight, pb_in_sb, pb_one, sb_closed_form, sb_in_pb
 
@@ -97,8 +97,9 @@ def _torus_invariant_active(r, k, colors):
 def torus_invariant(spec, colors):
     """Colored invariant of a torus link; empty colors delete components.
 
-    The sublink of T(rL, kL) on the components that remain colored is the
-    torus link T(rL', kL') on those L' components, and the empty link has
+    T(rL, kL) = T(kL, rL), so the link is cabled through min(r, k).  The
+    sublink of T(rL, kL) on the components that remain colored is the torus
+    link T(rL', kL') on those L' components, and the empty link has
     invariant 1.
     """
     spec = TorusLinkSpec(*spec).validate()
@@ -110,7 +111,7 @@ def torus_invariant(spec, colors):
     active = tuple(a for a in colors if a)
     if not active:
         return RationalQT(1)
-    return _torus_invariant_active(spec.r, spec.k, active)
+    return _torus_invariant_active(min(spec.r, spec.k), max(spec.r, spec.k), active)
 
 
 def unlink_invariant(colors):
@@ -131,7 +132,8 @@ def kauffman_bracket(spec):
 
 
 def bracket_coefficients(spec):
-    """Coefficients p_n(t) of z^n in the bracket, n >= 1 - L.
+    """Coefficients p_n(t) of z^n in the bracket, n >= 1 - L, as RationalQT
+    values with denominator 1.
 
     Computed by rewriting z^(L-1) * bracket in the z basis and shifting.
     """
@@ -142,5 +144,5 @@ def bracket_coefficients(spec):
     ztp = to_z_basis(value * zpoly**shift)
     out = {}
     for zp, row in ztp.rows().items():
-        out[zp - shift] = LaurentQT({(0, b): c for b, c in row.items()})
+        out[zp - shift] = RationalQT({(0, b): c for b, c in row.items()})
     return out

@@ -7,6 +7,7 @@ Each check returns (passed, detail).  The command line runs them through
 from __future__ import annotations
 
 import random
+from fnmatch import fnmatchcase
 from fractions import Fraction
 
 from . import golden
@@ -25,7 +26,6 @@ from .bmw import (
 from .characters import brauer_table, sn_character
 from .errors import KlmovError
 from .laurent import (
-    LaurentQT,
     RationalQT,
     ZTPoly,
     rational_product,
@@ -437,19 +437,17 @@ def check_ring_axioms(seed=0):
 
 def check_z_roundtrip(seed=0):
     rng = random.Random(seed)
-    zsym = LaurentQT({(1, 0): 1, (-1, 0): -1})
-    tvar = LaurentQT({(0, 1): 1})
-    tinv = LaurentQT({(0, -1): 1})
+    zsym = RationalQT({(1, 0): 1, (-1, 0): -1})
     for _ in range(30):
-        value = LaurentQT(0)
+        terms = []
         for _ in range(rng.randint(1, 5)):
             zp = rng.randint(0, 4)
             tp = rng.randint(-3, 3)
             c = rng.randint(-4, 4)
-            term = (tvar if tp >= 0 else tinv) ** abs(tp)
-            value = value + zsym**zp * term * c
-        poly = to_z_basis(RationalQT(value.terms))
-        if poly.expand() != RationalQT(value.terms):
+            if c:
+                terms.append((zsym**zp, {(0, tp): c}))
+        value = rational_sum(terms)
+        if to_z_basis(value).expand() != value:
             return False, "z-basis round trip fails"
     return True, "z-basis decomposition round-trips on random values"
 
@@ -587,7 +585,7 @@ def run_suite(suite="paper", only=None, seed=0):
     else:
         raise ValueError(f"unknown suite {suite!r}")
     if only:
-        checks = [(name, fn) for name, fn in checks if only in name]
+        checks = [(name, fn) for name, fn in checks if fnmatchcase(name, only)]
         if not checks:
             raise ValueError(f"no check matches {only!r}")
     results = []

@@ -146,7 +146,7 @@ def test_rmatrix_command(capsys):
 
 
 def test_verify_subset(capsys):
-    code, out = run(capsys, "verify", "--suite", "properties", "--only", "kappa")
+    code, out = run(capsys, "verify", "--suite", "properties", "--only", "kappa*")
     assert code == 0
     assert "PASS" in out
 
@@ -317,3 +317,85 @@ def test_lmov_finding_json(monkeypatch, capsys):
     assert code == 1
     data = json.loads(out)
     assert data["integral"] is False and "finding" in data
+
+
+def test_invariant_cable_limit_takes_the_smaller_parameter(capsys):
+    # T(7,2) = T(2,7) is cabled through min(r, k) = 2: cable size 4, not 14
+    code, swapped = run(capsys, "invariant", "--torus", "7,2,1", "--colors", "2")
+    assert code == 0
+    assert run(capsys, "invariant", "--torus", "2,7,1", "--colors", "2") == (0, swapped)
+
+
+def test_torus_knot_cables_through_min_r_k(monkeypatch, capsys):
+    # T(9,1) is the unknot: its cables have size |mu| = 3, not 9 * |mu|
+    from klmov import torus
+
+    active = torus._torus_invariant_active
+    cables = []
+
+    def spy(r, k, colors):
+        cables.append(r * sum(map(sum, colors)))
+        return active(r, k, colors)
+
+    monkeypatch.setattr(torus, "_torus_invariant_active", spy)
+    code, _ = run(capsys, "lmov", "--torus", "9,1,1", "--mu", "3")
+    assert code == 0
+    assert max(cables) == 3
+
+
+def run_failing(capsys, *argv):
+    """Exit code and stderr of a command that must print nothing on stdout."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("invariant", "--unlink", "2", "--colors", "1"),
+    ("invariant", "--unlink", "1", "--colors", "1|1"),
+    ("invariant", "--unlink", "-1", "--colors", "1"),
+    ("invariant", "--unlink", "0", "--colors", "1"),
+    ("lmov", "--unlink", "0", "--mu", "1"),
+    ("degree", "--unlink", "0", "--mu", "1"),
+], ids=["too-few-colors", "too-many-colors", "negative", "zero-invariant",
+        "zero-lmov", "zero-degree"])
+def test_unlink_component_count(capsys, argv):
+    code, err = run_failing(capsys, *argv)
+    assert code == 2
+    assert err.count("error:") == 1
+
+
+def test_unlink_count_must_be_positive(capsys):
+    code, err = run_failing(capsys, "invariant", "--unlink", "0", "--colors", "1")
+    assert "argument --unlink: L must be positive, got 0" in err
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_unwritable_out_is_an_error_line(tmp_path, capsys, target):
+    out = tmp_path / "missing" / "x" if target == "missing-dir" else tmp_path
+    code, err = run_failing(capsys, "invariant", "--unlink", "1", "--colors", "1",
+                            "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unusable_cache_dir_is_an_error_line(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, err = run_failing(capsys, "char-table", "--n", "3",
+                            "--cache-dir", str(blocker / "x"))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_only_matches_names_exactly(capsys):
+    code, err = run_failing(capsys, "verify", "--suite", "properties", "--only", "kappa")
+    assert (code, err) == (2, "error: no check matches 'kappa'\n")
+    code, out = run(capsys, "verify", "--suite", "all", "--only", "ctilde*")
+    assert code == 0
+    assert [line.split()[1] for line in out.splitlines()[:-1]] == [
+        "ctilde-tables", "ctilde-identity"]

@@ -1,8 +1,8 @@
 """Differential tests of the exact arithmetic against sympy.
 
 Canonical forms of ``RationalQT`` values, sums (pairwise and over one lcm),
-products, exact division and the valuation at q = 1 are compared with sympy's
-``cancel`` (denominator made monic) on seeded random inputs.  The
+products, powers, exact division and the valuation at q = 1 are compared with
+sympy's ``cancel`` (denominator made monic) on seeded random inputs.  The
 denominators are products of cyclotomic polynomials, non-cyclotomic ones,
 ones with fractional coefficients, and mixtures of these.  ``to_z_basis`` is
 compared with sympy's substitution z = q - 1/q.
@@ -18,7 +18,6 @@ sympy = pytest.importorskip("sympy")
 
 from klmov.errors import NotZRepresentable  # noqa: E402
 from klmov.laurent import (  # noqa: E402
-    LaurentQT,
     RationalQT,
     exact_div,
     rational_sum,
@@ -199,7 +198,20 @@ def test_exact_div_matches_sympy(family):
         divisor = times_q_poly(tpart, qpart)
         multiple = x * RationalQT(tpart)
         want = Frac.of(multiple.num, multiple.den).divided_by(divisor)
-        assert canonical(exact_div(multiple, LaurentQT(divisor))) == want.canonical()
+        assert canonical(exact_div(multiple, RationalQT(divisor))) == want.canonical()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_power_matches_sympy(family):
+    rng = random.Random(f"power-{family}")
+    for _ in range(6):
+        x = RationalQT(*random_rational(rng, family))
+        fx, want = Frac.of(x.num, x.den), Frac.of({(0, 0): 1}, {0: 1})
+        for n in range(5):
+            got = x**n
+            assert canonical(got) == want.canonical()
+            assert got == reduce(RationalQT.__mul__, [x] * n, RationalQT(1))
+            want = want * fx
 
 
 def q1_order(poly):
