@@ -23,10 +23,9 @@ from .laurent import RationalQT
 from .torus import TorusLinkSpec, torus_invariant
 
 # w = q - 1/q + t - 1/t; x = w / (q - 1/q)
-_W_L = {(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1}
-_W_R = RationalQT(_W_L)
+_W_R = RationalQT({(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1})
 _Z_R = RationalQT({(1, 0): 1, (-1, 0): -1})
-_X_R = RationalQT(_W_L, {1: 1, -1: -1})
+_X_R = RationalQT(_W_R.num, {1: 1, -1: -1})
 
 
 class XRational:

@@ -447,13 +447,7 @@ def main(argv=None):
         # unwritten rest to /dev/null so that it cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KlmovError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, KlmovError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -209,15 +209,26 @@ def test_bound_raises_every_limit(capsys, argv):
     assert code == 0 and out
 
 
-def test_lmov_cable_limit_follows_from_color_size(capsys):
-    # T(7,2) = T(2,7); the r = 7 cable of mu = 2 has size 14, and only the
-    # color size is limited
-    code, swapped = run(capsys, "lmov", "--torus", "7,2,1", "--mu", "2",
-                        "--format", "csv")
-    assert code == 0
+def test_lmov_cable_limit_follows_from_color_size(monkeypatch, capsys):
+    # T(7,2) = T(2,7): cabling the 7,2,1 side through r = 7 instead of
+    # min(r, k) builds cables of size 14, and gives the bytes of 2,7,1
+    from klmov import torus
+
     code, out = run(capsys, "lmov", "--torus", "2,7,1", "--mu", "2",
                     "--format", "csv")
     assert code == 0
+    active = torus._torus_invariant_active
+    cabled = []
+
+    def through_max(r, k, colors):
+        cabled.append(k)
+        return active(k, r, colors)
+
+    monkeypatch.setattr(torus, "_torus_invariant_active", through_max)
+    code, swapped = run(capsys, "lmov", "--torus", "7,2,1", "--mu", "2",
+                        "--format", "csv")
+    assert code == 0
+    assert 7 in cabled
     assert swapped == out
 
 
@@ -230,12 +241,13 @@ def test_rmatrix_rank_must_be_positive(capsys, value):
 
 
 def test_invariant_torus_knot_symmetry(capsys):
-    # T(5,2) = T(2,5): the r = 5 side cables through the rank-10 table
-    code, swapped = run(capsys, "invariant", "--torus", "5,2,1", "--colors", "2")
+    # T(5,2) = T(2,5): the CLI cables through r = 2, which must agree with
+    # cabling through r = 5 and the rank-10 table
+    from klmov.torus import _torus_invariant_active
+
+    code, out = run(capsys, "invariant", "--torus", "5,2,1", "--colors", "2")
     assert code == 0
-    code, out = run(capsys, "invariant", "--torus", "2,5,1", "--colors", "2")
-    assert code == 0
-    assert swapped == out
+    assert out.strip() == str(_torus_invariant_active(5, 2, ((2,),)))
 
 
 def test_verify_type_error_is_not_retried(monkeypatch):
@@ -319,11 +331,23 @@ def test_lmov_finding_json(monkeypatch, capsys):
     assert data["integral"] is False and "finding" in data
 
 
-def test_invariant_cable_limit_takes_the_smaller_parameter(capsys):
-    # T(7,2) = T(2,7) is cabled through min(r, k) = 2: cable size 4, not 14
-    code, swapped = run(capsys, "invariant", "--torus", "7,2,1", "--colors", "2")
+def test_invariant_cable_limit_takes_the_smaller_parameter(monkeypatch, capsys):
+    # T(7,2) = T(2,7) is cabled through min(r, k) = 2: cable size 4, not 14,
+    # so the default limit 12 admits it
+    from klmov import torus
+
+    code, out = run(capsys, "invariant", "--torus", "2,7,1", "--colors", "2")
     assert code == 0
-    assert run(capsys, "invariant", "--torus", "2,7,1", "--colors", "2") == (0, swapped)
+    active = torus._torus_invariant_active
+    cables = []
+
+    def spy(r, k, colors):
+        cables.append(r * sum(map(sum, colors)))
+        return active(r, k, colors)
+
+    monkeypatch.setattr(torus, "_torus_invariant_active", spy)
+    assert run(capsys, "invariant", "--torus", "7,2,1", "--colors", "2") == (0, out)
+    assert cables == [4]
 
 
 def test_torus_knot_cables_through_min_r_k(monkeypatch, capsys):
@@ -354,24 +378,21 @@ def run_failing(capsys, *argv):
     return code, captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ("invariant", "--unlink", "2", "--colors", "1"),
-    ("invariant", "--unlink", "1", "--colors", "1|1"),
-    ("invariant", "--unlink", "-1", "--colors", "1"),
-    ("invariant", "--unlink", "0", "--colors", "1"),
-    ("lmov", "--unlink", "0", "--mu", "1"),
-    ("degree", "--unlink", "0", "--mu", "1"),
+@pytest.mark.parametrize("argv, message", [
+    (("invariant", "--unlink", "2", "--colors", "1"), "1 colors for 2 components"),
+    (("invariant", "--unlink", "1", "--colors", "1|1"), "2 colors for 1 components"),
+    (("invariant", "--unlink", "-1", "--colors", "1"), "L must be positive, got -1"),
+    (("invariant", "--unlink", "0", "--colors", "1"),
+     "argument --unlink: L must be positive, got 0"),
+    (("lmov", "--unlink", "0", "--mu", "1"), "L must be positive, got 0"),
+    (("degree", "--unlink", "0", "--mu", "1"), "L must be positive, got 0"),
 ], ids=["too-few-colors", "too-many-colors", "negative", "zero-invariant",
         "zero-lmov", "zero-degree"])
-def test_unlink_component_count(capsys, argv):
+def test_unlink_component_count(capsys, argv, message):
     code, err = run_failing(capsys, *argv)
     assert code == 2
     assert err.count("error:") == 1
-
-
-def test_unlink_count_must_be_positive(capsys):
-    code, err = run_failing(capsys, "invariant", "--unlink", "0", "--colors", "1")
-    assert "argument --unlink: L must be positive, got 0" in err
+    assert message in err
 
 
 @pytest.mark.parametrize("target", ["missing-dir", "directory"])

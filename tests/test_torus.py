@@ -14,6 +14,7 @@ from klmov.laurent import RationalQT
 from klmov.schur import loop_weight, sb_closed_form
 from klmov.torus import (
     TorusLinkSpec,
+    _torus_invariant_active,
     bracket_coefficients,
     ctilde,
     kauffman_bracket,
@@ -67,6 +68,20 @@ def test_hopf_invariant():
     z = RationalQT({(1, 0): 1, (-1, 0): -1})
     tt = RationalQT({(0, 1): 1, (0, -1): -1})
     assert got == x * (tt / z + RationalQT(1) + z * tt)
+
+
+@pytest.mark.parametrize("r, k, colors", [
+    (3, 1, ((1,), (1,))),
+    (2, 1, ((1,), (1,))),
+    (3, 2, ((1,),)),
+    (5, 3, ((1,),)),
+    (2, 1, ((1,), (1,), (1,))),
+    (5, 2, ((2,),)),
+    (7, 2, ((2,),)),
+])
+def test_cabling_is_symmetric_in_r_and_k(r, k, colors):
+    # T(rL, kL) = T(kL, rL): cabling through either parameter agrees
+    assert _torus_invariant_active(r, k, colors) == _torus_invariant_active(k, r, colors)
 
 
 def test_trefoil_invariant():
