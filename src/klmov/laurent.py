@@ -21,13 +21,16 @@ Q, dividing the integer-scaled t-slices of ``num`` by it while all allow
 cancels the gcd.  Only a residual other than 1 (from user input) goes through
 the Euclidean gcd.
 
-Sums and products are canonicalized once, not once per operand.
-``rational_sum`` takes the lcm of all denominators as the per-d maximum of
-their Phi_d multiplicities, brings every numerator to ints over one common
-scale, multiplies each by its cofactor lcm / den and accumulates them, then
-canonicalizes the total.  ``rational_product`` multiplies raw numerators and
-denominators and canonicalizes the product.  ``+`` and ``*`` are the
-two-operand cases of these.
+Sums of products are canonicalized once, not once per operand or product.
+A term of ``rational_sum`` is a tuple of factors standing for their
+product: the factors' numerators are scaled to ints and multiplied, and
+their denominators are multiplied by adding their Phi_d multiplicities, so
+no new trial division is needed.  The sum takes the lcm of all term
+denominators as the per-d maximum of those multiplicities, brings every
+numerator to ints over one common scale, multiplies each by its cofactor
+lcm / den and accumulates them, then canonicalizes the total.
+``rational_product`` is the one-term case, and ``+`` and ``*`` are the
+two-operand cases.
 
 All coefficients are ints or ``fractions.Fraction``; nothing here ever
 touches floating point.
@@ -188,7 +191,8 @@ def p1_div_exact(num, den):
     sn, sd = min(num), min(den)
     quo, rem = p1_divmod(p1_shift(num, -sn), p1_shift(den, -sd))
     if rem:
-        raise NotDivisible(f"remainder {rem} in univariate division")
+        rest = render_qt({(a, 0): c for a, c in rem.items()})
+        raise NotDivisible(f"remainder {rest} in univariate division")
     return p1_shift(quo, sn - sd)
 
 
@@ -437,15 +441,12 @@ def q_minus_qinv(n):
 # ---------------------------------------------------------------------------
 
 
-def _canonical(num, den):
-    """Canonical form: den is monic in q, has constant term, and shares no
-    nontrivial q-only factor with the numerator."""
-    num = qt_normalize(num)
+def _monic(num, den):
+    """(num', den', lc) with num / den == num' / (lc * den') for a monic den'
+    with a nonzero constant term; lc is 1 or a Fraction."""
     den = p1_normalize(den)
     if not den:
         raise ZeroInput("zero denominator")
-    if not num:
-        return {}, {0: 1}
     s = min(den)
     if s:
         den = p1_shift(den, -s)
@@ -455,6 +456,15 @@ def _canonical(num, den):
         lc = Fraction(lc)
         den = {a: _ratio(c.numerator * lc.denominator, c.denominator * lc.numerator)
                for a, c in den.items()}
+    return num, den, lc
+
+
+def _canonical(num, den):
+    """Canonical form: den is monic in q, has constant term, and shares no
+    nontrivial q-only factor with the numerator."""
+    num, den, lc = _monic(qt_normalize(num), den)
+    if not num:
+        return {}, {0: 1}
     mults, residual = _factor(_dense(den))
     cut = {}
     if mults or lc != 1:
@@ -492,49 +502,80 @@ def _canonical(num, den):
     return num, den
 
 
+def _product_term(factors, m):
+    """m times the product of factors as (ints, s, k, mults, residual), or
+    None when it is zero.
+
+    The value is k * ints / (s * D) with ints an int term dict, s > 0 and D
+    the product of Phi_d^mults[d] and the monic residual.  Numerators are
+    multiplied as ints and denominators by adding their multiplicity maps.
+    """
+    ints, s, k, mults, residual = None, m.denominator, m.numerator, {}, {0: 1}
+    for f in factors:
+        if isinstance(f, RationalQT):
+            num, den, lc = f.num, f.den, 1
+        else:
+            num, den, lc = _monic(qt_normalize(f[0]), f[1])
+        if not num:
+            return None
+        fs = _denominator_lcm(num)
+        fints = _scaled(num, fs)
+        ints = fints if ints is None else qt_mul(ints, fints)
+        s *= fs
+        if lc != 1:
+            s *= abs(lc.numerator)
+            k *= lc.denominator if lc > 0 else -lc.denominator
+        fm, fr = _factor(_dense(den))
+        for d, e in fm.items():
+            mults[d] = mults.get(d, 0) + e
+        if len(fr) > 1:
+            residual = qp_mul(residual, {a: c for a, c in enumerate(fr) if c})
+    return {(0, 0): 1} if ints is None else ints, s, k, mults, residual
+
+
 def rational_sum(terms):
     """The canonical sum of m * x over (x, m) pairs, canonicalized once.
 
-    x is a RationalQT and m an int, a Fraction or a term dict with nonzero
-    coefficients, such as the monomial {(a, b): c}.  Each numerator is scaled
-    to ints, and all of them share one integer scale; each is multiplied by
-    the cofactor lcm / den of its denominator and accumulated, so the sum
-    builds one lcm and canonicalizes once, not once per term.
+    x is a RationalQT or a tuple of factors standing for their product; a
+    factor is a RationalQT or a raw (num, den) pair of term dicts.  m is an
+    int, a Fraction or a term dict such as the monomial {(a, b): c}; a term
+    dict is one more raw factor, so its zero coefficients drop out.  All
+    terms share one integer scale, each is multiplied by the cofactor
+    lcm / den of its denominator and accumulated, so a sum of products
+    builds one lcm and canonicalizes once, not once per term or product.
     """
     parts = []
     for x, m in terms:
-        if not x.num or not m:
-            continue
-        s = _denominator_lcm(x.num)
-        ints = _scaled(x.num, s)
+        factors = x if isinstance(x, tuple) else (x,)
         if isinstance(m, dict):
-            sm = _denominator_lcm(m)
-            ints = qt_mul(ints, _scaled(m, sm))
-            s, k = s * sm, 1
-        else:
-            s, k = s * m.denominator, m.numerator
-        parts.append((ints, s, k, x.den))
+            factors, m = factors + ((m, {0: 1}),), 1
+        part = _product_term(factors, m) if m else None
+        if part is not None:
+            parts.append(part)
+            same = factors[0] if m == 1 and len(factors) == 1 else None
     if not parts:
         return RationalQT(0)
-    dens = [den for *_, den in parts]
-    factored = [_factor(_dense(den)) for den in dens]
-    if all(len(r) == 1 for _, r in factored):
+    if len(parts) == 1 and isinstance(same, RationalQT):
+        return same
+    if all(r == {0: 1} for _, _, _, _, r in parts):
         # the lcm takes the largest multiplicity of each Phi_d
         top = {}
-        for f, _ in factored:
+        for _, _, _, f, _ in parts:
             for d, e in f.items():
                 if e > top.get(d, 0):
                     top[d] = e
         lcm_den = _cyclotomic_product(tuple(sorted(top.items())))
-        cofactors = [_cofactor(top, f) for f, _ in factored]
+        cofactors = [_cofactor(top, f) for _, _, _, f, _ in parts]
     else:
+        dens = [qp_mul(_cyclotomic_product(tuple(sorted(f.items()))), r)
+                for _, _, _, f, r in parts]
         lcm_den = {0: 1}
         for den in dens:
             lcm_den = qp_mul(lcm_den, p1_div_exact(den, p1_gcd(lcm_den, den)))
         cofactors = [p1_div_exact(lcm_den, den) for den in dens]
-    scale = lcm(*(s for _, s, _, _ in parts))
+    scale = lcm(*(s for _, s, _, _, _ in parts))
     num = {}
-    for (ints, s, k, _), cofactor in zip(parts, cofactors):
+    for (ints, s, k, _, _), cofactor in zip(parts, cofactors):
         if cofactor != {0: 1}:
             ints = qt_mul_qp(ints, cofactor)
         qt_iadd(num, ints, k * (scale // s))
@@ -543,18 +584,8 @@ def rational_sum(terms):
 
 def rational_product(factors):
     """The canonical product of RationalQT values or raw (num, den) pairs of
-    term dicts, canonicalized once."""
-    factors = list(factors)
-    if len(factors) == 1 and isinstance(factors[0], RationalQT):
-        return factors[0]
-    num, den, scale = {(0, 0): 1}, {0: 1}, 1
-    for f in factors:
-        n, d = (f.num, f.den) if isinstance(f, RationalQT) else f
-        s = _denominator_lcm(n)
-        num = qt_mul(num, _scaled(n, s))
-        den = qp_mul(den, d)
-        scale *= s
-    return RationalQT(num, {a: scale * c for a, c in den.items()})
+    term dicts: the one-term case of rational_sum."""
+    return rational_sum(((tuple(factors), 1),))
 
 
 class RationalQT:

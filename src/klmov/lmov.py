@@ -73,8 +73,14 @@ def z_coefficient(src, mu):
     """Coefficient of pb_mu in the partition function.
 
     Sum over label tuples of multi_character * invariant / z_mu; an empty
-    component admits only the empty label.
+    component admits only the empty label.  For an unlink the character, the
+    invariant and z_mu are all products over components, so its coefficient
+    is the product of the one-component coefficients.
     """
+    if isinstance(src, UnlinkSpec) and src.L > 1:
+        if len(mu) != src.L:
+            raise ValueError(f"{len(mu)} colors for {src.L} components")
+        return rational_product(z_coefficient(UnlinkSpec(1), (lam,)) for lam in mu)
     label_sets = [brauer_labels(sum(lam)) for lam in mu]
     z = z_stat_multi(mu)
     terms = []
@@ -87,9 +93,13 @@ def z_coefficient(src, mu):
 
 @lru_cache(maxsize=None)
 def free_energy(src, mu):
-    """Coefficient of pb_mu in the logarithm of the partition function."""
+    """Coefficient of pb_mu in the logarithm of the partition function.
+
+    The sum over splittings of coeff * prod Z_part is one rational_sum of
+    product terms, canonicalized once.
+    """
     return rational_sum(
-        (rational_product(z_coefficient(src, part) for part in parts), coeff)
+        (tuple(z_coefficient(src, part) for part in parts), coeff)
         for parts, coeff in splittings(mu)
     )
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial, gcd
 
 from .errors import ParityMismatch
@@ -205,25 +206,8 @@ def _vector_partitions(target, cap):
     if all(v == 0 for v in target):
         yield ()
         return
-    L = len(target)
-
-    def vectors_leq(bound_vec):
-        ranges = [range(b, -1, -1) for b in bound_vec]
-
-        def rec(i):
-            if i == L:
-                yield ()
-                return
-            for v in ranges[i]:
-                for rest in rec(i + 1):
-                    yield (v,) + rest
-
-        yield from rec(0)
-
-    for v in vectors_leq(target):
-        if not any(v):
-            continue
-        if cap is not None and v > cap:
+    for v in product(*(range(b, -1, -1) for b in target)):
+        if not any(v) or (cap is not None and v > cap):
             continue
         rest_target = tuple(a - b for a, b in zip(target, v))
         for rest in _vector_partitions(rest_target, v):

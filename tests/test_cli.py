@@ -420,3 +420,27 @@ def test_verify_only_matches_names_exactly(capsys):
     assert code == 0
     assert [line.split()[1] for line in out.splitlines()[:-1]] == [
         "ctilde-tables", "ctilde-identity"]
+
+
+def test_not_polynomial_finding_renders_the_remainder(capsys):
+    # the remainder is a rendered value, not the repr of an internal dict
+    line = "NotPolynomial: remainder -6 in univariate division"
+    argv = ("lmov", "--torus", "2,3,1", "--mu", "2", "--no-antisym")
+    code, out = run(capsys, *argv)
+    assert (code, out) == (1, f"FINDING for T(2,3) colored 2: {line}\n")
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["finding"] == line
+
+
+def test_verify_all_writes_the_benchmark_bytes():
+    # the benchmark's verify-all job compares every detail line verbatim
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("KLMOV_")}
+    env["PYTHONPATH"] = str(root / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "klmov", "verify", "--suite", "all", "--seed", "3"],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == (root / "perfbench/expected/verify-all.stdout").read_bytes()

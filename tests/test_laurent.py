@@ -12,6 +12,8 @@ from klmov.laurent import (
     ZTPoly,
     exact_div,
     parse_qt,
+    rational_product,
+    rational_sum,
     to_z_basis,
     valuation_at_q1,
 )
@@ -218,3 +220,21 @@ def test_exact_div_matches_pointwise_evaluation():
     quot = exact_div(x, w)
     wval = q0 - 1 / q0 + t0 - 1 / t0
     assert _eval_at(quot, q0, t0) == _eval_at(x, q0, t0) / wval
+
+
+def test_rational_sum_drops_zero_multiplier_coefficients():
+    assert rational_sum([(RationalQT(1), {(0, 0): 0})]).is_zero
+    got = rational_sum([(X, {(0, 0): 0, (1, 0): 2}), (T, 1), ((X, Q), {(2, 1): 0})])
+    assert got == X * Q * 2 + T
+
+
+def test_rational_sum_of_products():
+    # a term may be a tuple of factors, RationalQT values or raw (num, den)
+    # pairs; it stands for their product, and a zero factor drops the term
+    raw = ({(1, 1): 3}, {2: 2, -2: -2})
+    got = rational_sum([((X, raw), Fraction(1, 2)), ((X, X, Z), -1), ((Q, RationalQT(0)), 5)])
+    want = X * RationalQT(*raw) * Fraction(1, 2) - X * X * Z
+    assert got == want
+    assert rational_product([]) == 1
+    assert rational_product([X]) is X
+    assert rational_product([raw, X]) == RationalQT(*raw) * X

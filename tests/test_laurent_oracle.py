@@ -1,7 +1,7 @@
 """Differential tests of the exact arithmetic against sympy.
 
 Canonical forms of ``RationalQT`` values, sums (pairwise and over one lcm),
-products, powers, exact division and the valuation at q = 1 are compared with
+sums of product terms, products, powers, exact division and the valuation at q = 1 are compared with
 sympy's ``cancel`` (denominator made monic) on seeded random inputs.  The
 denominators are products of cyclotomic polynomials, non-cyclotomic ones,
 ones with fractional coefficients, and mixtures of these.  ``to_z_basis`` is
@@ -280,6 +280,61 @@ def test_rational_sum_matches_sympy(family):
         got = rational_sum(terms)
         assert canonical(got) == want
         assert got == reduce(RationalQT.__add__, (x * RationalQT(as_terms(m)) for x, m in terms))
+
+
+def random_factor(rng, previous):
+    """A factor for a product term: a RationalQT or a raw (num, den) pair,
+    whose denominator may be the previous factor's, raise one of its Phi_d
+    or be scaled by a Fraction unit."""
+    num, den = random_rational(rng, "cyclotomic")
+    roll = rng.random()
+    if roll < 0.25 and previous is not None:
+        return RationalQT(num, previous.den)
+    if roll < 0.5 and previous is not None:
+        return RationalQT(num, multiply(previous.den, cyclotomic(rng.randint(1, 12))))
+    if roll < 0.75:
+        return num, den
+    return RationalQT(num, den)
+
+
+def num_den(f):
+    return (f.num, f.den) if isinstance(f, RationalQT) else f
+
+
+def test_rational_sum_of_products_matches_sympy():
+    rng = random.Random("rational-sum-products")
+    for i in range(10):
+        terms, previous = [], None
+        for _ in range(rng.randint(1, 4)):
+            factors = []
+            for _ in range(rng.randint(1, 2)):
+                f = random_factor(rng, previous)
+                previous = f if isinstance(f, RationalQT) else previous
+                factors.append(f)
+            m = rng.choice((1, -2, Fraction(3, 7), {(1, -1): Fraction(-5, 4)}))
+            terms.append((tuple(factors), m))
+        # one sum in three has a non-cyclotomic factor, one in four a zero one
+        factors, m = terms[-1]
+        if i % 3 == 0:
+            factors += (RationalQT(*random_rational(rng, "non-cyclotomic")),)
+        if i % 4 == 1:
+            factors = (RationalQT(0) if i % 8 == 1 else ({}, {0: 2}),) + factors
+        terms[-1] = factors, m
+        live = [(factors, m) for factors, m in terms if all(num_den(f)[0] for f in factors)]
+        fracs = [
+            reduce(Frac.__mul__, (Frac.of(*num_den(f)) for f in factors))
+            * Frac.of(as_terms(m), {0: 1})
+            for factors, m in live
+        ]
+        want = reduce(Frac.__add__, fracs).canonical() if fracs else ({}, {0: Fraction(1)})
+        got = rational_sum(terms)
+        assert canonical(got) == want
+        pairwise = (
+            reduce(RationalQT.__mul__, (RationalQT(*num_den(f)) for f in factors))
+            * RationalQT(as_terms(m))
+            for factors, m in terms
+        )
+        assert got == reduce(RationalQT.__add__, pairwise)
 
 
 def z_substituted(terms):

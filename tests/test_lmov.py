@@ -2,9 +2,11 @@
 and the integrality / degree machinery."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from klmov.characters import brauer_labels, multi_character
 from klmov.errors import NonIntegerCoefficient
 from klmov.laurent import RationalQT, ZTPoly, exact_div
 from klmov.lmov import (
@@ -18,8 +20,9 @@ from klmov.lmov import (
     reformulated_g,
     z_coefficient,
 )
+from klmov.partitions import splittings, z_stat_multi
 from klmov.schur import pb_value, sb_closed_form
-from klmov.torus import TorusLinkSpec, torus_invariant
+from klmov.torus import TorusLinkSpec, torus_invariant, unlink_invariant
 
 
 def _mono(qe, te, c=1):
@@ -47,6 +50,56 @@ def test_z_coefficient_unlink_column():
         sb_closed_form((2,)) + sb_closed_form((1, 1)) + RationalQT(1)
     ) * Fraction(1, 2)
     assert got == want
+
+
+def _unlink_label_sum(mu):
+    """Z_mu of the unlink as the sum over label tuples, added pairwise."""
+    total = RationalQT(0)
+    for avec in product(*(brauer_labels(sum(lam)) for lam in mu)):
+        ch = multi_character(avec, mu)
+        if ch:
+            total = total + unlink_invariant(avec) * Fraction(ch, z_stat_multi(mu))
+    return total
+
+
+@pytest.mark.parametrize("mu", [
+    ((1,), (1,)),
+    ((2,), (1, 1)),
+    ((2, 1), ()),
+    ((), (3,)),
+    ((1,), (2,), (1,)),
+    ((1, 1), (), (2,)),
+])
+def test_unlink_z_coefficient_is_the_label_tuple_sum(mu):
+    assert z_coefficient(UnlinkSpec(len(mu)), mu) == _unlink_label_sum(mu)
+
+
+def test_unlink_z_coefficient_checks_the_component_count():
+    with pytest.raises(ValueError, match="1 colors for 2 components"):
+        z_coefficient(UnlinkSpec(2), ((1,),))
+
+
+def _free_energy_by_products(src, mu):
+    """F_mu with every splitting product formed, then summed, pairwise."""
+    total = RationalQT(0)
+    for parts, coeff in splittings(mu):
+        term = RationalQT(1)
+        for part in parts:
+            term = term * z_coefficient(src, part)
+        total = total + term * coeff
+    return total
+
+
+@pytest.mark.parametrize("src, mu", [
+    (TorusLinkSpec(2, 3, 1), ((2, 1),)),
+    (TorusLinkSpec(2, 3, 1), ((1, 1, 1),)),
+    (TorusLinkSpec(1, 1, 2), ((2, 1), (1,))),
+    (TorusLinkSpec(1, 1, 2), ((1, 1), (1, 1))),
+    (UnlinkSpec(2), ((2, 1), (1,))),
+    (UnlinkSpec(2), ((1, 1), (2, 1))),
+])
+def test_free_energy_is_the_sum_of_splitting_products(src, mu):
+    assert free_energy(src, mu) == _free_energy_by_products(src, mu)
 
 
 def test_free_energy_hopf_column():
