@@ -8,7 +8,6 @@ floating point anywhere in the package.
 from .laurent import (
     RationalQT,
     ZTPoly,
-    exact_div,
     parse_qt,
     to_z_basis,
     valuation_at_q1,
@@ -82,7 +81,6 @@ __all__ = [
     "ctilde",
     "degree_check",
     "evaluate_sb_element",
-    "exact_div",
     "extract_n_table",
     "free_energy",
     "kappa",

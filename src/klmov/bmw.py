@@ -1,7 +1,7 @@
 """The three-dimensional braid-monoid algebra on one generator pair.
 
-Elements are c1*1 + cg*g + ce*e with exact rational-function coefficients.
-The multiplication table is forced by the defining relations:
+Elements are c1*1 + cg*g + ce*e with ``RationalQT`` coefficients.  The
+multiplication table is forced by the defining relations:
 
     g*g = 1 + (q - 1/q) * (g - e/t),   g*e = e*g = e/t,   e*e = x*e,
 
@@ -9,9 +9,13 @@ with x the loop weight 1 + (t - 1/t)/(q - 1/q).  The Markov trace takes
 1 -> 1, g -> t/x, e -> 1/x.  Closures of powers of g run through the (2, m)
 torus family, giving an independent route to those invariants.
 
-Inverting x leaves the ring of q-only denominators (1/x carries the factor
-q - 1/q + t - 1/t below the line), so coefficients here are pairs
-``value / w^k`` with w that single bivariate polynomial.
+1/x is not a ``RationalQT``: it carries the bivariate factor
+q - 1/q + t - 1/t below the line, and ``RationalQT`` denominators are
+q-only.  So the trace and the idempotents are computed scaled by x.  The
+scaled trace ``x_trace(a) = x tr(a)`` takes 1 -> x, g -> t, e -> 1, and the
+scaled idempotents P = x p satisfy P P = x P, P_i P_j = 0 and sum P = x.
+Each identity checked here is homogeneous in the scaled quantities and x is
+nonzero, so scaling by x changes the truth of none of them.
 """
 
 from __future__ import annotations
@@ -19,89 +23,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .laurent import RationalQT
+from .laurent import RationalQT, rational_sum
 from .torus import TorusLinkSpec, torus_invariant
 
-# w = q - 1/q + t - 1/t; x = w / (q - 1/q)
-_W_R = RationalQT({(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1})
-_Z_R = RationalQT({(1, 0): 1, (-1, 0): -1})
-_X_R = RationalQT(_W_R.num, {1: 1, -1: -1})
-
-
-class XRational:
-    """num / w^k with num a RationalQT; closed under inverting x."""
-
-    __slots__ = ("num", "k")
-
-    def __init__(self, num, k=0):
-        if not isinstance(num, RationalQT):
-            num = RationalQT(num)
-        if not num:
-            k = 0
-        self.num = num
-        self.k = k
-
-    @classmethod
-    def inv_x(cls):
-        return cls(_Z_R, 1)
-
-    def __add__(self, other):
-        other = _lift(other)
-        m = max(self.k, other.k)
-        a = self.num * _W_R ** (m - self.k)
-        b = other.num * _W_R ** (m - other.k)
-        return XRational(a + b, m)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-_lift(other))
-
-    def __neg__(self):
-        out = XRational.__new__(XRational)
-        out.num = -self.num
-        out.k = self.k
-        return out
-
-    def __mul__(self, other):
-        other = _lift(other)
-        return XRational(self.num * other.num, self.k + other.k)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        other = _lift(other)
-        return self.num * _W_R**other.k == other.num * _W_R**self.k
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
-
-    def __str__(self):
-        return str(self.num) if self.k == 0 else f"({self.num})/w^{self.k}"
-
-    def __repr__(self):
-        return f"XRational({self})"
-
-
-def _lift(v):
-    if isinstance(v, XRational):
-        return v
-    return XRational(v)
-
-
-_ZERO = XRational(RationalQT(0))
-_ONE = XRational(RationalQT(1))
-_Z = XRational(_Z_R)
-_TINV = XRational(RationalQT({(0, -1): 1}))
-_X = XRational(_X_R)
+_R0 = RationalQT(0)
+_R1 = RationalQT(1)
+_Z = RationalQT({(1, 0): 1, (-1, 0): -1})
+_TINV = RationalQT({(0, -1): 1})
+_X = RationalQT({(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1}, {1: 1, -1: -1})
 
 
 @dataclass(frozen=True)
 class C2Element:
-    c1: XRational
-    cg: XRational
-    ce: XRational
+    c1: RationalQT
+    cg: RationalQT
+    ce: RationalQT
 
     def __add__(self, other):
         return C2Element(self.c1 + other.c1, self.cg + other.cg, self.ce + other.ce)
@@ -113,7 +49,6 @@ class C2Element:
         return C2Element(-self.c1, -self.cg, -self.ce)
 
     def scale(self, s):
-        s = _lift(s)
         return C2Element(self.c1 * s, self.cg * s, self.ce * s)
 
     def __eq__(self, other):
@@ -126,52 +61,50 @@ class C2Element:
         return f"({self.c1}) + ({self.cg})*g + ({self.ce})*e"
 
 
-ONE = C2Element(_ONE, _ZERO, _ZERO)
-G = C2Element(_ZERO, _ONE, _ZERO)
-E = C2Element(_ZERO, _ZERO, _ONE)
+ONE = C2Element(_R1, _R0, _R0)
+G = C2Element(_R0, _R1, _R0)
+E = C2Element(_R0, _R0, _R1)
 
 
 def c2_mul(a, b):
     """Multiply via g^2 = 1 + z(g - e/t), ge = eg = e/t, ee = x*e."""
-    c1 = a.c1 * b.c1 + a.cg * b.cg
-    cg = a.c1 * b.cg + a.cg * b.c1 + _Z * a.cg * b.cg
-    ce = (
-        a.c1 * b.ce
-        + a.ce * b.c1
-        + _TINV * (a.cg * b.ce + a.ce * b.cg)
-        - _Z * _TINV * (a.cg * b.cg)
-        + _X * (a.ce * b.ce)
-    )
+    c1 = rational_sum((((a.c1, b.c1), 1), ((a.cg, b.cg), 1)))
+    cg = rational_sum((((a.c1, b.cg), 1), ((a.cg, b.c1), 1), ((_Z, a.cg, b.cg), 1)))
+    ce = rational_sum((
+        ((a.c1, b.ce), 1),
+        ((a.ce, b.c1), 1),
+        ((_TINV, a.cg, b.ce), 1),
+        ((_TINV, a.ce, b.cg), 1),
+        ((_Z, _TINV, a.cg, b.cg), -1),
+        ((_X, a.ce, b.ce), 1),
+    ))
     return C2Element(c1, cg, ce)
 
 
 def g_inverse():
     """g - z(1 - e), the inverse forced by the cubic relation."""
-    return C2Element(-_Z, _ONE, _Z)
+    return C2Element(-_Z, _R1, _Z)
 
 
-def markov_trace(a):
-    """Linear trace with tr(1) = 1, tr(g) = t/x, tr(e) = 1/x."""
-    t_over_x = XRational(RationalQT({(0, 1): 1}) * _Z_R, 1)
-    inv_x = XRational.inv_x()
-    return a.c1 + a.cg * t_over_x + a.ce * inv_x
+def x_trace(a):
+    """x times the Markov trace: linear with 1 -> x, g -> t, e -> 1."""
+    return rational_sum((((a.c1, _X), 1), (a.cg, {(0, 1): 1}), (a.ce, 1)))
 
 
 def minimal_idempotents():
-    """The three orthogonal idempotents.
+    """The three orthogonal idempotents, each scaled by x.
 
-    p_sym  = ((1/q + g)/(q + 1/q)) (1 - e/x)
-    p_anti = ((q - g)/(q + 1/q))   (1 - e/x)
-    p_loop = e/x
+    x p_sym  = ((1/q + g)/(q + 1/q)) (x - e)
+    x p_anti = ((q - g)/(q + 1/q))   (x - e)
+    x p_loop = e
     """
-    inv_qplus = XRational(RationalQT(1, {1: 1, -1: 1}))
-    one_minus = ONE - E.scale(XRational.inv_x())
-    qinv = XRational(RationalQT({(-1, 0): 1}))
-    qpos = XRational(RationalQT({(1, 0): 1}))
-    p_sym = c2_mul((ONE.scale(qinv) + G).scale(inv_qplus), one_minus)
-    p_anti = c2_mul((ONE.scale(qpos) - G).scale(inv_qplus), one_minus)
-    p_loop = E.scale(XRational.inv_x())
-    return p_sym, p_anti, p_loop
+    inv_qplus = RationalQT(1, {1: 1, -1: 1})
+    x_minus_e = ONE.scale(_X) - E
+    qinv = RationalQT({(-1, 0): 1})
+    qpos = RationalQT({(1, 0): 1})
+    p_sym = c2_mul((ONE.scale(qinv) + G).scale(inv_qplus), x_minus_e)
+    p_anti = c2_mul((ONE.scale(qpos) - G).scale(inv_qplus), x_minus_e)
+    return p_sym, p_anti, E
 
 
 @lru_cache(maxsize=None)
@@ -183,7 +116,7 @@ def g_power(m):
 
 
 def power_trace_crosscheck(m):
-    """Compare x^2 tr(g^m) against the (2, m) torus invariant.
+    """Compare x^2 tr(g^m) = x x_trace(g^m) against the (2, m) torus invariant.
 
     Even m closes to the two-component link T(2, m) on vector colors whose
     strands carry no self-crossings, so the trace matches on the nose.  Odd m
@@ -192,20 +125,20 @@ def power_trace_crosscheck(m):
     """
     if m < 1:
         raise ValueError("m must be positive")
-    lhs = markov_trace(g_power(m)) * _X * _X
+    lhs = _X * x_trace(g_power(m))
     if m % 2:
-        lhs = lhs * XRational(RationalQT({(0, -m): 1}))
+        lhs = lhs * RationalQT({(0, -m): 1})
         rhs = torus_invariant(TorusLinkSpec(2, m, 1), ((1,),))
     else:
         rhs = torus_invariant(TorusLinkSpec(1, m // 2, 2), ((1,), (1,)))
-    return lhs == XRational(rhs)
+    return lhs == rhs
 
 
 def cubic_relation_holds():
     """(g - 1/t)(g + 1/q)(g - q) must vanish identically."""
     t_inv = ONE.scale(_TINV)
-    q_inv = ONE.scale(XRational(RationalQT({(-1, 0): 1})))
-    q_pos = ONE.scale(XRational(RationalQT({(1, 0): 1})))
+    q_inv = ONE.scale(RationalQT({(-1, 0): 1}))
+    q_pos = ONE.scale(RationalQT({(1, 0): 1}))
     prod = c2_mul(c2_mul(G - t_inv, G + q_inv), G - q_pos)
     return prod.is_zero()
 
@@ -220,23 +153,22 @@ def inverse_check():
 
 
 def idempotent_checks():
-    """Idempotency, orthogonality, and the resolution of the identity."""
+    """Idempotency, orthogonality, and the resolution of the identity, on the
+    x-scaled idempotents: P P = x P, P_i P_j = 0, sum P = x."""
     ps = minimal_idempotents()
     for i, p in enumerate(ps):
-        if c2_mul(p, p) != p:
+        if c2_mul(p, p) != p.scale(_X):
             return False
         for j, q in enumerate(ps):
             if i != j and not c2_mul(p, q).is_zero():
                 return False
-    return (ps[0] + ps[1] + ps[2]) == ONE
+    return (ps[0] + ps[1] + ps[2]) == ONE.scale(_X)
 
 
 def eigenvalue_checks():
     """g acts on the idempotents with eigenvalues q, -1/q, 1/t."""
     p_sym, p_anti, p_loop = minimal_idempotents()
-    ok = c2_mul(G, p_sym) == p_sym.scale(XRational(RationalQT({(1, 0): 1})))
-    ok = ok and c2_mul(G, p_anti) == p_anti.scale(
-        XRational(RationalQT({(-1, 0): -1}))
-    )
+    ok = c2_mul(G, p_sym) == p_sym.scale(RationalQT({(1, 0): 1}))
+    ok = ok and c2_mul(G, p_anti) == p_anti.scale(RationalQT({(-1, 0): -1}))
     ok = ok and c2_mul(G, p_loop) == p_loop.scale(_TINV)
     return ok

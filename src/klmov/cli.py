@@ -11,7 +11,14 @@ request once, before computing anything, against ``LIMITS`` raised by
     lmov, degree         color size |mu|                          6
     rmatrix              N                                        4
 
-A torus link T(rL, kL) equals T(kL, rL) and is cabled through min(r, k).
+Only these commands take ``--bound``.  A torus link T(rL, kL) equals
+T(kL, rL) and is cabled through min(r, k).
+
+``invariant``, ``lmov`` and ``degree`` take exactly one of ``--torus r,k,L``
+and ``--unlink L``.  Each command takes ``--format`` for the formats it
+writes: ``lmov`` text, json and csv; ``char-table``, ``sb``, ``ctilde``,
+``invariant`` and ``degree`` text and json; ``bmw``, ``rmatrix`` and
+``verify`` text only.  Any other choice is a usage error.
 
 ``verify --only NAME`` runs the checks whose names match NAME exactly, or
 match it as a shell-style pattern such as ``'ctilde*'``.
@@ -114,15 +121,13 @@ def _check_size(args, size):
 
 
 def _parse_source(args):
-    if getattr(args, "torus", None):
-        try:
-            r, k, L = (int(x) for x in args.torus.split(","))
-        except ValueError:
-            raise KlmovError(f"--torus wants r,k,L, got {args.torus!r}") from None
-        return TorusLinkSpec(r, k, L).validate()
-    if getattr(args, "unlink", None):
+    if args.torus is None:
         return UnlinkSpec(args.unlink)
-    raise KlmovError("one of --torus r,k,L or --unlink L is required")
+    try:
+        r, k, L = (int(x) for x in args.torus.split(","))
+    except ValueError:
+        raise KlmovError(f"--torus wants r,k,L, got {args.torus!r}") from None
+    return TorusLinkSpec(r, k, L).validate()
 
 
 def _source_json(src):
@@ -363,14 +368,6 @@ def positive(name):
 
 
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--out", help="write output to this file")
-    common.add_argument("--cache-dir", help="directory for the character-table cache")
-    common.add_argument("--no-cache", action="store_true", help="disable the disk cache")
-    common.add_argument("--bound", type=int, default=0,
-                        help="raise the size limits (never lowers a default)")
-
     parser = argparse.ArgumentParser(
         prog="klmov",
         description="Exact colored Kauffman polynomials of torus links and the "
@@ -378,55 +375,62 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("char-table", parents=[common], help="print a character table")
-    p.add_argument("--n", type=rank, required=True)
-    p.set_defaults(func=cmd_char_table)
+    def command(name, func, summary, formats):
+        """A subcommand writing the given formats; --bound where it has a limit."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--out", help="write output to this file")
+        p.add_argument("--cache-dir", help="directory for the character-table cache")
+        p.add_argument("--no-cache", action="store_true", help="disable the disk cache")
+        if name in LIMITS:
+            p.add_argument("--bound", type=int, default=0,
+                           help="raise the size limit (never lowers the default)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("sb", parents=[common], help="type-B Schur data for a partition")
+    def link_source(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--torus", help="r,k,L for the torus link T(rL,kL)")
+        group.add_argument("--unlink", type=positive("L"),
+                           help="number of unknot components")
+
+    p = command("char-table", cmd_char_table, "print a character table", ("text", "json"))
+    p.add_argument("--n", type=rank, required=True)
+
+    p = command("sb", cmd_sb, "type-B Schur data for a partition", ("text", "json"))
     p.add_argument("--partition", required=True)
     p.add_argument("--pb", action="store_true", help="only the power-sum expansion")
     p.add_argument("--closed", action="store_true", help="only the closed form")
-    p.set_defaults(func=cmd_sb)
 
-    p = sub.add_parser("ctilde", parents=[common], help="cabling-constant table")
+    p = command("ctilde", cmd_ctilde, "cabling-constant table", ("text", "json"))
     p.add_argument("--colors", required=True)
     p.add_argument("--r", type=int, required=True)
-    p.set_defaults(func=cmd_ctilde)
 
-    p = sub.add_parser("invariant", parents=[common], help="colored link invariant")
-    p.add_argument("--torus", help="r,k,L for the torus link T(rL,kL)")
-    p.add_argument("--unlink", type=positive("L"), help="number of unknot components")
+    p = command("invariant", cmd_invariant, "colored link invariant", ("text", "json"))
+    link_source(p)
     p.add_argument("--colors", required=True)
-    p.set_defaults(func=cmd_invariant)
 
-    p = sub.add_parser("lmov", parents=[common], help="integer coefficient table")
-    p.add_argument("--torus")
-    p.add_argument("--unlink", type=positive("L"))
+    p = command("lmov", cmd_lmov, "integer coefficient table", ("text", "json", "csv"))
+    link_source(p)
     p.add_argument("--mu", required=True)
     p.add_argument("--no-antisym", action="store_true")
-    p.set_defaults(func=cmd_lmov)
 
-    p = sub.add_parser("degree", parents=[common], help="free-energy degree check")
-    p.add_argument("--torus")
-    p.add_argument("--unlink", type=positive("L"))
+    p = command("degree", cmd_degree, "free-energy degree check", ("text", "json"))
+    link_source(p)
     p.add_argument("--mu", required=True)
-    p.set_defaults(func=cmd_degree)
 
-    p = sub.add_parser("bmw", parents=[common], help="rank-2 algebra checks")
+    p = command("bmw", cmd_bmw, "rank-2 algebra checks", ("text",))
     p.add_argument("--check", action="store_true")
-    p.set_defaults(func=cmd_bmw)
 
-    p = sub.add_parser("rmatrix", parents=[common], help="braiding matrix checks")
+    p = command("rmatrix", cmd_rmatrix, "braiding matrix checks", ("text",))
     p.add_argument("--N", type=positive("N"), required=True)
     p.add_argument("--check", choices=("all", "ribbon", "braid", "bmw"), default="all")
-    p.set_defaults(func=cmd_rmatrix)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = command("verify", cmd_verify, "run a verification suite", ("text",))
     p.add_argument("--suite", choices=("paper", "properties", "all"), default="paper")
     p.add_argument("--only", help="run the checks with this name, or matching this "
                    "shell-style pattern (as 'ctilde*')")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 

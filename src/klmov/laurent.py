@@ -32,6 +32,13 @@ lcm / den and accumulates them, then canonicalizes the total.
 ``rational_product`` is the one-term case, and ``+`` and ``*`` are the
 two-operand cases.
 
+There is one division, ``/``.  Dividing by a ``RationalQT`` moves the
+divisor's denominator up and the q-content of its numerator down; the
+remaining t-dependent part must divide exactly, else ``NotDivisible``.
+Callers that divide a sum of products by q-only polynomials pass each as a
+raw factor ``({(0, 0): 1}, den)`` of the ``rational_sum`` terms instead, so
+the value is canonicalized once.
+
 All coefficients are ints or ``fractions.Fraction``; nothing here ever
 touches floating point.
 """
@@ -658,16 +665,34 @@ class RationalQT:
 
     def __pow__(self, n):
         if n < 0:
-            raise ValueError("negative power; use exact_div")
+            raise ValueError("negative power; divide with /")
         return rational_product([self] * n)
 
     def __truediv__(self, other):
+        """self / other, exactly.
+
+        The q-only content of other's numerator joins the denominator; the
+        remaining t-dependent part must divide the numerator exactly or
+        NotDivisible is raised.  A zero divisor raises ZeroInput.
+        """
         if isinstance(other, (int, Fraction)):
             return self * (1 / Fraction(other))
-        if isinstance(other, RationalQT):
-            scaled = self * RationalQT({(a, 0): c for a, c in other.den.items()})
-            return exact_div(scaled, other.num)
-        return NotImplemented
+        if not isinstance(other, RationalQT):
+            return NotImplemented
+        x = self * RationalQT({(a, 0): c for a, c in other.den.items()})
+        content = qt_q_content(other.num)
+        prim = qt_div_qonly(other.num, content)
+        den = qp_mul(x.den, content)
+        tslices = qt_t_slices(prim)
+        if len(tslices) == 1:
+            # pure t-monomial times q-only content: a unit, divide directly
+            (b0, sl0), = tslices.items()
+            if len(sl0) == 1:
+                (a0, c0), = sl0.items()
+                inv = 1 / Fraction(c0)
+                num = {(a - a0, b - b0): inv * c for (a, b), c in x.num.items()}
+                return RationalQT(num, den)
+        return RationalQT(qt_div_exact(x.num, prim), den)
 
     def substitute(self, qpow=1, tsign=1, tpow=1):
         """Map q -> q^qpow and t -> (tsign * t)^... i.e. t^b -> tsign^b t^(b*tpow)."""
@@ -688,9 +713,6 @@ class RationalQT:
             else:
                 merged.pop(k, None)
         return p1_div_exact(merged, self.den)
-
-    def valuation_at_q1(self):
-        return valuation_at_q1(self)
 
     def __str__(self):
         num = render_qt(self.num)
@@ -719,38 +741,6 @@ def _coerce_strict(x):
 
 
 ONE = RationalQT(1)
-ZERO = RationalQT(0)
-
-
-def exact_div(x, d):
-    """Divide x by the Laurent polynomial d, exactly.
-
-    d is a RationalQT with denominator 1 or a raw term dict.  The q-only
-    content of d joins the denominator; the remaining t-dependent cofactor
-    must divide the numerator exactly or NotDivisible is raised.
-    """
-    x = _coerce_strict(x)
-    if isinstance(d, RationalQT):
-        if d.den != {0: 1}:
-            raise TypeError("exact_div wants a Laurent polynomial divisor; use /")
-        d = d.num
-    d = qt_normalize(d)
-    if not d:
-        raise ZeroInput("division by zero")
-    content = qt_q_content(d)
-    prim = qt_div_qonly(d, content)
-    den = qp_mul(x.den, content)
-    tslices = qt_t_slices(prim)
-    if len(tslices) == 1:
-        # pure t-monomial times q-only content: a unit, divide directly
-        (b0, sl0), = tslices.items()
-        if len(sl0) == 1:
-            (a0, c0), = sl0.items()
-            inv = 1 / Fraction(c0)
-            num = {(a - a0, b - b0): inv * c for (a, b), c in x.num.items()}
-            return RationalQT(num, den)
-    num = qt_div_exact(x.num, prim)
-    return RationalQT(num, den)
 
 
 # ---------------------------------------------------------------------------

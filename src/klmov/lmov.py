@@ -20,7 +20,7 @@ from .errors import NonIntegerCoefficient
 from .laurent import (
     RationalQT,
     ZTPoly,
-    exact_div,
+    q_minus_qinv,
     rational_product,
     rational_sum,
     to_z_basis,
@@ -123,18 +123,23 @@ def conjecture_lhs(src, mu, antisymmetrize=True):
     """The candidate integer-coefficient polynomial in z and t.
 
     z_mu z^2 g / prod(q^row - q^-row), with g replaced by its odd t-part when
-    antisymmetrize is set.  Raises NotPolynomial / NotZRepresentable when the
-    value fails to land in the polynomial ring; callers treat those as
+    antisymmetrize is set.  The value is one rational_sum: z^2 and each
+    1 / (q^row - q^-row) are factors of its terms, so nothing is divided and
+    it is canonicalized once.  Raises NotPolynomial / NotZRepresentable when
+    the value fails to land in the polynomial ring; callers treat those as
     findings.
     """
     g = reformulated_g(src, mu)
+    factors = (_Z_R, _Z_R) + tuple(
+        ({(0, 0): 1}, q_minus_qinv(row)) for lam in mu for row in lam
+    )
+    z_mu = z_stat_multi(mu)
     if antisymmetrize:
-        g = (g - g.substitute(tsign=-1)) * Fraction(1, 2)
-    value = g * z_stat_multi(mu) * _Z_R * _Z_R
-    for lam in mu:
-        for row in lam:
-            value = exact_div(value, {(row, 0): 1, (-row, 0): -1})
-    return to_z_basis(value)
+        terms = [((g,) + factors, Fraction(z_mu, 2)),
+                 ((g.substitute(tsign=-1),) + factors, Fraction(-z_mu, 2))]
+    else:
+        terms = [((g,) + factors, z_mu)]
+    return to_z_basis(rational_sum(terms))
 
 
 @dataclass(frozen=True)
@@ -214,13 +219,12 @@ def column_integrality_check(src, dvec):
     dfact = 1
     for di in dvec:
         dfact *= factorial(di)
-    value = f * dfact
+    # z^(2-d): d - 2 raw factors 1/z, or one factor z below d = 2
     if d >= 2:
-        for _ in range(d - 2):
-            value = exact_div(value, _Z_R)
+        zs = (({(0, 0): 1}, q_minus_qinv(1)),) * (d - 2)
     else:
-        value = value * _Z_R
-    return to_z_basis(value).is_integral()
+        zs = (_Z_R,)
+    return to_z_basis(rational_sum((((f,) + zs, dfact),))).is_integral()
 
 
 def lickorish_millett_check(spec):

@@ -45,9 +45,6 @@ class CTildeTable:
     r: int
     entries: dict  # partition -> Fraction
 
-    def nonzero(self):
-        return {lam: c for lam, c in self.entries.items() if c}
-
 
 @lru_cache(maxsize=None)
 def _ctilde_entries(colors, r):

@@ -4,6 +4,7 @@ import random
 
 from klmov import bmw
 from klmov.laurent import RationalQT
+from klmov.schur import sb_closed_form
 
 
 def test_multiplication_table():
@@ -35,11 +36,10 @@ def test_eigenvalues():
 
 
 def test_trace_values():
-    assert bmw.markov_trace(bmw.ONE) == bmw.XRational(RationalQT(1))
-    z = RationalQT({(1, 0): 1, (-1, 0): -1})
-    t = RationalQT({(0, 1): 1})
-    assert bmw.markov_trace(bmw.G) == bmw.XRational(t * z, 1)
-    assert bmw.markov_trace(bmw.E) == bmw.XRational(z, 1)
+    x = RationalQT({(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1}, {1: 1, -1: -1})
+    assert bmw.x_trace(bmw.ONE) == x
+    assert bmw.x_trace(bmw.G) == RationalQT({(0, 1): 1})
+    assert bmw.x_trace(bmw.E) == 1
 
 
 def test_trace_symmetry_random():
@@ -47,14 +47,14 @@ def test_trace_symmetry_random():
 
     def rand():
         return bmw.C2Element(
-            bmw.XRational(RationalQT({(rng.randint(-2, 2), rng.randint(-1, 1)): rng.randint(1, 3)})),
-            bmw.XRational(RationalQT(rng.randint(-2, 2))),
-            bmw.XRational(RationalQT({(rng.randint(-1, 1), 0): rng.randint(-2, 2)})),
+            RationalQT({(rng.randint(-2, 2), rng.randint(-1, 1)): rng.randint(1, 3)}),
+            RationalQT(rng.randint(-2, 2)),
+            RationalQT({(rng.randint(-1, 1), 0): rng.randint(-2, 2)}),
         )
 
     for _ in range(5):
         a, b = rand(), rand()
-        assert bmw.markov_trace(bmw.c2_mul(a, b)) == bmw.markov_trace(bmw.c2_mul(b, a))
+        assert bmw.x_trace(bmw.c2_mul(a, b)) == bmw.x_trace(bmw.c2_mul(b, a))
 
 
 def test_power_trace_crosschecks():
@@ -62,9 +62,11 @@ def test_power_trace_crosschecks():
         assert bmw.power_trace_crosscheck(m), m
 
 
-def test_xrational_reduction():
-    z = RationalQT({(1, 0): 1, (-1, 0): -1})
-    one = bmw.XRational(RationalQT(1))
-    # w/w reduces to 1, and (z/w) * x = (z/w) * (w/z) = 1
-    assert bmw.XRational(bmw._W_R, 1) == one
-    assert bmw.XRational(z, 1) * bmw._X == one
+def test_idempotent_traces_are_the_quantum_dimensions():
+    # x_trace(x p) = x^2 tr(p), the quantum dimension of p, as the Markov
+    # trace on two strands is normalized by x^2: the hook-content closed forms
+    # of (2) and (1,1), and 1 for the loop idempotent
+    p_sym, p_anti, p_loop = bmw.minimal_idempotents()
+    assert bmw.x_trace(p_sym) == sb_closed_form((2,))
+    assert bmw.x_trace(p_anti) == sb_closed_form((1, 1))
+    assert bmw.x_trace(p_loop) == 1

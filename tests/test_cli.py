@@ -139,6 +139,28 @@ def test_bmw_command(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+BMW_CHECK_LINES = [
+    "cubic-relation", "skein-relation", "inverse", "idempotents", "eigenvalues",
+    *(f"trace-crosscheck-m{m}" for m in range(1, 7)),
+]
+
+
+@pytest.mark.parametrize("argv, names", [
+    (("bmw", "--check"), BMW_CHECK_LINES),
+    (("rmatrix", "--N", "3", "--check", "all"),
+     ["ribbon (N=3)", "braid (N=3)", "bmw (N=3)"]),
+], ids=["bmw", "rmatrix"])
+def test_crosscheck_bytes(argv, names):
+    # every crosscheck line, in order, and nothing else
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("KLMOV_")}
+    env["PYTHONPATH"] = str(root / "src")
+    proc = subprocess.run([sys.executable, "-m", "klmov", *argv],
+                          capture_output=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == "".join(f"PASS  {name}\n" for name in names).encode()
+
+
 def test_rmatrix_command(capsys):
     code, out = run(capsys, "rmatrix", "--N", "1", "--check", "all")
     assert code == 0
@@ -389,6 +411,40 @@ def run_failing(capsys, *argv):
 ], ids=["too-few-colors", "too-many-colors", "negative", "zero-invariant",
         "zero-lmov", "zero-degree"])
 def test_unlink_component_count(capsys, argv, message):
+    code, err = run_failing(capsys, *argv)
+    assert code == 2
+    assert err.count("error:") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("invariant", "--torus", "2,3,1", "--unlink", "2", "--colors", "1"),
+     "argument --unlink: not allowed with argument --torus"),
+    (("lmov", "--torus", "2,3,1", "--unlink", "3", "--mu", "1"),
+     "argument --unlink: not allowed with argument --torus"),
+    (("degree", "--unlink", "2", "--torus", "1,1,2", "--mu", "1|1"),
+     "argument --torus: not allowed with argument --unlink"),
+    (("invariant", "--colors", "1"), "one of the arguments --torus --unlink is required"),
+    (("lmov", "--mu", "1"), "one of the arguments --torus --unlink is required"),
+    (("degree", "--mu", "1"), "one of the arguments --torus --unlink is required"),
+    (("verify", "--format", "json"), "argument --format: invalid choice: 'json'"),
+    (("bmw", "--check", "--format", "json"), "argument --format: invalid choice: 'json'"),
+    (("rmatrix", "--N", "1", "--format", "json"), "argument --format: invalid choice: 'json'"),
+    (("char-table", "--n", "2", "--format", "csv"), "argument --format: invalid choice: 'csv'"),
+    (("sb", "--partition", "2", "--format", "csv"), "argument --format: invalid choice: 'csv'"),
+    (("ctilde", "--colors", "1", "--r", "2", "--format", "csv"),
+     "argument --format: invalid choice: 'csv'"),
+    (("invariant", "--unlink", "1", "--colors", "1", "--format", "csv"),
+     "argument --format: invalid choice: 'csv'"),
+    (("degree", "--unlink", "1", "--mu", "1", "--format", "csv"),
+     "argument --format: invalid choice: 'csv'"),
+    (("bmw", "--check", "--bound", "3"), "unrecognized arguments: --bound 3"),
+    (("verify", "--only", "kappa*", "--bound", "3"), "unrecognized arguments: --bound 3"),
+], ids=["invariant-both", "lmov-both", "degree-both", "invariant-neither",
+        "lmov-neither", "degree-neither", "verify-json", "bmw-json", "rmatrix-json",
+        "char-table-csv", "sb-csv", "ctilde-csv", "invariant-csv", "degree-csv",
+        "bmw-bound", "verify-bound"])
+def test_flag_misuse_is_a_usage_error(capsys, argv, message):
     code, err = run_failing(capsys, *argv)
     assert code == 2
     assert err.count("error:") == 1

@@ -7,8 +7,8 @@ from itertools import product
 import pytest
 
 from klmov.characters import brauer_labels, multi_character
-from klmov.errors import NonIntegerCoefficient
-from klmov.laurent import RationalQT, ZTPoly, exact_div
+from klmov.errors import NonIntegerCoefficient, NotPolynomial
+from klmov.laurent import RationalQT, ZTPoly, to_z_basis
 from klmov.lmov import (
     UnlinkSpec,
     column_integrality_check,
@@ -126,9 +126,9 @@ def test_free_energy_vector_vector_closed_form():
         spec = TorusLinkSpec(1, k, 2)
         f = free_energy(spec, ((1,), (1,)))
         odd = (f - f.substitute(tsign=-1)) * Fraction(1, 2)
-        want = exact_div(
-            _mono(k, 1) - _mono(-k, 1) - _mono(k, -1) + _mono(-k, -1),
-            {(1, 0): 1, (-1, 0): -1},
+        want = (
+            (_mono(k, 1) - _mono(-k, 1) - _mono(k, -1) + _mono(-k, -1))
+            / RationalQT({(1, 0): 1, (-1, 0): -1})
         ) * (_mono(k, 0) - _mono(-k, 0))
         assert odd == want
 
@@ -238,13 +238,11 @@ def test_knot_row_antisymmetrized_closed_form():
     # the antisymmetrized combination z_mu (g(q,t) - g(q,-t))/2 for the row
     # color on T(2,k) has a closed form valid for every odd k; checked well
     # beyond the tabulated range
-    from klmov.laurent import exact_div as _div
-
     def mono(a, b, c=1):
         return RationalQT({(a, b): c})
 
     def qd(n):
-        return {(n, 0): 1, (-n, 0): -1}
+        return RationalQT({(n, 0): 1, (-n, 0): -1})
 
     for k in (3, 5, 7):
         g = reformulated_g(TorusLinkSpec(2, k, 1), ((2,),))
@@ -257,9 +255,45 @@ def test_knot_row_antisymmetrized_closed_form():
             - mono(0, 0, 2)
             - mono(-4, 0)
         )
-        part_a = _div(_div(RationalQT(qd(2 * k)) * inner_a, qd(1)), qd(3))
+        part_a = qd(2 * k) * inner_a / qd(1) / qd(3)
         inner_b = -mono(k + 1, 1) + mono(-k - 1, 1) + mono(k - 1, -1) - mono(1 - k, -1)
-        part_b = _div(RationalQT(qd(4 * k)) * inner_b * mono(0, -k), qd(2))
+        part_b = qd(4 * k) * inner_b * mono(0, -k) / qd(2)
         tau = RationalQT({(0, 1): 1, (0, -1): -1})
-        closed = mono(0, -2 * k) * _div(tau * (part_a + part_b), qd(1))
+        closed = mono(0, -2 * k) * (tau * (part_a + part_b) / qd(1))
         assert lhs == closed, k
+
+
+def _conjecture_lhs_by_division(src, mu, antisymmetrize):
+    # the route of z_mu z^2 g / prod(q^row - q^-row) that divides row by row
+    g = reformulated_g(src, mu)
+    if antisymmetrize:
+        g = (g - g.substitute(tsign=-1)) * Fraction(1, 2)
+    z = RationalQT({(1, 0): 1, (-1, 0): -1})
+    value = g * z_stat_multi(mu) * z * z
+    for lam in mu:
+        for row in lam:
+            value = value / RationalQT({(row, 0): 1, (-row, 0): -1})
+    return to_z_basis(value)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NotPolynomial as exc:
+        return f"NotPolynomial: {exc}"
+
+
+@pytest.mark.parametrize("src, mu", [
+    (TorusLinkSpec(2, 3, 1), ((2,),)),
+    (TorusLinkSpec(1, 1, 2), ((2,), (1,))),
+    (UnlinkSpec(2), ((1,), (1,))),
+    (UnlinkSpec(2), ((2,), (1,))),
+], ids=["T(2,3)-2", "T(2,2)-2|1", "unlink2-1|1", "unlink2-2|1"])
+@pytest.mark.parametrize("antisymmetrize", [True, False])
+def test_conjecture_lhs_is_the_row_by_row_quotient(src, mu, antisymmetrize):
+    got = _outcome(conjecture_lhs, src, mu, antisymmetrize)
+    assert got == _outcome(_conjecture_lhs_by_division, src, mu, antisymmetrize)
+    if (src, mu, antisymmetrize) == (TorusLinkSpec(2, 3, 1), ((2,),), False):
+        assert got == "NotPolynomial: remainder -6 in univariate division"
+    else:
+        assert isinstance(got, ZTPoly)
