@@ -675,9 +675,10 @@ class RationalQT:
         remaining t-dependent part must divide the numerator exactly or
         NotDivisible is raised.  A zero divisor raises ZeroInput.
         """
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and other:
             return self * (1 / Fraction(other))
-        if not isinstance(other, RationalQT):
+        other = _coerce(other)  # a zero scalar becomes RationalQT(0): ZeroInput
+        if other is NotImplemented:
             return NotImplemented
         x = self * RationalQT({(a, 0): c for a, c in other.den.items()})
         content = qt_q_content(other.num)

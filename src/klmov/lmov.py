@@ -1,5 +1,6 @@
-"""Partition-function coefficients, free energy, reformulated invariants,
-and the integrality / degree / coefficient-relation checkers.
+"""Partition-function coefficients (for a torus link one Rosso-Jones sum over
+cable labels), free energy, reformulated invariants, and the integrality /
+degree / coefficient-relation checkers.
 
 Everything is exact: a failed integrality or representability check raises a
 typed error carrying the offending data, which the command-line layer reports
@@ -16,7 +17,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .characters import brauer_labels, multi_character
-from .errors import NonIntegerCoefficient
+from .errors import ComponentCountMismatch, NonIntegerCoefficient
 from .laurent import (
     RationalQT,
     ZTPoly,
@@ -35,9 +36,11 @@ from .partitions import (
     splittings,
     z_stat_multi,
 )
+from .schur import sb_closed_form
 from .torus import (
     TorusLinkSpec,
     bracket_coefficients,
+    cable_terms,
     torus_invariant,
     unlink_invariant,
 )
@@ -72,23 +75,36 @@ def describe_source(src):
 def z_coefficient(src, mu):
     """Coefficient of pb_mu in the partition function.
 
-    Sum over label tuples of multi_character * invariant / z_mu; an empty
-    component admits only the empty label.  For an unlink the character, the
-    invariant and z_mu are all products over components, so its coefficient
-    is the product of the one-component coefficients.
+    sum_A multi_character(A, mu) / z_mu * invariant(A) in the Rosso-Jones
+    form: one rational_sum of sb_closed_form(lam) * P_lam over cable labels,
+    P_lam collecting the weighted cable_terms of every A.  Empty labels drop
+    their component (the all-empty A gives lam = () with monomial 1); an
+    unlink is the product of one-component sums whose only label is A.
     """
-    if isinstance(src, UnlinkSpec) and src.L > 1:
-        if len(mu) != src.L:
-            raise ValueError(f"{len(mu)} colors for {src.L} components")
+    torus = isinstance(src, TorusLinkSpec)
+    if torus:
+        r, k = sorted(src.validate()[:2])
+    if len(mu) != src.L:
+        error = ComponentCountMismatch if torus else ValueError
+        raise error(f"{len(mu)} colors for {src.L} components")
+    if not torus and src.L > 1:
         return rational_product(z_coefficient(UnlinkSpec(1), (lam,)) for lam in mu)
-    label_sets = [brauer_labels(sum(lam)) for lam in mu]
-    z = z_stat_multi(mu)
-    terms = []
-    for avec in product(*label_sets):
+    z, collected = z_stat_multi(mu), {}
+    for avec in product(*(brauer_labels(sum(lam)) for lam in mu)):
         ch = multi_character(avec, mu)
-        if ch:
-            terms.append((invariant(src, avec), Fraction(ch, z)))
-    return rational_sum(terms)
+        if not ch:
+            continue
+        active = tuple(a for a in avec if a)
+        if torus and active:
+            terms = cable_terms(r, k, active)
+        else:
+            terms = {avec[0] if active else (): {(0, 0): 1}}
+        w = Fraction(ch, z)
+        for lam, monomial in terms.items():
+            p = collected.setdefault(lam, {})
+            for e, c in monomial.items():
+                p[e] = p.get(e, 0) + w * c
+    return rational_sum((sb_closed_form(lam), p) for lam, p in collected.items())
 
 
 @lru_cache(maxsize=None)

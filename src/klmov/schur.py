@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
-from .characters import brauer_character, brauer_labels, sn_character
+from .characters import brauer_character, brauer_labels, brauer_table, sn_character
+from .errors import NonIntegerCoefficient
 from .laurent import RationalQT, q_minus_qinv, rational_product, rational_sum
 from .partitions import partitions_of, transpose, z_stat
 
@@ -138,30 +140,30 @@ def pb_in_sb(mu):
 
 
 @lru_cache(maxsize=None)
-def sb_in_pb(a):
-    """Invert the transition: express sb_a in power sums.
-
-    The top block of the Brauer character table is the S_n table, so
-    orthogonality peels off the size-n layer once all smaller labels are
-    (recursively) known.
-    """
-    a = tuple(a)
+def sb_in_pb_scaled(a):
+    """|a|! sb_a in power sums, with int coefficients: by orthogonality of the
+    S_n block, sb_a = sum_mu chi_a(mu) / z_mu pb_mu - sum_b <chi_a, chi_b> sb_b
+    over the smaller labels b, and n!/z_mu, <chi_a, chi_b> and n!/|b|! are
+    integers."""
     n = sum(a)
-    if n == 0:
-        return pb_one()
-    lower = [b for b in brauer_labels(n) if sum(b) < n]
-    out = PbElement()
+    nfact = factorial(n)
+    table = brauer_table(n)
+    out, mult = {}, dict.fromkeys((b for b in brauer_labels(n) if sum(b) < n), 0)
     for mu in partitions_of(n):
-        chi = sn_character(a, mu)
-        if not chi:
-            continue
-        residual = PbElement({mu: 1})
-        for b in lower:
-            ch_b = brauer_character(b, mu)
-            if ch_b:
-                residual = residual - sb_in_pb(b) * ch_b
-        out = out + residual * Fraction(chi, z_stat(mu))
-    return out
+        out[mu] = chi = sn_character(a, mu) * (nfact // z_stat(mu))
+        for b in mult:
+            mult[b] += chi * table[(b, mu)]
+    for b, m in mult.items():
+        if m % nfact:
+            raise NonIntegerCoefficient(f"sb{b} has multiplicity {Fraction(m, nfact)} in sb{a}")
+        for nu, c in sb_in_pb_scaled(b).items():
+            out[nu] = out.get(nu, 0) - m // factorial(sum(b)) * c
+    return PbElement(out)
+
+
+def sb_in_pb(a):
+    """Invert the transition: express sb_a in power sums."""
+    return sb_in_pb_scaled(tuple(a)) * Fraction(1, factorial(sum(a)))
 
 
 @lru_cache(maxsize=None)

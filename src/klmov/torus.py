@@ -1,10 +1,10 @@
 """Colored invariants of torus links via the cabling expansion.
 
 ``TorusLinkSpec(r, k, L)`` denotes the torus link T(rL, kL) with L components
-and gcd(r, k) = 1.  The invariant of a colored torus link is a finite sum of
-quantum dimensions weighted by cabling constants and framing monomials; the
-cabling constants come from transporting products of Adams-transformed sb
-expansions back into the sb basis.
+and gcd(r, k) = 1.  Its colored invariant is the Rosso-Jones sum over cable
+labels of quantum dimensions times ``cable_terms``: cabling constants times
+framing monomials.  The cabling constants transport products of int-scaled
+Adams-transformed sb expansions back to the sb basis, divided once at the end.
 """
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import factorial, gcd
 from typing import NamedTuple
 
 from .errors import ComponentCountMismatch, NonIntegerExponent
 from .laurent import RationalQT, rational_product, rational_sum, to_z_basis
 from .partitions import kappa
-from .schur import loop_weight, pb_in_sb, pb_one, sb_closed_form, sb_in_pb
+from .schur import loop_weight, pb_in_sb, pb_one, sb_closed_form, sb_in_pb_scaled
 
 
 class TorusLinkSpec(NamedTuple):
@@ -48,19 +48,15 @@ class CTildeTable:
 
 @lru_cache(maxsize=None)
 def _ctilde_entries(colors, r):
-    prod = pb_one()
+    prod, scale = pb_one(), 1
     for a in colors:
-        prod = prod.pb_mul(sb_in_pb(a))
-    prod = prod.adams(r)
+        prod = prod.pb_mul(sb_in_pb_scaled(a))
+        scale *= factorial(sum(a))
     collected = {}
-    for mu, c in prod.items():
+    for mu, c in prod.adams(r).items():
         for lam, ch in pb_in_sb(mu).items():
-            v = collected.get(lam, 0) + c * ch
-            if v:
-                collected[lam] = v
-            else:
-                collected.pop(lam, None)
-    return {lam: Fraction(c) for lam, c in collected.items()}
+            collected[lam] = collected.get(lam, 0) + c * ch
+    return {lam: Fraction(c, scale) for lam, c in collected.items() if c}
 
 
 def ctilde(colors, r):
@@ -70,16 +66,15 @@ def ctilde(colors, r):
 
 
 @lru_cache(maxsize=None)
-def _torus_invariant_active(r, k, colors):
+def cable_terms(r, k, colors):
+    """Rosso-Jones terms {lam: ctilde_lam q^a t^b} of T(r, k) on a nonempty
+    color tuple; the invariant is the sum of sb_closed_form(lam) * terms."""
     n = sum(sum(a) for a in colors)
-    table = _ctilde_entries(colors, r)
     # the framing prefactor q^pq t^pt joins every term's monomial
     pq = -k * r * sum(kappa(a) for a in colors)
     pt = -k * (r - 1) * n
-    terms = []
-    for lam, c in table.items():
-        if not c:
-            continue
+    terms = {}
+    for lam, c in _ctilde_entries(colors, r).items():
         f2 = r * n - sum(lam)  # twice the contraction count
         qexp = Fraction(k * kappa(lam), r)
         texp = Fraction(-f2 * k, r)
@@ -87,8 +82,14 @@ def _torus_invariant_active(r, k, colors):
             raise NonIntegerExponent(
                 f"fractional framing exponent at {lam} with coefficient {c}"
             )
-        terms.append((sb_closed_form(lam), {(int(qexp) + pq, int(texp) + pt): c}))
-    return rational_sum(terms)
+        terms[lam] = {(int(qexp) + pq, int(texp) + pt): c}
+    return terms
+
+
+@lru_cache(maxsize=None)
+def _torus_invariant_active(r, k, colors):
+    terms = cable_terms(r, k, colors)
+    return rational_sum((sb_closed_form(lam), m) for lam, m in terms.items())
 
 
 def torus_invariant(spec, colors):

@@ -234,19 +234,19 @@ def test_bound_raises_every_limit(capsys, argv):
 def test_lmov_cable_limit_follows_from_color_size(monkeypatch, capsys):
     # T(7,2) = T(2,7): cabling the 7,2,1 side through r = 7 instead of
     # min(r, k) builds cables of size 14, and gives the bytes of 2,7,1
-    from klmov import torus
+    from klmov import lmov
 
     code, out = run(capsys, "lmov", "--torus", "2,7,1", "--mu", "2",
                     "--format", "csv")
     assert code == 0
-    active = torus._torus_invariant_active
+    cable_terms = lmov.cable_terms
     cabled = []
 
     def through_max(r, k, colors):
         cabled.append(k)
-        return active(k, r, colors)
+        return cable_terms(k, r, colors)
 
-    monkeypatch.setattr(torus, "_torus_invariant_active", through_max)
+    monkeypatch.setattr(lmov, "cable_terms", through_max)
     code, swapped = run(capsys, "lmov", "--torus", "7,2,1", "--mu", "2",
                         "--format", "csv")
     assert code == 0
@@ -374,16 +374,16 @@ def test_invariant_cable_limit_takes_the_smaller_parameter(monkeypatch, capsys):
 
 def test_torus_knot_cables_through_min_r_k(monkeypatch, capsys):
     # T(9,1) is the unknot: its cables have size |mu| = 3, not 9 * |mu|
-    from klmov import torus
+    from klmov import lmov
 
-    active = torus._torus_invariant_active
+    cable_terms = lmov.cable_terms
     cables = []
 
     def spy(r, k, colors):
         cables.append(r * sum(map(sum, colors)))
-        return active(r, k, colors)
+        return cable_terms(r, k, colors)
 
-    monkeypatch.setattr(torus, "_torus_invariant_active", spy)
+    monkeypatch.setattr(lmov, "cable_terms", spy)
     code, _ = run(capsys, "lmov", "--torus", "9,1,1", "--mu", "3")
     assert code == 0
     assert max(cables) == 3
@@ -500,3 +500,22 @@ def test_verify_all_writes_the_benchmark_bytes():
     )
     assert proc.returncode == 1
     assert proc.stdout == (root / "perfbench/expected/verify-all.stdout").read_bytes()
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("lmov-t22-0", ("--torus", "1,1,2", "--bound", "8", "--mu", "4,2|2")),
+    ("lmov-t36-0", ("--torus", "1,2,3", "--mu", "2|2|2")),
+    ("lmov-t36-1", ("--torus", "1,2,3", "--mu", "2|2|1,1")),
+    ("lmov-t36-2", ("--torus", "1,2,3", "--mu", "1,1|2|2")),
+])
+def test_lmov_writes_the_benchmark_bytes(key, argv):
+    # the benchmark's table jobs compare their csv tables verbatim
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("KLMOV_")}
+    env["PYTHONPATH"] = str(root / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "klmov", "lmov", *argv, "--format", "csv"],
+        capture_output=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (root / f"perfbench/expected/{key}.stdout").read_bytes()

@@ -82,6 +82,13 @@ def test_exact_div_zero_divisor():
         Q / RationalQT(0)
 
 
+@pytest.mark.parametrize("zero", [0, Fraction(0), RationalQT(0)],
+                         ids=["int", "Fraction", "RationalQT"])
+def test_every_zero_divisor_is_zero_input(zero):
+    with pytest.raises(ZeroInput, match="division by zero polynomial"):
+        RationalQT(1) / zero
+
+
 def test_division_by_rational():
     w = X * (T - TI) + X * X
     assert w / X == (T - TI) + X

@@ -7,8 +7,8 @@ from itertools import product
 import pytest
 
 from klmov.characters import brauer_labels, multi_character
-from klmov.errors import NonIntegerCoefficient, NotPolynomial
-from klmov.laurent import RationalQT, ZTPoly, to_z_basis
+from klmov.errors import ComponentCountMismatch, NonIntegerCoefficient, NotPolynomial
+from klmov.laurent import RationalQT, ZTPoly, rational_sum, to_z_basis
 from klmov.lmov import (
     UnlinkSpec,
     column_integrality_check,
@@ -77,6 +77,38 @@ def test_unlink_z_coefficient_is_the_label_tuple_sum(mu):
 def test_unlink_z_coefficient_checks_the_component_count():
     with pytest.raises(ValueError, match="1 colors for 2 components"):
         z_coefficient(UnlinkSpec(2), ((1,),))
+
+
+def _z_coefficient_by_tuples(spec, mu):
+    """Z_mu as the sum over label tuples A of chi_A(mu) / z_mu times the
+    torus invariant colored by A, each invariant canonicalized on its own."""
+    z = z_stat_multi(mu)
+    return rational_sum(
+        (torus_invariant(spec, avec), Fraction(multi_character(avec, mu), z))
+        for avec in product(*(brauer_labels(sum(lam)) for lam in mu))
+        if multi_character(avec, mu)
+    )
+
+
+@pytest.mark.parametrize("spec, mu", [
+    (TorusLinkSpec(2, 3, 1), ((3,),)),
+    (TorusLinkSpec(2, 3, 1), ((2, 1),)),
+    (TorusLinkSpec(2, 5, 1), ((2, 2),)),
+    (TorusLinkSpec(1, 1, 2), ((2, 1), (1,))),
+    (TorusLinkSpec(1, 1, 2), ((2,), (2,))),
+    (TorusLinkSpec(1, 2, 3), ((2,), (2,), (1, 1))),
+])
+def test_z_coefficient_is_the_label_tuple_sum(spec, mu):
+    # the Rosso-Jones sum over cable labels against the per-tuple route;
+    # the links reach tuples with empty labels, down to the all-empty one
+    assert z_coefficient(spec, mu) == _z_coefficient_by_tuples(spec, mu)
+
+
+def test_torus_z_coefficient_checks_the_component_count():
+    with pytest.raises(ComponentCountMismatch, match="^1 colors for 2 components$"):
+        z_coefficient(TorusLinkSpec(1, 1, 2), ((1,),))
+    with pytest.raises(ComponentCountMismatch, match="^3 colors for 1 components$"):
+        z_coefficient(TorusLinkSpec(2, 3, 1), ((1,), (1,), ()))
 
 
 def _free_energy_by_products(src, mu):

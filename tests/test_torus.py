@@ -1,8 +1,12 @@
 """Cabling constants and torus-link invariants."""
 
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
-from klmov.errors import ComponentCountMismatch
+from klmov import torus
+from klmov.errors import ComponentCountMismatch, NonIntegerExponent
 from klmov.golden import (
     CTILDE_R1_L2,
     CTILDE_R1_L3,
@@ -11,7 +15,9 @@ from klmov.golden import (
     TORUS_SB_EXPANSIONS_KNOT,
 )
 from klmov.laurent import RationalQT
-from klmov.schur import loop_weight, sb_closed_form
+from klmov.lmov import z_coefficient
+from klmov.partitions import partitions_of
+from klmov.schur import loop_weight, pb_in_sb, pb_one, sb_closed_form, sb_in_pb
 from klmov.torus import (
     TorusLinkSpec,
     _torus_invariant_active,
@@ -169,3 +175,68 @@ def test_knot_exponents_integral_where_supported():
                     f2 = r * n - sum(lam)
                     assert Fraction(kappa(lam), r).denominator == 1, (r, a, lam)
                     assert Fraction(f2, r).denominator == 1, (r, a, lam)
+
+
+def _fraction_ctilde(colors, r):
+    """The cabling constants in Fraction arithmetic, an independent route: the
+    product of the sb_in_pb expansions, Adams-transformed, expanded back over
+    sb symbols."""
+    prod = pb_one()
+    for a in colors:
+        prod = prod.pb_mul(sb_in_pb(a))
+    out = {}
+    for mu, c in prod.adams(r).items():
+        for lam, ch in pb_in_sb(mu).items():
+            out[lam] = out.get(lam, 0) + c * ch
+    return {lam: Fraction(c) for lam, c in out.items() if c}
+
+
+def _assert_integer_route(colors, r):
+    got = ctilde(colors, r).entries
+    assert got == _fraction_ctilde(colors, r), (colors, r)
+    assert all(type(c) is Fraction for c in got.values())
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_integer_ctilde_matches_the_fraction_route(r):
+    # every ordered tuple of 1-3 nonempty colors with cable size r * n <= 8
+    colors = [a for n in range(1, 9) for a in partitions_of(n)]
+    checked = 0
+    for m in (1, 2, 3):
+        for tup in product(colors, repeat=m):
+            if r * sum(map(sum, tup)) <= 8:
+                _assert_integer_route(tup, r)
+                checked += 1
+    assert checked == {1: 919, 2: 33, 3: 4}[r]
+
+
+def test_integer_ctilde_matches_the_fraction_route_on_single_colors():
+    # every single color with cable size r * |a| <= 12; at r = 1 the table
+    # is sb_a itself, which is exact and far cheaper than the Fraction route
+    # past |a| = 8 (3 s at |a| = 12)
+    for r in range(1, 13):
+        for n in range(1, 12 // r + 1):
+            for a in partitions_of(n):
+                if r == 1:
+                    assert ctilde((a,), 1).entries == {a: 1}, a
+                else:
+                    _assert_integer_route((a,), r)
+
+
+def test_fractional_framing_exponent_is_rejected(monkeypatch):
+    # T(3,4): 4 * kappa((2,)) / 3 is fractional, so a cabling constant at
+    # (2,) must raise rather than be rounded; the memos are bypassed so the
+    # patched table is read
+    from klmov import lmov
+
+    spec = TorusLinkSpec(3, 4, 1)
+    unmemoised = torus.cable_terms.__wrapped__
+    monkeypatch.setattr(torus, "_ctilde_entries", lambda colors, r: {(2,): Fraction(1)})
+    monkeypatch.setattr(torus, "cable_terms", unmemoised)
+    monkeypatch.setattr(lmov, "cable_terms", unmemoised)
+    monkeypatch.setattr(torus, "_torus_invariant_active",
+                        torus._torus_invariant_active.__wrapped__)
+    with pytest.raises(NonIntegerExponent, match="at \\(2,\\) with coefficient 1"):
+        torus_invariant(spec, ((1,),))
+    with pytest.raises(NonIntegerExponent, match="at \\(2,\\) with coefficient 1"):
+        z_coefficient.__wrapped__(spec, ((1,),))
