@@ -27,9 +27,11 @@ Exit codes: 0 success, 1 a conjecture check produced a finding (a
 non-integral or non-representable value), 2 usage error or a file that
 cannot be read or written (``OSError``, as for ``--out`` or ``--cache-dir``),
 3 a size limit was exceeded (``BoundExceeded``; ``--bound`` raises the
-limit), 141 standard output was closed before everything was written (as by
-``klmov ... | head``; nothing is printed on standard error, and 141 is what a
-shell reports for a process ended by SIGPIPE).  The error cases print one
+limit), 4 an internal arithmetic error (a ``NotDivisible`` or
+``NonCyclotomicDenominator`` that is not a finding of ``lmov``), 141
+standard output was closed before everything was written (as by ``klmov ...
+| head``; nothing is printed on standard error, and 141 is what a shell
+reports for a process ended by SIGPIPE).  The error cases print one
 ``error:`` line on standard error.
 """
 
@@ -45,6 +47,7 @@ from . import characters, verify
 from .errors import (
     BoundExceeded,
     KlmovError,
+    NonCyclotomicDenominator,
     NonIntegerCoefficient,
     NotDivisible,
     NotPolynomial,
@@ -446,6 +449,9 @@ def main(argv=None):
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (NotDivisible, NonCyclotomicDenominator) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except BrokenPipeError:
         # the reader went away: route the interpreter's final flush of the
         # unwritten rest to /dev/null so that it cannot fail again

@@ -4,40 +4,33 @@ Two value types live here:
 
 * ``RationalQT``: a quotient ``num / den`` where ``num`` is a Laurent
   polynomial in q and t with rational coefficients, stored sparsely as
-  ``{(qexp, texp): coefficient}``, and ``den`` is a Laurent polynomial in q
-  alone.  Every denominator that occurs in the invariant formulas (quantum
-  integers, hook products, q^n - q^-n) has this shape once t-monomial units
-  are moved into the numerator.  A Laurent polynomial is a RationalQT whose
-  canonical denominator is ``{0: 1}``.
+  ``{(qexp, texp): coefficient}``, and ``den`` is a product of cyclotomic
+  polynomials ``Phi_d(q)``, stored as ``mults``, the sorted ``(d, m)`` pairs
+  of its factors ``Phi_d^m``.  Every denominator of the invariant formulas
+  has this shape once monomials move into the numerator: q^h - q^-h is
+  q^-h prod_{d | 2h} Phi_d(q), and q -> q^k maps each Phi_d(q) to the
+  product of the Phi_e(q) with e | dk and e / gcd(e, k) = d.
 * ``ZTPoly``: a polynomial in z = q - 1/q and t, the target ring of the
   integrality checks.
 
-Canonical form of a ``RationalQT``: ``den`` is monic with a nonzero constant
-term and shares no factor with the q-content (the gcd of the t-slices) of
-``num``.  Each distinct ``den`` is split once, by trial division, into
-cyclotomic factors ``Phi_d^m`` and a residual; the invariant formulas only
-build products of ``Phi_d``.  As each ``Phi_d`` is monic and irreducible over
-Q, dividing the integer-scaled t-slices of ``num`` by it while all allow
-cancels the gcd.  Only a residual other than 1 (from user input) goes through
-the Euclidean gcd.
+In canonical form no ``Phi_d`` of ``mults`` divides every t-slice of
+``num``; as each ``Phi_d`` is monic and irreducible over Q, dividing the
+integer-scaled t-slices by it while all allow cancels the gcd.  Only a dense
+denominator from outside is factored, by trial division: the ``den`` of the
+constructor (as from ``parse_qt``) or of a raw ``(num, den)`` factor of
+``rational_sum``.  A factor that is not cyclotomic raises
+``NonCyclotomicDenominator``.
 
-Sums of products are canonicalized once, not once per operand or product.
-A term of ``rational_sum`` is a tuple of factors standing for their
-product: the factors' numerators are scaled to ints and multiplied, and
-their denominators are multiplied by adding their Phi_d multiplicities, so
-no new trial division is needed.  The sum takes the lcm of all term
-denominators as the per-d maximum of those multiplicities, brings every
-numerator to ints over one common scale, multiplies each by its cofactor
-lcm / den and accumulates them, then canonicalizes the total.
-``rational_product`` is the one-term case, and ``+`` and ``*`` are the
-two-operand cases.
+Sums of products are canonicalized once.  A term of ``rational_sum`` is a
+tuple of factors standing for their product: numerators are scaled to ints
+and multiplied, and multiplicities are added.  The lcm of the term
+denominators takes the per-d maximum; each numerator, over one common scale,
+is multiplied by its cofactor lcm / den and accumulated.  ``+``, ``*`` and
+``rational_product`` are special cases.
 
-There is one division, ``/``.  Dividing by a ``RationalQT`` moves the
-divisor's denominator up and the q-content of its numerator down; the
-remaining t-dependent part must divide exactly, else ``NotDivisible``.
-Callers that divide a sum of products by q-only polynomials pass each as a
-raw factor ``({(0, 0): 1}, den)`` of the ``rational_sum`` terms instead, so
-the value is canonicalized once.
+There is one division, ``/``: the divisor's denominator moves up and its
+cyclotomic q-content (the Phi_d dividing every t-slice of its numerator)
+moves down; the rest must divide exactly, else ``NotDivisible``.
 
 All coefficients are ints or ``fractions.Fraction``; nothing here ever
 touches floating point.
@@ -47,9 +40,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, inf, lcm
+from math import comb, gcd, inf, lcm
 
 from .errors import (
+    NonCyclotomicDenominator,
     NotDivisible,
     NotPolynomial,
     NotZRepresentable,
@@ -154,9 +148,6 @@ qp_iadd = qt_iadd
 # ---------------------------------------------------------------------------
 
 
-def p1_normalize(p):
-    return {a: c for a, c in p.items() if c}
-
 def p1_shift(p, k):
     if k == 0:
         return dict(p)
@@ -164,9 +155,8 @@ def p1_shift(p, k):
 
 
 def p1_divmod(num, den):
-    """Ordinary polynomial division; all exponents must be >= 0."""
-    if not den:
-        raise ZeroInput("division by zero polynomial")
+    """Ordinary polynomial division by a nonzero den; all exponents must be
+    >= 0."""
     quo = {}
     rem = dict(num)
     dmax = max(den)
@@ -203,31 +193,9 @@ def p1_div_exact(num, den):
     return p1_shift(quo, sn - sd)
 
 
-def p1_gcd(p1, p2):
-    """Monic gcd of two Laurent polynomials, normalized to min exponent 0."""
-    a = p1_shift(p1, -min(p1)) if p1 else {}
-    b = p1_shift(p2, -min(p2)) if p2 else {}
-    while b:
-        _, r = p1_divmod(a, b)
-        a = b
-        b = p1_shift(r, -min(r)) if r else {}
-    if not a:
-        return {}
-    lc = a[max(a)]
-    if lc != 1:
-        inv = 1 / Fraction(lc)
-        a = {k: inv * c for k, c in a.items()}
-    return a
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic factors (dense coefficient lists, constant term first)
 # ---------------------------------------------------------------------------
-
-
-def _dense(p):
-    """Coefficients of a q-only dict whose least exponent is 0."""
-    return tuple(p.get(a, 0) for a in range(max(p) + 1))
 
 
 def _div_monic(p, m):
@@ -262,26 +230,29 @@ def _cyclotomic(d):
     return tuple(_div_monic(spread, _cyclotomic(m)))
 
 
-_MAX_ORDER = 120  # a larger Phi_d stays in the residual, for Euclid
+@lru_cache(maxsize=None)
+def _factor(den):
+    """The (d, m) pairs of a monic dense den that is the product of the
+    Phi_d^m; any other factor raises NonCyclotomicDenominator."""
+    slices, mults = _cyclotomic_content({0: (0, den)})
+    rest = slices[0][1]
+    if len(rest) > 1:
+        factor = render_qt({(a, 0): c for a, c in enumerate(rest) if c})
+        raise NonCyclotomicDenominator(f"denominator factor {factor} is not cyclotomic")
+    return tuple(sorted(mults.items()))
 
 
 @lru_cache(maxsize=None)
-def _factor(den):
-    """Split a monic dense den into {d: multiplicity of Phi_d} and a residual.
-
-    Every Phi_d with d < _MAX_ORDER that could divide is tried: d < 6 phi(d)
-    holds for all d below 2 * 10^8.
-    """
-    mults = {}
-    r = den
-    d = 1
-    while len(r) > 1 and d < min(6 * len(r), _MAX_ORDER):
-        phi = _cyclotomic(d)
-        while _divides(r, d, phi):
-            r = _div_monic(r, phi)
-            mults[d] = mults.get(d, 0) + 1
-        d += 1
-    return mults, tuple(r)
+def _adams(mults, k):
+    """The (e, m) pairs of the product of Phi_d(q^k)^m over (d, m) in mults:
+    Phi_d(q^k) is the product of the Phi_e(q) with e | dk and
+    e / gcd(e, k) = d."""
+    out = {}
+    for d, m in mults:
+        for e in range(1, d * k + 1):
+            if d * k % e == 0 and e // gcd(e, k) == d:
+                out[e] = out.get(e, 0) + m
+    return tuple(sorted(out.items()))
 
 
 @lru_cache(maxsize=None)
@@ -350,6 +321,22 @@ def _cancel(slices, d, most):
     return slices, k
 
 
+def _cyclotomic_content(slices):
+    """Divide out every Phi_d that divides all slices, as often as it does.
+
+    Returns the quotient slices and {d: number of divisions}.  Only d < 6 deg
+    can divide, deg the least slice degree: d < 6 phi(d) for every d below
+    2 * 10^8, and phi(d) is the degree of Phi_d.
+    """
+    mults, d = {}, 1
+    while d < 6 * (min(len(p) for _, p in slices.values()) - 1):
+        slices, k = _cancel(slices, d, inf)
+        if k:
+            mults[d] = k
+        d += 1
+    return slices, mults
+
+
 # ---------------------------------------------------------------------------
 # bivariate helpers on raw {(a, b): coef} dicts
 # ---------------------------------------------------------------------------
@@ -371,16 +358,6 @@ def qt_q_slices(d):
     for (a, b), c in d.items():
         out.setdefault(a, {})[b] = c
     return out
-
-def qt_q_content(d):
-    """Monic gcd (in q, over Q) of the t-slice polynomials of d."""
-    g = {}
-    for sl in qt_t_slices(d).values():
-        g = p1_gcd(g, sl) if g else p1_gcd(sl, sl)
-        if g == {0: 1}:
-            break
-    return g
-
 
 def qt_div_qonly(d, den, error=NotDivisible):
     """Divide a bivariate Laurent polynomial by a q-only one, exactly."""
@@ -429,15 +406,6 @@ def qt_div_exact(num, den):
     return {(a, b): c for a, sl in quot.items() for b, c in sl.items()}
 
 
-def qt_substitute(d, qpow, tsign, tpow):
-    out = {}
-    for (a, b), c in d.items():
-        if tsign == -1 and b % 2:
-            c = -c
-        out[(a * qpow, b * tpow)] = c
-    return out
-
-
 def q_minus_qinv(n):
     """q^n - q^-n as a raw q-only dict."""
     return {n: 1, -n: -1}
@@ -448,44 +416,40 @@ def q_minus_qinv(n):
 # ---------------------------------------------------------------------------
 
 
-def _monic(num, den):
-    """(num', den', lc) with num / den == num' / (lc * den') for a monic den'
-    with a nonzero constant term; lc is 1 or a Fraction."""
-    den = p1_normalize(den)
+def _factor_dense(num, den):
+    """(num', mults, lc) with num / den == num' / (lc * D), D the product of
+    the Phi_d^m over the (d, m) pairs mults, for a dense q-only dict den."""
+    den = qt_normalize(den)
     if not den:
         raise ZeroInput("zero denominator")
-    s = min(den)
+    s, top = min(den), max(den)
     if s:
-        den = p1_shift(den, -s)
         num = {(a - s, b): c for (a, b), c in num.items()}
-    lc = den[max(den)]
-    if lc != 1:
-        lc = Fraction(lc)
-        den = {a: _ratio(c.numerator * lc.denominator, c.denominator * lc.numerator)
-               for a, c in den.items()}
-    return num, den, lc
+    lc = Fraction(den[top])
+    monic = (Fraction(den.get(a, 0)) / lc for a in range(s, top + 1))
+    return num, _factor(tuple(_ratio(c.numerator, c.denominator) for c in monic)), lc
 
 
-def _canonical(num, den):
-    """Canonical form: den is monic in q, has constant term, and shares no
-    nontrivial q-only factor with the numerator."""
-    num, den, lc = _monic(qt_normalize(num), den)
+def _canonical(num, lc, mults):
+    """(num', mults') with num / (lc * D) == num' / D' for D the product of
+    the Phi_d^mults[d]: each Phi_d is cancelled while it divides every t-slice
+    of num, and D' keeps the rest as sorted (d, m) pairs."""
     if not num:
-        return {}, {0: 1}
-    mults, residual = _factor(_dense(den))
-    cut = {}
-    if mults or lc != 1:
-        # num / lc == ints / scale
-        common = _denominator_lcm(num)
-        ints = _scaled(num, common * lc.denominator)
-        scale = common * lc.numerator
+        return {}, ()
+    if not mults and lc == 1:
+        return num, ()
+    # num / lc == ints / scale
+    common = _denominator_lcm(num)
+    ints = _scaled(num, common * lc.denominator)
+    scale = common * lc.numerator
+    kept, cut = [], False
     if mults:
-        # cancel each Phi_d while it divides every t-slice
         slices = _slices(ints)
-        for d, m in mults.items():
+        for d, m in sorted(mults.items()):
             slices, k = _cancel(slices, d, m)
-            if k:
-                cut[d] = k
+            cut = cut or k > 0
+            if k < m:
+                kept.append((d, m - k))
     if cut:
         num = {
             (lo + i, b): _ratio(p[i], scale)
@@ -493,36 +457,25 @@ def _canonical(num, den):
             for i in range(len(p) - 1, -1, -1)
             if p[i]
         }
-        p = _dense(den)
-        for d, k in cut.items():
-            for _ in range(k):
-                p = _div_monic(p, _cyclotomic(d))
-        den = {a: p[a] for a in range(len(p) - 1, -1, -1) if p[a]}
     elif lc != 1:
         num = {k: _ratio(n, scale) for k, n in ints.items()}
-    if len(residual) > 1:
-        # a factor outside the cyclotomic split: only here is Euclid needed
-        g = p1_gcd({a: c for a, c in enumerate(residual) if c}, qt_q_content(num))
-        if g != {0: 1}:
-            den = p1_div_exact(den, g)
-            num = qt_div_qonly(num, g)
-    return num, den
+    return num, tuple(kept)
 
 
 def _product_term(factors, m):
-    """m times the product of factors as (ints, s, k, mults, residual), or
-    None when it is zero.
+    """m times the product of factors as (ints, s, k, mults), or None when it
+    is zero.
 
     The value is k * ints / (s * D) with ints an int term dict, s > 0 and D
-    the product of Phi_d^mults[d] and the monic residual.  Numerators are
-    multiplied as ints and denominators by adding their multiplicity maps.
+    the product of the Phi_d^mults[d].  Numerators are multiplied as ints and
+    denominators by adding their multiplicities.
     """
-    ints, s, k, mults, residual = None, m.denominator, m.numerator, {}, {0: 1}
+    ints, s, k, mults = None, m.denominator, m.numerator, {}
     for f in factors:
         if isinstance(f, RationalQT):
-            num, den, lc = f.num, f.den, 1
+            num, fm, lc = f.num, f.mults, 1
         else:
-            num, den, lc = _monic(qt_normalize(f[0]), f[1])
+            num, fm, lc = _factor_dense(qt_normalize(f[0]), f[1])
         if not num:
             return None
         fs = _denominator_lcm(num)
@@ -532,12 +485,9 @@ def _product_term(factors, m):
         if lc != 1:
             s *= abs(lc.numerator)
             k *= lc.denominator if lc > 0 else -lc.denominator
-        fm, fr = _factor(_dense(den))
-        for d, e in fm.items():
+        for d, e in fm:
             mults[d] = mults.get(d, 0) + e
-        if len(fr) > 1:
-            residual = qp_mul(residual, {a: c for a, c in enumerate(fr) if c})
-    return {(0, 0): 1} if ints is None else ints, s, k, mults, residual
+    return {(0, 0): 1} if ints is None else ints, s, k, mults
 
 
 def rational_sum(terms):
@@ -564,29 +514,20 @@ def rational_sum(terms):
         return RationalQT(0)
     if len(parts) == 1 and isinstance(same, RationalQT):
         return same
-    if all(r == {0: 1} for _, _, _, _, r in parts):
-        # the lcm takes the largest multiplicity of each Phi_d
-        top = {}
-        for _, _, _, f, _ in parts:
-            for d, e in f.items():
-                if e > top.get(d, 0):
-                    top[d] = e
-        lcm_den = _cyclotomic_product(tuple(sorted(top.items())))
-        cofactors = [_cofactor(top, f) for _, _, _, f, _ in parts]
-    else:
-        dens = [qp_mul(_cyclotomic_product(tuple(sorted(f.items()))), r)
-                for _, _, _, f, r in parts]
-        lcm_den = {0: 1}
-        for den in dens:
-            lcm_den = qp_mul(lcm_den, p1_div_exact(den, p1_gcd(lcm_den, den)))
-        cofactors = [p1_div_exact(lcm_den, den) for den in dens]
-    scale = lcm(*(s for _, s, _, _, _ in parts))
+    # the lcm takes the largest multiplicity of each Phi_d
+    top = {}
+    for _, _, _, f in parts:
+        for d, e in f.items():
+            if e > top.get(d, 0):
+                top[d] = e
+    scale = lcm(*(s for _, s, _, _ in parts))
     num = {}
-    for (ints, s, k, _, _), cofactor in zip(parts, cofactors):
+    for ints, s, k, f in parts:
+        cofactor = _cofactor(top, f)
         if cofactor != {0: 1}:
             ints = qt_mul_qp(ints, cofactor)
         qt_iadd(num, ints, k * (scale // s))
-    return RationalQT(num, {a: scale * c for a, c in lcm_den.items()})
+    return RationalQT(num, {0: scale}, top)
 
 
 def rational_product(factors):
@@ -596,21 +537,37 @@ def rational_product(factors):
 
 
 class RationalQT:
-    """Quotient of a bivariate Laurent polynomial by a q-only one."""
+    """Quotient of a bivariate Laurent polynomial by a product of Phi_d(q).
 
-    __slots__ = ("num", "den")
+    ``RationalQT(num, den, mults)`` is num / (den * prod Phi_d^m over the
+    (d, m) pairs of mults), in canonical form.  num is a term dict, an int or
+    a Fraction; den is a dense q-only term dict, factored here by trial
+    division (NonCyclotomicDenominator when a factor is not cyclotomic), and
+    defaults to 1; mults is a dict or pairs, and defaults to none.
+    """
 
-    def __init__(self, num, den=None):
+    __slots__ = ("num", "mults")
+
+    def __init__(self, num, den=None, mults=()):
         if isinstance(num, RationalQT):
-            if den is not None:
+            if den is not None or mults:
                 raise TypeError("den not allowed when copying a RationalQT")
-            self.num, self.den = num.num, num.den
+            self.num, self.mults = num.num, num.mults
             return
         if isinstance(num, (int, Fraction)):
             num = {(0, 0): num} if num else {}
-        if den is None:
-            den = {0: 1}
-        self.num, self.den = _canonical(num, den)
+        num, lc, mults = qt_normalize(num), 1, dict(mults)
+        if den is not None:
+            num, pairs, lc = _factor_dense(num, den)
+            for d, m in pairs:
+                mults[d] = mults.get(d, 0) + m
+        self.num, self.mults = _canonical(num, lc, mults)
+
+    @property
+    def den(self):
+        """The dense denominator {qexp: coef}, monic with a nonzero constant
+        term; shared with the cache that renders it, so read-only."""
+        return _cyclotomic_product(self.mults)
 
     @property
     def is_zero(self):
@@ -623,10 +580,10 @@ class RationalQT:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.num == other.num and self.mults == other.mults
 
     def __hash__(self):
-        return hash((frozenset(self.num.items()), frozenset(self.den.items())))
+        return hash((frozenset(self.num.items()), self.mults))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -645,7 +602,7 @@ class RationalQT:
     def __neg__(self):
         out = RationalQT.__new__(RationalQT)
         out.num = {k: -c for k, c in self.num.items()}
-        out.den = self.den
+        out.mults = self.mults
         return out
 
     def __mul__(self, other):
@@ -654,7 +611,7 @@ class RationalQT:
                 return RationalQT(0)
             out = RationalQT.__new__(RationalQT)
             out.num = {k: other * c for k, c in self.num.items()}
-            out.den = self.den
+            out.mults = self.mults
             return out
         other = _coerce(other)
         if other is NotImplemented:
@@ -671,53 +628,58 @@ class RationalQT:
     def __truediv__(self, other):
         """self / other, exactly.
 
-        The q-only content of other's numerator joins the denominator; the
-        remaining t-dependent part must divide the numerator exactly or
-        NotDivisible is raised.  A zero divisor raises ZeroInput.
+        other's denominator moves up and its cyclotomic q-content, the Phi_d
+        that divide every t-slice of its numerator, moves down.  The rest of
+        other's numerator, including any q-only factor that is not
+        cyclotomic, must divide exactly or NotDivisible is raised.  A zero
+        divisor raises ZeroInput.
         """
         if isinstance(other, (int, Fraction)) and other:
             return self * (1 / Fraction(other))
-        other = _coerce(other)  # a zero scalar becomes RationalQT(0): ZeroInput
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num:
+            raise ZeroInput("division by zero polynomial")
         x = self * RationalQT({(a, 0): c for a, c in other.den.items()})
-        content = qt_q_content(other.num)
-        prim = qt_div_qonly(other.num, content)
-        den = qp_mul(x.den, content)
-        tslices = qt_t_slices(prim)
-        if len(tslices) == 1:
-            # pure t-monomial times q-only content: a unit, divide directly
-            (b0, sl0), = tslices.items()
-            if len(sl0) == 1:
-                (a0, c0), = sl0.items()
-                inv = 1 / Fraction(c0)
-                num = {(a - a0, b - b0): inv * c for (a, b), c in x.num.items()}
-                return RationalQT(num, den)
-        return RationalQT(qt_div_exact(x.num, prim), den)
+        common = _denominator_lcm(other.num)
+        slices, mults = _cyclotomic_content(_slices(_scaled(other.num, common)))
+        for d, m in x.mults:
+            mults[d] = mults.get(d, 0) + m
+        prim = {
+            (lo + i, b): _ratio(c, common)
+            for b, (lo, p) in slices.items()
+            for i, c in enumerate(p)
+            if c
+        }
+        if len(prim) == 1:
+            # a monomial is a unit: divide directly
+            ((a0, b0), c0), = prim.items()
+            inv = 1 / Fraction(c0)
+            num = {(a - a0, b - b0): inv * c for (a, b), c in x.num.items()}
+            return RationalQT(num, None, mults)
+        return RationalQT(qt_div_exact(x.num, prim), None, mults)
 
     def substitute(self, qpow=1, tsign=1, tpow=1):
         """Map q -> q^qpow and t -> (tsign * t)^... i.e. t^b -> tsign^b t^(b*tpow)."""
         if qpow < 1 or tpow < 1 or tsign not in (1, -1):
             raise ValueError("substitution wants positive powers and tsign in {1,-1}")
-        num = qt_substitute(self.num, qpow, tsign, tpow)
-        den = {a * qpow: c for a, c in self.den.items()}
-        return RationalQT(num, den)
+        num = {
+            (a * qpow, b * tpow): -c if tsign == -1 and b % 2 else c
+            for (a, b), c in self.num.items()
+        }
+        return RationalQT(num, None, _adams(self.mults, qpow))
 
     def specialize_t(self, m):
         """Substitute t = q^m; result is a q-only dict and must be polynomial."""
         merged = {}
         for (a, b), c in self.num.items():
-            k = a + m * b
-            v = merged.get(k, 0) + c
-            if v:
-                merged[k] = v
-            else:
-                merged.pop(k, None)
+            qp_iadd(merged, {a + m * b: c})
         return p1_div_exact(merged, self.den)
 
     def __str__(self):
         num = render_qt(self.num)
-        if self.den == {0: 1}:
+        if not self.mults:
             return num
         den = render_qt({(a, 0): c for a, c in self.den.items()})
         return f"({num})/({den})"
@@ -786,13 +748,7 @@ class ZTPoly:
         """Re-expand with z := q - 1/q, returning a RationalQT."""
         acc = {}
         for (zp, b), c in self.terms.items():
-            for a, bc in _z_power_q(zp):
-                k = (a, b)
-                v = acc.get(k, 0) + c * bc
-                if v:
-                    acc[k] = v
-                else:
-                    acc.pop(k, None)
+            qt_iadd(acc, {(a, b): bc for a, bc in _z_power_q(zp)}, c)
         return RationalQT(acc)
 
     def __eq__(self, other):
@@ -828,19 +784,13 @@ def _reduce_parity_class(part, out):
         if d < 0:
             witness = render_qt(part)
             raise NotZRepresentable(
-                f"value is not symmetric under q -> -1/q; residual terms {witness}"
+                f"value is not symmetric under q -> -1/q; leftover terms {witness}"
             )
         top = {b: c for (a, b), c in part.items() if a == d}
         for b, c in top.items():
             out[(d, b)] = out.get((d, b), 0) + c
         for b, c in top.items():
-            for a, bc in _z_power_q(d):
-                k = (a, b)
-                v = part.get(k, 0) - c * bc
-                if v:
-                    part[k] = v
-                else:
-                    part.pop(k, None)
+            qt_iadd(part, {(a, b): bc for a, bc in _z_power_q(d)}, -c)
 
 
 def to_z_basis(x):
@@ -853,7 +803,7 @@ def to_z_basis(x):
     """
     x = _coerce_strict(x)
     lau = x.num
-    if x.den != {0: 1}:
+    if x.mults:
         lau = qt_div_qonly(x.num, x.den, error=NotPolynomial)
     even = {k: c for k, c in lau.items() if k[0] % 2 == 0}
     odd = {k: c for k, c in lau.items() if k[0] % 2}
@@ -880,7 +830,7 @@ def valuation_at_q1(x):
         raise ZeroInput("valuation of zero")
     ints = _scaled(x.num, _denominator_lcm(x.num))
     _, m_num = _cancel(_slices(ints), 1, inf)
-    m_den = _factor(_dense(x.den))[0].get(1, 0)
+    m_den = dict(x.mults).get(1, 0)
     return m_num - m_den
 
 
@@ -918,6 +868,14 @@ def render_qt(terms):
         else:
             pieces.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(pieces)
+
+
+def _quotient(value, divisor):
+    """value / divisor for parsed input: a q-only polynomial divisor is a
+    dense denominator from outside, factored by the constructor."""
+    if divisor.num and not divisor.mults and all(b == 0 for _, b in divisor.num):
+        return value * RationalQT(1, {a: c for (a, _), c in divisor.num.items()})
+    return value / divisor
 
 
 class _Parser:
@@ -984,7 +942,7 @@ class _Parser:
         while self._peek() in "*/":
             op = self._next()[0]
             rhs = self._factor()
-            value = value * rhs if op == "*" else value / rhs
+            value = value * rhs if op == "*" else _quotient(value, rhs)
         return value
 
     def _factor(self):
@@ -1001,7 +959,7 @@ class _Parser:
             n = sign * val
             if n >= 0:
                 return base ** n
-            inv = ONE / base
+            inv = _quotient(ONE, base)
             return inv ** (-n)
         return base
 

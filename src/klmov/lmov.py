@@ -60,7 +60,7 @@ def invariant(src, colors):
         return torus_invariant(src, colors)
     if isinstance(src, UnlinkSpec):
         if len(colors) != src.L:
-            raise ValueError(f"{len(colors)} colors for {src.L} components")
+            raise ComponentCountMismatch(f"{len(colors)} colors for {src.L} components")
         return unlink_invariant(colors)
     raise TypeError(f"unknown invariant source {src!r}")
 
@@ -85,8 +85,7 @@ def z_coefficient(src, mu):
     if torus:
         r, k = sorted(src.validate()[:2])
     if len(mu) != src.L:
-        error = ComponentCountMismatch if torus else ValueError
-        raise error(f"{len(mu)} colors for {src.L} components")
+        raise ComponentCountMismatch(f"{len(mu)} colors for {src.L} components")
     if not torus and src.L > 1:
         return rational_product(z_coefficient(UnlinkSpec(1), (lam,)) for lam in mu)
     z, collected = z_stat_multi(mu), {}

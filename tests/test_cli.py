@@ -417,6 +417,25 @@ def test_unlink_component_count(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("error", ["NotDivisible", "NonCyclotomicDenominator"])
+@pytest.mark.parametrize("target, argv", [
+    ("invariant", ("invariant", "--torus", "2,3,1", "--colors", "1")),
+    ("degree_check", ("degree", "--torus", "2,3,1", "--mu", "1")),
+], ids=["invariant", "degree"])
+def test_internal_arithmetic_error_exits_4(monkeypatch, capsys, error, target, argv):
+    # an arithmetic error outside the findings of lmov is neither a usage
+    # error (2) nor a finding (1)
+    from klmov import cli, errors
+
+    def boom(*args, **kwargs):
+        raise getattr(errors, error)("remainder q in univariate division")
+
+    monkeypatch.setattr(cli, target, boom)
+    code, err = run_failing(capsys, *argv)
+    assert code == 4
+    assert err == "error: remainder q in univariate division\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (("invariant", "--torus", "2,3,1", "--unlink", "2", "--colors", "1"),
      "argument --unlink: not allowed with argument --torus"),

@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from klmov.errors import NotDivisible, NotZRepresentable, ZeroInput
+from klmov.errors import (
+    NonCyclotomicDenominator,
+    NotDivisible,
+    NotZRepresentable,
+    ZeroInput,
+)
 from klmov.laurent import (
     RationalQT,
     ZTPoly,
@@ -168,6 +173,38 @@ def test_canonical_denominator_is_monic_with_constant_term():
     assert x.den[max(x.den)] == 1
 
 
+def test_denominator_is_stored_as_cyclotomic_multiplicities():
+    # q^2 / (q^4 - 1) = q^2 / (Phi_1 Phi_2 Phi_4)
+    x = RationalQT({(0, 0): 1}, {2: 1, -2: -1})
+    assert x.mults == ((1, 1), (2, 1), (4, 1))
+    assert x.num == {(2, 0): 1}
+    assert x.den == {4: 1, 0: -1}
+    assert x == RationalQT({(2, 0): 1}, None, {1: 1, 2: 1, 4: 1})
+    # Phi_2(q^3) = Phi_2 Phi_6, Phi_4(q^3) = Phi_4 Phi_12, and so on
+    assert x.substitute(qpow=3).mults == ((1, 1), (2, 1), (3, 1), (4, 1), (6, 1), (12, 1))
+
+
+@pytest.mark.parametrize("den", [{0: 3, 1: 1, 2: 1}, {0: Fraction(1, 2), 1: 1},
+                                 {0: -2, 1: 1, 3: 1}],
+                         ids=["q^2+q+3", "q+1/2", "(q-1)(q^2+q+2)"])
+def test_non_cyclotomic_dense_denominator_raises(den):
+    with pytest.raises(NonCyclotomicDenominator, match="is not cyclotomic"):
+        RationalQT({(0, 0): 1}, den)
+    with pytest.raises(NonCyclotomicDenominator):
+        rational_sum([((X, ({(0, 1): 1}, den)), 1)])
+    text = "1/(" + str(RationalQT({(a, 0): c for a, c in den.items()})) + ")"
+    with pytest.raises(NonCyclotomicDenominator):
+        parse_qt(text)
+
+
+def test_division_keeps_a_non_cyclotomic_q_factor_in_the_numerator():
+    f = RationalQT({(2, 0): 1, (1, 0): 1, (0, 0): 3})  # q^2 + q + 3
+    w = T - TI + Q
+    assert (X * f * w) / (f * w) == X
+    with pytest.raises(NotDivisible):
+        (X * w) / (f * w)
+
+
 def test_ring_axioms_random():
     rng = random.Random(3)
     dens = [{0: 1}, {1: 1, -1: -1}, {1: 1, -1: 1}, {2: 1, 0: -2, -2: 1}]
@@ -195,7 +232,7 @@ def _eval_at(x, q0, t0):
 def test_arithmetic_matches_pointwise_evaluation():
     rng = random.Random(19)
     q0, t0 = Fraction(3, 2), Fraction(5, 7)
-    dens = [{0: 1}, {1: 1, -1: -1}, {2: 1, 0: 3, -1: 1}]
+    dens = [{0: 1}, {1: 1, -1: -1}, {2: 1, 1: 1, 0: 1, -1: 1}]
     for _ in range(30):
         xs = []
         for _ in range(2):

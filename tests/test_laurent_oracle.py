@@ -1,11 +1,15 @@
 """Differential tests of the exact arithmetic against sympy.
 
 Canonical forms of ``RationalQT`` values, sums (pairwise and over one lcm),
-sums of product terms, products, powers, exact division and the valuation at q = 1 are compared with
-sympy's ``cancel`` (denominator made monic) on seeded random inputs.  The
-denominators are products of cyclotomic polynomials, non-cyclotomic ones,
-ones with fractional coefficients, and mixtures of these.  ``to_z_basis`` is
-compared with sympy's substitution z = q - 1/q.
+sums of product terms, products, powers, exact division, the substitution
+q -> q^k, t -> +-t^j and the valuation at q = 1 are compared with sympy's
+``cancel`` (denominator made monic) on seeded random inputs.  The
+denominators are products of cyclotomic polynomials of low order or of
+order 100 to 250, non-cyclotomic ones, ones with fractional coefficients,
+and mixtures of these.  Where a denominator has a non-cyclotomic factor
+(sympy checks the division), building the value must raise
+``NonCyclotomicDenominator``.  ``to_z_basis`` is compared with sympy's
+substitution z = q - 1/q.
 """
 
 import random
@@ -16,7 +20,11 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from klmov.errors import NotZRepresentable  # noqa: E402
+from klmov.errors import (  # noqa: E402
+    NonCyclotomicDenominator,
+    NotDivisible,
+    NotZRepresentable,
+)
 from klmov.laurent import (  # noqa: E402
     RationalQT,
     rational_sum,
@@ -28,6 +36,8 @@ q, t = sympy.symbols("q t")
 
 
 NON_CYCLOTOMIC = ({0: 3, 1: 1, 2: 1}, {0: -2, 3: 1}, {0: 5, 2: 1, 4: 1})
+# orders 100 <= d <= 250 whose Phi_d has degree at most 48, so sympy stays fast
+HIGH_ORDERS = [d for d in range(100, 251) if sympy.totient(d) <= 48]
 FRACTIONAL = ({0: 1, 1: 2}, {0: Fraction(3, 4), 1: Fraction(1, 2)}, {0: Fraction(1, 3), 2: 1})
 
 
@@ -106,6 +116,30 @@ def cyclotomic(d):
     return {a: int(c) for (a,), c in sympy.Poly(sympy.cyclotomic_poly(d, q), q).terms()}
 
 
+def q_poly(p):
+    """A q-only Laurent dict times a power of q, as a sympy polynomial in q."""
+    low = min(p)
+    return sympy.Poly(sum(rational(c) * q ** (a - low) for a, c in p.items()), q, domain="QQ")
+
+
+def is_cyclotomic_product(den):
+    """Whether den, a unit c q^k times a product of the test's q-polynomials,
+    has no factor from NON_CYCLOTOMIC or FRACTIONAL, which are irreducible
+    and not cyclotomic; sympy checks the divisions."""
+    poly = q_poly(den)
+    return not any(poly.rem(q_poly(f)).is_zero for f in NON_CYCLOTOMIC + FRACTIONAL)
+
+
+def built(num, den):
+    """RationalQT(num, den), or None after checking that a den with a factor
+    other than a cyclotomic polynomial raises NonCyclotomicDenominator."""
+    if is_cyclotomic_product(den):
+        return RationalQT(num, den)
+    with pytest.raises(NonCyclotomicDenominator):
+        RationalQT(num, den)
+    return None
+
+
 def multiply(p1, p2):
     out = {}
     for a1, c1 in p1.items():
@@ -129,6 +163,8 @@ def random_laurent(rng):
 def random_factors(rng, family):
     if family == "cyclotomic":
         pool = [cyclotomic(d) for d in rng.sample(range(1, 25), 3)]
+    elif family == "high-order":
+        pool = [cyclotomic(rng.choice(HIGH_ORDERS))]
     elif family == "non-cyclotomic":
         pool = list(NON_CYCLOTOMIC)
     elif family == "fractional":
@@ -163,7 +199,8 @@ def times_q_poly(num, p):
     return {k: c for k, c in out.items() if c}
 
 
-FAMILIES = ("cyclotomic", "non-cyclotomic", "fractional", "mixed")
+FAMILIES = ("cyclotomic", "non-cyclotomic", "fractional", "mixed", "high-order")
+CYCLOTOMIC_FAMILIES = ("cyclotomic", "high-order")
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -171,15 +208,19 @@ def test_canonical_form_matches_sympy(family):
     rng = random.Random(f"canonical-{family}")
     for _ in range(20):
         num, den = random_rational(rng, family)
-        assert canonical(RationalQT(num, den)) == Frac.of(num, den).canonical()
+        x = built(num, den)
+        if x is not None:
+            assert canonical(x) == Frac.of(num, den).canonical()
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_sum_and_product_match_sympy(family):
     rng = random.Random(f"ring-{family}")
     for _ in range(15):
-        x = RationalQT(*random_rational(rng, family))
-        y = RationalQT(*random_rational(rng, family))
+        x = built(*random_rational(rng, family))
+        y = built(*random_rational(rng, family))
+        if x is None or y is None:
+            continue
         fx, fy = Frac.of(x.num, x.den), Frac.of(y.num, y.den)
         assert canonical(x + y) == (fx + fy).canonical()
         assert canonical(x - y) == (fx - fy).canonical()
@@ -190,12 +231,20 @@ def test_sum_and_product_match_sympy(family):
 def test_exact_div_matches_sympy(family):
     rng = random.Random(f"div-{family}")
     for _ in range(15):
-        x = RationalQT(*random_rational(rng, family))
+        x = RationalQT(*random_rational(
+            rng, family if family in CYCLOTOMIC_FAMILIES else "cyclotomic"))
         # divisor: a q-only factor times a t-dependent factor of the dividend
         qpart = rng.choice(random_factors(rng, family))
         tpart = {(1, 1): 1, (0, 0): rng.choice((1, -3))}
         divisor = times_q_poly(tpart, qpart)
-        multiple = x * RationalQT(tpart)
+        if is_cyclotomic_product(qpart):
+            # the divisor's cyclotomic q-content moves to the denominator
+            multiple = x * RationalQT(tpart)
+        else:
+            # any other q-factor must divide exactly, so the dividend carries it
+            multiple = x * RationalQT(divisor)
+            with pytest.raises(NotDivisible):
+                x * RationalQT(tpart) / RationalQT(divisor)
         want = Frac.of(multiple.num, multiple.den).divided_by(divisor)
         assert canonical(multiple / RationalQT(divisor)) == want.canonical()
 
@@ -204,7 +253,9 @@ def test_exact_div_matches_sympy(family):
 def test_power_matches_sympy(family):
     rng = random.Random(f"power-{family}")
     for _ in range(6):
-        x = RationalQT(*random_rational(rng, family))
+        x = built(*random_rational(rng, family))
+        if x is None:
+            continue
         fx, want = Frac.of(x.num, x.den), Frac.of({(0, 0): 1}, {0: 1})
         for n in range(5):
             got = x**n
@@ -228,25 +279,29 @@ def test_valuation_at_q1_matches_sympy(family):
         num, den = random_rational(rng, family)
         if rng.random() < 0.5:
             num = times_q_poly(num, {1: 1, 0: -1})
+        x = built(num, den)
+        if x is None:
+            continue
         f = Frac.of(num, den)
         n, d = f.num.cancel(f.den, include=True)
-        assert valuation_at_q1(RationalQT(num, den)) == q1_order(n) - q1_order(d)
+        assert valuation_at_q1(x) == q1_order(n) - q1_order(d)
 
 
 def random_term(rng, family, previous):
     """(x, m) for rational_sum: x may be zero, share the previous term's
-    denominator or raise the multiplicity of one of its factors; m is an int
-    (maybe 0), a Fraction or a monomial dict."""
+    denominator or raise the multiplicity of one of its factors, and is None
+    when its denominator is not cyclotomic; m is an int (maybe 0), a
+    Fraction or a monomial dict."""
     num, den = random_rational(rng, family)
     roll = rng.random()
     if roll < 0.15:
         x = RationalQT(0)
     elif roll < 0.35 and previous is not None:
-        x = RationalQT(num, previous.den)
+        x = built(num, previous.den)
     elif roll < 0.6 and previous is not None:
-        x = RationalQT(num, multiply(previous.den, rng.choice(random_factors(rng, family))))
+        x = built(num, multiply(previous.den, rng.choice(random_factors(rng, family))))
     else:
-        x = RationalQT(num, den)
+        x = built(num, den)
     roll = rng.random()
     if roll < 0.3:
         m = rng.randint(-3, 3)
@@ -268,7 +323,9 @@ def test_rational_sum_matches_sympy(family):
     for _ in range(12):
         terms = []
         for _ in range(rng.randint(2, 8)):
-            terms.append(random_term(rng, family, terms[-1][0] if terms else None))
+            x, m = random_term(rng, family, terms[-1][0] if terms else None)
+            if x is not None:
+                terms.append((x, m))
         rng.shuffle(terms)
         fracs = [
             Frac.of(x.num, x.den) * Frac.of(as_terms(m), {0: 1})
@@ -278,7 +335,8 @@ def test_rational_sum_matches_sympy(family):
         want = reduce(Frac.__add__, fracs).canonical() if fracs else ({}, {0: Fraction(1)})
         got = rational_sum(terms)
         assert canonical(got) == want
-        assert got == reduce(RationalQT.__add__, (x * RationalQT(as_terms(m)) for x, m in terms))
+        pairwise = (x * RationalQT(as_terms(m)) for x, m in terms)
+        assert got == reduce(RationalQT.__add__, pairwise, RationalQT(0))
 
 
 def random_factor(rng, previous):
@@ -312,10 +370,10 @@ def test_rational_sum_of_products_matches_sympy():
                 factors.append(f)
             m = rng.choice((1, -2, Fraction(3, 7), {(1, -1): Fraction(-5, 4)}))
             terms.append((tuple(factors), m))
-        # one sum in three has a non-cyclotomic factor, one in four a zero one
+        # one sum in three has a factor of high order, one in four a zero one
         factors, m = terms[-1]
         if i % 3 == 0:
-            factors += (RationalQT(*random_rational(rng, "non-cyclotomic")),)
+            factors += (RationalQT(*random_rational(rng, "high-order")),)
         if i % 4 == 1:
             factors = (RationalQT(0) if i % 8 == 1 else ({}, {0: 2}),) + factors
         terms[-1] = factors, m
@@ -334,6 +392,12 @@ def test_rational_sum_of_products_matches_sympy():
             for factors, m in terms
         )
         assert got == reduce(RationalQT.__add__, pairwise)
+    # a factor that is not cyclotomic raises, as a value or as a raw factor
+    for f in NON_CYCLOTOMIC + FRACTIONAL:
+        with pytest.raises(NonCyclotomicDenominator):
+            RationalQT({(0, 0): 1}, f)
+        with pytest.raises(NonCyclotomicDenominator):
+            rational_sum([((RationalQT(1, {1: 1, -1: -1}), ({(0, 1): 2}, f)), 1)])
 
 
 def z_substituted(terms):
@@ -354,11 +418,27 @@ def test_to_z_basis_matches_sympy():
             terms[(rng.randint(0, 6), rng.randint(-2, 2))] = c
         lau = z_substituted(terms)
         # a common factor in num and den must cancel before the rewrite
-        f = rng.choice([cyclotomic(d) for d in (1, 2, 3, 6)] + list(NON_CYCLOTOMIC))
+        f = rng.choice([cyclotomic(d) for d in (1, 2, 3, 6, 4, 12, 105)])
         x = RationalQT(times_q_poly(lau, f), f)
         assert to_z_basis(x).terms == terms
+        # a common factor that is not cyclotomic is not cancelled: it raises
+        with pytest.raises(NonCyclotomicDenominator):
+            RationalQT(times_q_poly(lau, NON_CYCLOTOMIC[0]), NON_CYCLOTOMIC[0])
         a = rng.choice((-3, -2, -1, 1, 2, 3))
         asymmetric = dict(lau)
         asymmetric[(a, 0)] = asymmetric.get((a, 0), 0) + 1
         with pytest.raises(NotZRepresentable):
             to_z_basis(RationalQT(asymmetric))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_substitute_matches_sympy(k):
+    # Phi_d(q^k) splits into the Phi_e(q) with e | dk and e / gcd(e, k) = d
+    rng = random.Random(f"substitute-{k}")
+    for _ in range(6):
+        num, den = random_rational(rng, "cyclotomic")
+        j, sign = rng.randint(1, 3), rng.choice((1, -1))
+        got = RationalQT(num, den).substitute(qpow=k, tsign=sign, tpow=j)
+        num = {(a * k, b * j): -c if sign < 0 and b % 2 else c for (a, b), c in num.items()}
+        den = {a * k: c for a, c in den.items()}
+        assert canonical(got) == Frac.of(num, den).canonical()

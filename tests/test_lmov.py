@@ -16,6 +16,7 @@ from klmov.lmov import (
     degree_check,
     extract_n_table,
     free_energy,
+    invariant,
     lickorish_millett_check,
     reformulated_g,
     z_coefficient,
@@ -75,8 +76,15 @@ def test_unlink_z_coefficient_is_the_label_tuple_sum(mu):
 
 
 def test_unlink_z_coefficient_checks_the_component_count():
-    with pytest.raises(ValueError, match="1 colors for 2 components"):
+    with pytest.raises(ComponentCountMismatch, match="^1 colors for 2 components$"):
         z_coefficient(UnlinkSpec(2), ((1,),))
+
+
+def test_unlink_invariant_checks_the_component_count():
+    with pytest.raises(ComponentCountMismatch, match="^1 colors for 2 components$"):
+        invariant(UnlinkSpec(2), ((1,),))
+    with pytest.raises(ComponentCountMismatch, match="^3 colors for 2 components$"):
+        invariant(UnlinkSpec(2), ((1,), (2,), ()))
 
 
 def _z_coefficient_by_tuples(spec, mu):

@@ -1,4 +1,5 @@
-"""Schwartz-Zippel identity test of Z_mu and F_mu modulo a prime.
+"""Schwartz-Zippel identity test of Z_mu, F_mu, g_mu and the conjecture's
+left-hand side modulo a prime.
 
 The library's exact values are evaluated at seeded random points (q0, t0)
 modulo p = 2^61 - 1, as num(q0, t0) * den(q0)^-1, and compared with the same
@@ -8,21 +9,24 @@ few points is strong evidence of equality (Schwartz, J. ACM 27, 1980; Zippel,
 EUROSAM 1979).
 
 The oracle takes only integer data from the library: Brauer characters
-(multi_character), z_mu (z_stat_multi), the cabling tables (ctilde), kappa
-and the splittings.  The framing exponents, the hook-content quantum
-dimensions and the label-tuple sum are written out here, and the exact
-arithmetic module is never imported.
+(multi_character), z_mu (z_stat_multi), the cabling tables (ctilde), kappa,
+the splittings and the Moebius function.  The framing exponents, the
+hook-content quantum dimensions, the label-tuple sum, the Moebius sum over
+the common row divisors and the conjecture's prefactor are written out here,
+and the exact arithmetic module is never imported.
 """
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from math import gcd
 
 import pytest
 
 from klmov.characters import brauer_character, brauer_labels, multi_character
-from klmov.lmov import free_energy, z_coefficient
-from klmov.partitions import kappa, splittings, z_stat_multi
+from klmov.lmov import conjecture_lhs, free_energy, reformulated_g, z_coefficient
+from klmov.partitions import kappa, mobius, splittings, z_stat_multi
 from klmov.torus import TorusLinkSpec, ctilde
 
 P = 2**61 - 1
@@ -103,6 +107,7 @@ def cable_sum(r, k, colors, q, t):
     return out % P
 
 
+@lru_cache(maxsize=None)
 def z_mod_p(spec, mu, q, t):
     """Z_mu = sum over label tuples A of chi_A(mu) / z_mu W(A), where W drops
     the components with an empty label and W() = 1."""
@@ -127,6 +132,37 @@ def f_mod_p(spec, mu, q, t):
             term = term * z_mod_p(spec, part, q, t) % P
         total += term
     return total % P
+
+
+def g_mod_p(spec, mu, q, t):
+    """g_mu = sum over the common divisors k of all rows of mu of
+    mobius(k) / k F_{mu/k}(q^k, t^k)."""
+    rows = gcd(*(row for lam in mu for row in lam))
+    total = 0
+    for k in range(1, rows + 1):
+        if rows % k or not mobius(k):
+            continue
+        part = tuple(tuple(row // k for row in lam) for lam in mu)
+        f = f_mod_p(spec, part, power(q, k), power(t, k))
+        total += scalar(Fraction(mobius(k), k)) * f
+    return total % P
+
+
+def lhs_mod_p(spec, mu, q, t):
+    """z_mu z^2 (g(q, t) - g(q, -t)) / 2 / prod_rows (q^row - q^-row)."""
+    z = q - inv(q)
+    odd = (g_mod_p(spec, mu, q, t) - g_mod_p(spec, mu, q, P - t)) * inv(2)
+    out = z_stat_multi(mu) * z * z * odd
+    for lam in mu:
+        for row in lam:
+            out = out * inv(power(q, row) - power(q, -row))
+    return out % P
+
+
+def z_basis_value(poly, q, t):
+    """A ZTPoly at z = q - 1/q and t."""
+    z = q - inv(q)
+    return sum(scalar(c) * power(z, zp) * power(t, b) for (zp, b), c in poly.items()) % P
 
 
 def points(seed, count=3):
@@ -176,3 +212,20 @@ def test_z_and_free_energy_agree_mod_p(spec, mu):
         checked += 1
     assert checked
 
+
+
+@pytest.mark.parametrize("spec, mu", ORACLE_CASES + [(TorusLinkSpec(2, 3, 1), ((2, 2),))],
+                         ids=["t22-4,2|2", "t25-3,1", "t36-2|2|1,1", "t23-3", "t23-2,2"])
+def test_g_and_conjecture_lhs_agree_mod_p(spec, mu):
+    g, lhs = reformulated_g(spec, mu), conjecture_lhs(spec, mu)
+    checked = 0
+    for q0, t0 in points(sum(map(sum, mu)) + 31 * spec.k + 1000):
+        try:
+            want_g, want_lhs = g_mod_p(spec, mu, q0, t0), lhs_mod_p(spec, mu, q0, t0)
+            got_g = library_value(g, q0, t0)
+        except Vanishes:
+            continue
+        assert got_g == want_g, (spec, mu, q0, t0)
+        assert z_basis_value(lhs, q0, t0) == want_lhs, (spec, mu, q0, t0)
+        checked += 1
+    assert checked
