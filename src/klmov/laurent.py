@@ -551,7 +551,7 @@ class RationalQT:
     def __init__(self, num, den=None, mults=()):
         if isinstance(num, RationalQT):
             if den is not None or mults:
-                raise TypeError("den not allowed when copying a RationalQT")
+                raise TypeError("den and mults not allowed when copying a RationalQT")
             self.num, self.mults = num.num, num.mults
             return
         if isinstance(num, (int, Fraction)):
