@@ -422,8 +422,7 @@ def build_parser():
     link_source(p)
     p.add_argument("--mu", required=True)
 
-    p = command("bmw", cmd_bmw, "rank-2 algebra checks", ("text",))
-    p.add_argument("--check", action="store_true")
+    command("bmw", cmd_bmw, "rank-2 algebra checks", ("text",))
 
     p = command("rmatrix", cmd_rmatrix, "braiding matrix checks", ("text",))
     p.add_argument("--N", type=positive("N"), required=True)

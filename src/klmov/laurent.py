@@ -30,7 +30,10 @@ is multiplied by its cofactor lcm / den and accumulated.  ``+``, ``*`` and
 
 There is one division, ``/``: the divisor's denominator moves up and its
 cyclotomic q-content (the Phi_d dividing every t-slice of its numerator)
-moves down; the rest must divide exactly, else ``NotDivisible``.
+moves down; the rest must divide exactly, else ``NotDivisible``.  Below it
+is one division kernel, ``_div_monic``, the long division of dense
+coefficient lists by a monic divisor: cancelling a Phi_d, building Phi_d and
+every univariate exact division run through it.
 
 All coefficients are ints or ``fractions.Fraction``; nothing here ever
 touches floating point.
@@ -144,65 +147,16 @@ qp_iadd = qt_iadd
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers ({exp: coef} dicts, used for q-only and t-only values)
-# ---------------------------------------------------------------------------
-
-
-def p1_shift(p, k):
-    if k == 0:
-        return dict(p)
-    return {a + k: c for a, c in p.items()}
-
-
-def p1_divmod(num, den):
-    """Ordinary polynomial division by a nonzero den; all exponents must be
-    >= 0."""
-    quo = {}
-    rem = dict(num)
-    dmax = max(den)
-    dlc = den[dmax]
-    for e in range(max(rem, default=0) - dmax, -1, -1):
-        if e + dmax not in rem:
-            continue
-        c = Fraction(rem[e + dmax]) / dlc
-        quo[e] = c
-        for a, cc in den.items():
-            k = a + e
-            v = rem.get(k, 0) - c * cc
-            if v:
-                rem[k] = v
-            else:
-                rem.pop(k, None)
-    return quo, rem
-
-
-def p1_div_exact(num, den):
-    """Exact division of univariate Laurent polynomials.
-
-    Raises NotDivisible when the quotient is not a Laurent polynomial.
-    """
-    if not den:
-        raise ZeroInput("division by zero polynomial")
-    if not num:
-        return {}
-    sn, sd = min(num), min(den)
-    quo, rem = p1_divmod(p1_shift(num, -sn), p1_shift(den, -sd))
-    if rem:
-        rest = render_qt({(a, 0): c for a, c in rem.items()})
-        raise NotDivisible(f"remainder {rest} in univariate division")
-    return p1_shift(quo, sn - sd)
-
-
-# ---------------------------------------------------------------------------
-# cyclotomic factors (dense coefficient lists, constant term first)
+# univariate division and cyclotomic factors (dense coefficient lists,
+# constant term first)
 # ---------------------------------------------------------------------------
 
 
 def _div_monic(p, m):
-    """p / m for a monic m, or None when the remainder is nonzero."""
+    """(quotient, remainder) of p by a monic m: the one division kernel."""
     n = len(m) - 1
     if len(p) <= n:
-        return None
+        return [], list(p)
     r = list(p)
     taps = [(j - n, c) for j, c in enumerate(m[:n]) if c]
     for i in range(len(r) - 1, n - 1, -1):
@@ -210,9 +164,40 @@ def _div_monic(p, m):
         if c:
             for j, mj in taps:
                 r[i + j] -= c * mj
-    if any(r[:n]):
-        return None
-    return r[n:]
+    return r[n:], r[:n]
+
+
+def _dense(p):
+    """A univariate term dict as (least exponent, dense coefficients)."""
+    lo = min(p)
+    out = [0] * (max(p) - lo + 1)
+    for a, c in p.items():
+        out[a - lo] = c
+    return lo, out
+
+
+def p1_div_exact(num, den):
+    """Exact division of univariate Laurent polynomials.
+
+    Divides by the monic den / lc and scales the quotient by 1 / lc, in ints
+    when lc is 1.  Raises NotDivisible, rendering the remainder, when the
+    quotient is not a Laurent polynomial.
+    """
+    if not den:
+        raise ZeroInput("division by zero polynomial")
+    if not num:
+        return {}
+    (sn, p), (sd, m) = _dense(num), _dense(den)
+    lc = m[-1]
+    if lc != 1:
+        m = [Fraction(c, lc) for c in m]
+    quo, rem = _div_monic(p, m)
+    if any(rem):
+        rest = render_qt({(a, 0): c for a, c in enumerate(rem) if c})
+        raise NotDivisible(f"remainder {rest} in univariate division")
+    if lc != 1:
+        quo = [Fraction(c, lc) for c in quo]
+    return {a + sn - sd: c for a, c in enumerate(quo) if c}
 
 
 @lru_cache(maxsize=None)
@@ -227,7 +212,7 @@ def _cyclotomic(d):
     spread[::p] = _cyclotomic(m)
     if m % p == 0:
         return tuple(spread)
-    return tuple(_div_monic(spread, _cyclotomic(m)))
+    return tuple(_div_monic(spread, _cyclotomic(m))[0])
 
 
 @lru_cache(maxsize=None)
@@ -292,20 +277,13 @@ def _ratio(n, d):
 
 def _slices(ints):
     """Group terms by t-exponent: {texp: (least qexp, dense coefficients)}."""
-    out = {}
-    for b, row in qt_t_slices(ints).items():
-        lo = min(row)
-        p = [0] * (max(row) - lo + 1)
-        for a, c in row.items():
-            p[a - lo] = c
-        out[b] = (lo, p)
-    return out
+    return {b: _dense(row) for b, row in qt_t_slices(ints).items()}
 
 
 def _divides(p, d, phi):
     """Whether phi = Phi_d divides p, tested on p mod q^d - 1."""
     r = [sum(p[k::d]) for k in range(d)]
-    return not any(r) or _div_monic(r, phi) is not None
+    return not any(r) or not any(_div_monic(r, phi)[1])
 
 
 def _cancel(slices, d, most):
@@ -316,7 +294,7 @@ def _cancel(slices, d, most):
     phi = _cyclotomic(d)
     k = 0
     while k < most and all(_divides(p, d, phi) for _, p in slices.values()):
-        slices = {b: (lo, _div_monic(p, phi)) for b, (lo, p) in slices.items()}
+        slices = {b: (lo, _div_monic(p, phi)[0]) for b, (lo, p) in slices.items()}
         k += 1
     return slices, k
 
@@ -358,19 +336,6 @@ def qt_q_slices(d):
     for (a, b), c in d.items():
         out.setdefault(a, {})[b] = c
     return out
-
-def qt_div_qonly(d, den, error=NotDivisible):
-    """Divide a bivariate Laurent polynomial by a q-only one, exactly."""
-    out = {}
-    for b, sl in qt_t_slices(d).items():
-        try:
-            quo = p1_div_exact(sl, den)
-        except NotDivisible as exc:
-            raise error(str(exc)) from None
-        for a, c in quo.items():
-            out[(a, b)] = c
-    return out
-
 
 def qt_div_exact(num, den):
     """Exact division of bivariate Laurent polynomials.
@@ -652,12 +617,6 @@ class RationalQT:
             for i, c in enumerate(p)
             if c
         }
-        if len(prim) == 1:
-            # a monomial is a unit: divide directly
-            ((a0, b0), c0), = prim.items()
-            inv = 1 / Fraction(c0)
-            num = {(a - a0, b - b0): inv * c for (a, b), c in x.num.items()}
-            return RationalQT(num, None, mults)
         return RationalQT(qt_div_exact(x.num, prim), None, mults)
 
     def substitute(self, qpow=1, tsign=1, tpow=1):
@@ -796,15 +755,21 @@ def _reduce_parity_class(part, out):
 def to_z_basis(x):
     """Rewrite x as a polynomial in z = q - 1/q with t-Laurent coefficients.
 
-    Requires x to reduce to a Laurent polynomial (else NotPolynomial) that is
-    invariant under q -> -1/q (else NotZRepresentable).  The two q-parity
-    classes reduce independently since z^d only contains exponents of the
-    parity of d.
+    Requires x to be a Laurent polynomial (else NotPolynomial) that is
+    invariant under q -> -1/q (else NotZRepresentable).  In canonical form
+    that means empty mults: no Phi_d of mults divides every t-slice, so the
+    finding renders the remainder of the failing slice of least t-exponent.
+    The two q-parity classes reduce independently since z^d only contains
+    exponents of the parity of d.
     """
     x = _coerce_strict(x)
-    lau = x.num
     if x.mults:
-        lau = qt_div_qonly(x.num, x.den, error=NotPolynomial)
+        for _, row in sorted(qt_t_slices(x.num).items()):
+            try:
+                p1_div_exact(row, x.den)
+            except NotDivisible as exc:
+                raise NotPolynomial(str(exc)) from None
+    lau = x.num
     even = {k: c for k, c in lau.items() if k[0] % 2 == 0}
     odd = {k: c for k, c in lau.items() if k[0] % 2}
     out = {}

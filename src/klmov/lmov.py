@@ -138,9 +138,9 @@ def conjecture_lhs(src, mu, antisymmetrize=True):
     """The candidate integer-coefficient polynomial in z and t.
 
     z_mu z^2 g / prod(q^row - q^-row), with g replaced by its odd t-part when
-    antisymmetrize is set.  The value is one rational_sum: z^2 and each
-    1 / (q^row - q^-row) are factors of its terms, so nothing is divided and
-    it is canonicalized once.  Raises NotPolynomial / NotZRepresentable when
+    antisymmetrize is set.  The value is one rational_sum term: z^2 and each
+    1 / (q^row - q^-row) are its factors, so nothing is divided and it is
+    canonicalized once.  Raises NotPolynomial / NotZRepresentable when
     the value fails to land in the polynomial ring; callers treat those as
     findings.
     """
@@ -148,13 +148,10 @@ def conjecture_lhs(src, mu, antisymmetrize=True):
     factors = (_Z_R, _Z_R) + tuple(
         ({(0, 0): 1}, q_minus_qinv(row)) for lam in mu for row in lam
     )
-    z_mu = z_stat_multi(mu)
     if antisymmetrize:
-        terms = [((g,) + factors, Fraction(z_mu, 2)),
-                 ((g.substitute(tsign=-1),) + factors, Fraction(-z_mu, 2))]
-    else:
-        terms = [((g,) + factors, z_mu)]
-    return to_z_basis(rational_sum(terms))
+        # the denominator is q-only, so (g(t) - g(-t)) / 2 keeps the odd-t terms
+        g = RationalQT({k: c for k, c in g.num.items() if k[1] % 2}, None, g.mults)
+    return to_z_basis(rational_sum([((g,) + factors, z_stat_multi(mu))]))
 
 
 @dataclass(frozen=True)

@@ -134,7 +134,7 @@ def test_ctilde_command(capsys):
 
 
 def test_bmw_command(capsys):
-    code, out = run(capsys, "bmw", "--check")
+    code, out = run(capsys, "bmw")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
 
@@ -146,7 +146,7 @@ BMW_CHECK_LINES = [
 
 
 @pytest.mark.parametrize("argv, names", [
-    (("bmw", "--check"), BMW_CHECK_LINES),
+    (("bmw",), BMW_CHECK_LINES),
     (("rmatrix", "--N", "3", "--check", "all"),
      ["ribbon (N=3)", "braid (N=3)", "bmw (N=3)"]),
 ], ids=["bmw", "rmatrix"])
@@ -447,7 +447,7 @@ def test_internal_arithmetic_error_exits_4(monkeypatch, capsys, error, target, a
     (("lmov", "--mu", "1"), "one of the arguments --torus --unlink is required"),
     (("degree", "--mu", "1"), "one of the arguments --torus --unlink is required"),
     (("verify", "--format", "json"), "argument --format: invalid choice: 'json'"),
-    (("bmw", "--check", "--format", "json"), "argument --format: invalid choice: 'json'"),
+    (("bmw", "--format", "json"), "argument --format: invalid choice: 'json'"),
     (("rmatrix", "--N", "1", "--format", "json"), "argument --format: invalid choice: 'json'"),
     (("char-table", "--n", "2", "--format", "csv"), "argument --format: invalid choice: 'csv'"),
     (("sb", "--partition", "2", "--format", "csv"), "argument --format: invalid choice: 'csv'"),
@@ -457,12 +457,13 @@ def test_internal_arithmetic_error_exits_4(monkeypatch, capsys, error, target, a
      "argument --format: invalid choice: 'csv'"),
     (("degree", "--unlink", "1", "--mu", "1", "--format", "csv"),
      "argument --format: invalid choice: 'csv'"),
-    (("bmw", "--check", "--bound", "3"), "unrecognized arguments: --bound 3"),
+    (("bmw", "--bound", "3"), "unrecognized arguments: --bound 3"),
+    (("bmw", "--check"), "unrecognized arguments: --check"),
     (("verify", "--only", "kappa*", "--bound", "3"), "unrecognized arguments: --bound 3"),
 ], ids=["invariant-both", "lmov-both", "degree-both", "invariant-neither",
         "lmov-neither", "degree-neither", "verify-json", "bmw-json", "rmatrix-json",
         "char-table-csv", "sb-csv", "ctilde-csv", "invariant-csv", "degree-csv",
-        "bmw-bound", "verify-bound"])
+        "bmw-bound", "bmw-check", "verify-bound"])
 def test_flag_misuse_is_a_usage_error(capsys, argv, message):
     code, err = run_failing(capsys, *argv)
     assert code == 2
@@ -499,7 +500,7 @@ def test_verify_only_matches_names_exactly(capsys):
 
 def test_not_polynomial_finding_renders_the_remainder(capsys):
     # the remainder is a rendered value, not the repr of an internal dict
-    line = "NotPolynomial: remainder -6 in univariate division"
+    line = "NotPolynomial: remainder 2 in univariate division"
     argv = ("lmov", "--torus", "2,3,1", "--mu", "2", "--no-antisym")
     code, out = run(capsys, *argv)
     assert (code, out) == (1, f"FINDING for T(2,3) colored 2: {line}\n")

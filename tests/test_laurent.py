@@ -9,6 +9,7 @@ import pytest
 from klmov.errors import (
     NonCyclotomicDenominator,
     NotDivisible,
+    NotPolynomial,
     NotZRepresentable,
     ZeroInput,
 )
@@ -111,6 +112,19 @@ def test_z_basis_even():
 def test_z_basis_failure():
     with pytest.raises(NotZRepresentable):
         to_z_basis(Q + QI)
+
+
+def test_not_polynomial_finding_follows_from_the_value():
+    # the finding renders the remainder of the failing t-slice of least
+    # t-exponent, whatever order the numerator's terms were inserted in
+    terms = {(0, 1): 1, (1, 0): 1, (0, 0): -1, (0, -1): 2}
+    forward = RationalQT(terms, {1: 1, 0: -1})
+    backward = RationalQT(dict(reversed(list(terms.items()))), {1: 1, 0: -1})
+    assert forward == backward
+    for x in (forward, backward):
+        with pytest.raises(NotPolynomial) as exc:
+            to_z_basis(x)
+        assert str(exc.value) == "remainder 2 in univariate division"
 
 
 def test_z_basis_mixed_parity():

@@ -23,11 +23,14 @@ sympy = pytest.importorskip("sympy")
 from klmov.errors import (  # noqa: E402
     NonCyclotomicDenominator,
     NotDivisible,
+    NotPolynomial,
     NotZRepresentable,
 )
 from klmov.laurent import (  # noqa: E402
     RationalQT,
+    p1_div_exact,
     rational_sum,
+    render_qt,
     to_z_basis,
     valuation_at_q1,
 )
@@ -407,15 +410,20 @@ def z_substituted(terms):
     return {(a - 8, b - 3): as_fraction(c) for (a, b), c in poly.terms()}
 
 
+def random_z_terms(rng):
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        c = rng.choice((1, -1)) * rng.randint(1, 9)
+        if rng.random() < 0.3:
+            c = Fraction(c, rng.randint(2, 5))
+        terms[(rng.randint(0, 6), rng.randint(-2, 2))] = c
+    return terms
+
+
 def test_to_z_basis_matches_sympy():
     rng = random.Random("z-basis")
     for _ in range(25):
-        terms = {}
-        for _ in range(rng.randint(1, 6)):
-            c = rng.choice((1, -1)) * rng.randint(1, 9)
-            if rng.random() < 0.3:
-                c = Fraction(c, rng.randint(2, 5))
-            terms[(rng.randint(0, 6), rng.randint(-2, 2))] = c
+        terms = random_z_terms(rng)
         lau = z_substituted(terms)
         # a common factor in num and den must cancel before the rewrite
         f = rng.choice([cyclotomic(d) for d in (1, 2, 3, 6, 4, 12, 105)])
@@ -429,6 +437,81 @@ def test_to_z_basis_matches_sympy():
         asymmetric[(a, 0)] = asymmetric.get((a, 0), 0) + 1
         with pytest.raises(NotZRepresentable):
             to_z_basis(RationalQT(asymmetric))
+
+
+@pytest.mark.parametrize("family", CYCLOTOMIC_FAMILIES)
+def test_to_z_basis_fails_exactly_when_mults_remain(family):
+    # no Phi_d of a canonical value's mults divides every t-slice, so a value
+    # with mults is not a Laurent polynomial and one without is its num
+    rng = random.Random(f"z-basis-mults-{family}")
+    seen = set()
+    for _ in range(20):
+        terms = random_z_terms(rng)
+        factors = random_factors(rng, family)
+        den = reduce(multiply, factors, {0: rng.choice((1, -2, Fraction(3, 5)))})
+        num = z_substituted(terms)
+        for f in factors:
+            if rng.random() < 0.7:
+                num = times_q_poly(num, f)
+        x = RationalQT(num, den)
+        assert (Frac.of(num, den).canonical()[1] == {0: 1}) == (not x.mults)
+        seen.add(bool(x.mults))
+        if not x.mults:
+            assert to_z_basis(x).expand() == x
+            continue
+        # the finding renders the remainder of the least failing t-slice
+        slices = {}
+        for (a, b), c in x.num.items():
+            slices.setdefault(b, {})[a] = c
+        rems = (q_poly(slices[b]).rem(q_poly(x.den)) for b in sorted(slices))
+        rem = next(r for r in rems if not r.is_zero)
+        rest = render_qt({(a, 0): as_fraction(c) for (a,), c in rem.terms()})
+        with pytest.raises(NotPolynomial) as exc:
+            to_z_basis(x)
+        assert str(exc.value) == f"remainder {rest} in univariate division"
+    assert seen == {False, True}
+
+
+def random_q_laurent(rng, lead):
+    """A q-only Laurent dict with negative exponents and the given leading
+    coefficient; others are ints or Fractions."""
+    lo = rng.randint(-4, 2)
+    p = {}
+    for a in range(lo, lo + rng.randint(0, 4)):
+        c = rng.randint(-4, 4)
+        if rng.random() < 0.3:
+            c = Fraction(c, rng.randint(2, 5))
+        if c:
+            p[a] = c
+    p[max(p, default=lo) + rng.randint(1, 2)] = lead
+    return p
+
+
+def test_p1_div_exact_matches_sympy():
+    # divisors that are not monic, with int or Fraction coefficients; half
+    # the dividends are perturbed so the division mostly fails
+    rng = random.Random("p1-div-exact")
+    fails = 0
+    for i in range(60):
+        den = random_q_laurent(rng, rng.choice((1, -1, 3, -2, Fraction(3, 4), Fraction(-5, 2))))
+        num = multiply(random_q_laurent(rng, rng.choice((1, -3, Fraction(2, 7)))), den)
+        if i % 2:
+            e = rng.randint(min(num) - 2, max(num))
+            num[e] = num.get(e, 0) + rng.choice((1, -2, Fraction(1, 3)))
+            num = {a: c for a, c in num.items() if c}
+        quo, rem = q_poly(num).div(q_poly(den))
+        if rem.is_zero:
+            got = p1_div_exact(num, den)
+            shift = min(num) - min(den)
+            assert got == {a + shift: as_fraction(c) for (a,), c in quo.terms()}
+            assert all(type(c) in (int, Fraction) for c in got.values())
+            continue
+        fails += 1
+        rest = render_qt({(a, 0): as_fraction(c) for (a,), c in rem.terms()})
+        with pytest.raises(NotDivisible) as exc:
+            p1_div_exact(num, den)
+        assert str(exc.value) == f"remainder {rest} in univariate division"
+    assert 10 < fails < 50
 
 
 @pytest.mark.parametrize("k", range(1, 9))

@@ -334,6 +334,6 @@ def test_conjecture_lhs_is_the_row_by_row_quotient(src, mu, antisymmetrize):
     got = _outcome(conjecture_lhs, src, mu, antisymmetrize)
     assert got == _outcome(_conjecture_lhs_by_division, src, mu, antisymmetrize)
     if (src, mu, antisymmetrize) == (TorusLinkSpec(2, 3, 1), ((2,),), False):
-        assert got == "NotPolynomial: remainder -6 in univariate division"
+        assert got == "NotPolynomial: remainder 2 in univariate division"
     else:
         assert isinstance(got, ZTPoly)
