@@ -20,8 +20,8 @@ nonzero, so scaling by x changes the truth of none of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .laurent import RationalQT, rational_sum
 from .torus import TorusLinkSpec, torus_invariant
@@ -33,8 +33,7 @@ _TINV = RationalQT({(0, -1): 1})
 _X = RationalQT({(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1}, {1: 1, -1: -1})
 
 
-@dataclass(frozen=True)
-class C2Element:
+class C2Element(NamedTuple):
     c1: RationalQT
     cg: RationalQT
     ce: RationalQT
@@ -53,6 +52,8 @@ class C2Element:
 
     def __eq__(self, other):
         return self.c1 == other.c1 and self.cg == other.cg and self.ce == other.ce
+
+    __hash__ = tuple.__hash__
 
     def is_zero(self):
         return self.c1.is_zero and self.cg.is_zero and self.ce.is_zero

@@ -407,7 +407,7 @@ def build_parser():
 
     p = command("ctilde", cmd_ctilde, "cabling-constant table", ("text", "json"))
     p.add_argument("--colors", required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=positive("r"), required=True)
 
     p = command("invariant", cmd_invariant, "colored link invariant", ("text", "json"))
     link_source(p)

@@ -14,26 +14,27 @@ Two value types live here:
   integrality checks.
 
 In canonical form no ``Phi_d`` of ``mults`` divides every t-slice of
-``num``; as each ``Phi_d`` is monic and irreducible over Q, dividing the
-integer-scaled t-slices by it while all allow cancels the gcd.  Only a dense
-denominator from outside is factored, by trial division: the ``den`` of the
-constructor (as from ``parse_qt``) or of a raw ``(num, den)`` factor of
-``rational_sum``.  A factor that is not cyclotomic raises
+``num``.  Each ``Phi_d`` is monic, irreducible and separable, so its
+multiplicity in the gcd of the integer-scaled t-slices is the number of
+successive derivatives p, p', ... of every slice it divides; the slices are
+then divided once by the product of the ``Phi_d`` to those multiplicities.
+Only a dense denominator from outside is factored, by trial division: the
+``den`` of the constructor (as from ``parse_qt``) or of a raw ``(num, den)``
+factor of ``rational_sum``; a factor that is not cyclotomic raises
 ``NonCyclotomicDenominator``.
 
-Sums of products are canonicalized once.  A term of ``rational_sum`` is a
-tuple of factors standing for their product: numerators are scaled to ints
-and multiplied, and multiplicities are added.  The lcm of the term
-denominators takes the per-d maximum; each numerator, over one common scale,
-is multiplied by its cofactor lcm / den and accumulated.  ``+``, ``*`` and
-``rational_product`` are special cases.
+A term of ``rational_sum`` is a tuple of factors standing for their product:
+numerators are scaled to ints and multiplied, and multiplicities are added.
+The lcm of the term denominators takes the per-d maximum; each numerator,
+over one common scale and times its cofactor lcm / den, is accumulated into
+one dense int list per t-exponent, so a sum is canonicalized once.  ``+``,
+``*`` and ``rational_product`` are special cases.
 
 There is one division, ``/``: the divisor's denominator moves up and its
 cyclotomic q-content (the Phi_d dividing every t-slice of its numerator)
 moves down; the rest must divide exactly, else ``NotDivisible``.  Below it
 is one division kernel, ``_div_monic``, the long division of dense
-coefficient lists by a monic divisor: cancelling a Phi_d, building Phi_d and
-every univariate exact division run through it.
+coefficient lists by a monic divisor.
 
 All coefficients are ints or ``fractions.Fraction``; nothing here ever
 touches floating point.
@@ -43,6 +44,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import comb, gcd, inf, lcm
 
 from .errors import (
@@ -70,27 +72,6 @@ def qt_mul(d1, d2):
     for (a1, b1), c1 in d1.items():
         for (a2, b2), c2 in items2:
             k = (a1 + a2, b1 + b2)
-            v = out.get(k)
-            if v is None:
-                out[k] = c1 * c2
-            else:
-                v = v + c1 * c2
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-    return out
-
-
-def qt_mul_qp(d, p):
-    """Product of a bivariate term dict with a q-only term dict."""
-    if not d or not p:
-        return {}
-    out = {}
-    items = list(p.items())
-    for (a1, b1), c1 in d.items():
-        for a2, c2 in items:
-            k = (a1 + a2, b1)
             v = out.get(k)
             if v is None:
                 out[k] = c1 * c2
@@ -242,13 +223,13 @@ def _adams(mults, k):
 
 @lru_cache(maxsize=None)
 def _cyclotomic_product(powers):
-    """The product of Phi_d^e over (d, e) in powers, by descending exponent."""
+    """The product of Phi_d^e over (d, e) in powers, as dense coefficients."""
     p = {0: 1}
     for d, e in powers:
         phi = {a: c for a, c in enumerate(_cyclotomic(d)) if c}
         for _ in range(e):
             p = qp_mul(p, phi)
-    return {a: p[a] for a in sorted(p, reverse=True)}
+    return tuple(p.get(a, 0) for a in range(max(p) + 1))
 
 
 def _cofactor(fa, fb):
@@ -275,44 +256,72 @@ def _ratio(n, d):
     return Fraction(n, d) if rem else quo
 
 
-def _slices(ints):
-    """Group terms by t-exponent: {texp: (least qexp, dense coefficients)}."""
-    return {b: _dense(row) for b, row in qt_t_slices(ints).items()}
+class _Slices(dict):
+    """Int t-slices {texp: (least qexp, dense coefficients)} of a numerator
+    times .scale: the form in which sums accumulate and gcds cancel."""
+
+    __slots__ = ("scale",)
 
 
-def _divides(p, d, phi):
-    """Whether phi = Phi_d divides p, tested on p mod q^d - 1."""
-    r = [sum(p[k::d]) for k in range(d)]
-    return not any(r) or not any(_div_monic(r, phi)[1])
+def _slices(num, lc=1):
+    """num / lc as _Slices over the least scale that clears denominators."""
+    common = _denominator_lcm(num)
+    ints = _scaled(num, common * lc.denominator)
+    out = _Slices((b, _dense(row)) for b, row in qt_t_slices(ints).items())
+    out.scale = common * lc.numerator
+    return out
 
 
-def _cancel(slices, d, most):
-    """Divide every slice by Phi_d while all allow it, at most `most` times.
+def _terms(slices, scale):
+    """slices / scale as a term dict."""
+    return {(lo + i, b): _ratio(c, scale)
+            for b, (lo, p) in slices.items() for i, c in enumerate(p) if c}
 
-    Returns the quotient slices and the number of divisions.
+
+def _multiplicity(rows, d, cap):
+    """The multiplicity of Phi_d in the gcd of the dense rows, at most cap.
+
+    Phi_d is separable, so Phi_d^j divides p exactly when it divides p, p',
+    ..., p^(j-1) (Yun 1976), each tested on p mod q^d - 1; the shortest row
+    goes first, and the first to fail ends the search.  A zero row, such as a
+    derivative past the degree, passes every test: only the cap ends it there.
     """
     phi = _cyclotomic(d)
-    k = 0
-    while k < most and all(_divides(p, d, phi) for _, p in slices.values()):
-        slices = {b: (lo, _div_monic(p, phi)[0]) for b, (lo, p) in slices.items()}
-        k += 1
-    return slices, k
+    for p in sorted(rows, key=len):
+        k = 0
+        while k < cap and not any(_div_monic([sum(p[i::d]) for i in range(d)], phi)[1]):
+            k += 1
+            p = [i * p[i] for i in range(1, len(p))]
+        cap = k
+        if not cap:
+            break
+    return cap
 
 
-def _cyclotomic_content(slices):
-    """Divide out every Phi_d that divides all slices, as often as it does.
+def _cyclotomic_content(slices, caps=None):
+    """(quotients, {d: k_d > 0}) of the slices divided once by the product
+    of the Phi_d^k_d, k_d the multiplicity of Phi_d in their gcd.
 
-    Returns the quotient slices and {d: number of divisions}.  Only d < 6 deg
-    can divide, deg the least slice degree: d < 6 phi(d) for every d below
-    2 * 10^8, and phi(d) is the degree of Phi_d.
+    caps maps each d to test to the largest k_d wanted; without caps every d
+    is tested.  Only d < 6 deg can divide, deg the least slice degree less
+    the factors found: d < 6 phi(d) for every d below 2 * 10^8, and phi(d),
+    the degree of Phi_d, also bounds k_d by deg / phi(d).
     """
-    mults, d = {}, 1
-    while d < 6 * (min(len(p) for _, p in slices.values()) - 1):
-        slices, k = _cancel(slices, d, inf)
+    rows = [p for _, p in slices.values()]
+    deg = min(len(p) for p in rows) - 1
+    found = {}
+    for d in sorted(caps) if caps is not None else count(1):
+        if d >= 6 * deg:
+            break
+        phi = len(_cyclotomic(d)) - 1
+        k = _multiplicity(rows, d, min(deg // phi, caps[d] if caps else inf))
         if k:
-            mults[d] = k
-        d += 1
-    return slices, mults
+            found[d] = k
+            deg -= k * phi
+    if found:
+        m = _cyclotomic_product(tuple(sorted(found.items())))
+        slices = {b: (lo, _div_monic(p, m)[0]) for b, (lo, p) in slices.items()}
+    return slices, found
 
 
 # ---------------------------------------------------------------------------
@@ -395,38 +404,6 @@ def _factor_dense(num, den):
     return num, _factor(tuple(_ratio(c.numerator, c.denominator) for c in monic)), lc
 
 
-def _canonical(num, lc, mults):
-    """(num', mults') with num / (lc * D) == num' / D' for D the product of
-    the Phi_d^mults[d]: each Phi_d is cancelled while it divides every t-slice
-    of num, and D' keeps the rest as sorted (d, m) pairs."""
-    if not num:
-        return {}, ()
-    if not mults and lc == 1:
-        return num, ()
-    # num / lc == ints / scale
-    common = _denominator_lcm(num)
-    ints = _scaled(num, common * lc.denominator)
-    scale = common * lc.numerator
-    kept, cut = [], False
-    if mults:
-        slices = _slices(ints)
-        for d, m in sorted(mults.items()):
-            slices, k = _cancel(slices, d, m)
-            cut = cut or k > 0
-            if k < m:
-                kept.append((d, m - k))
-    if cut:
-        num = {
-            (lo + i, b): _ratio(p[i], scale)
-            for b, (lo, p) in slices.items()
-            for i in range(len(p) - 1, -1, -1)
-            if p[i]
-        }
-    elif lc != 1:
-        num = {k: _ratio(n, scale) for k, n in ints.items()}
-    return num, tuple(kept)
-
-
 def _product_term(factors, m):
     """m times the product of factors as (ints, s, k, mults), or None when it
     is zero.
@@ -444,8 +421,7 @@ def _product_term(factors, m):
         if not num:
             return None
         fs = _denominator_lcm(num)
-        fints = _scaled(num, fs)
-        ints = fints if ints is None else qt_mul(ints, fints)
+        ints = _scaled(num, fs) if ints is None else qt_mul(ints, _scaled(num, fs))
         s *= fs
         if lc != 1:
             s *= abs(lc.numerator)
@@ -463,8 +439,8 @@ def rational_sum(terms):
     int, a Fraction or a term dict such as the monomial {(a, b): c}; a term
     dict is one more raw factor, so its zero coefficients drop out.  All
     terms share one integer scale, each is multiplied by the cofactor
-    lcm / den of its denominator and accumulated, so a sum of products
-    builds one lcm and canonicalizes once, not once per term or product.
+    lcm / den of its denominator and accumulated into dense t-slices, so a
+    sum of products builds one lcm and canonicalizes once.
     """
     parts = []
     for x, m in terms:
@@ -483,16 +459,36 @@ def rational_sum(terms):
     top = {}
     for _, _, _, f in parts:
         for d, e in f.items():
-            if e > top.get(d, 0):
-                top[d] = e
+            top[d] = max(e, top.get(d, 0))
     scale = lcm(*(s for _, s, _, _ in parts))
-    num = {}
-    for ints, s, k, f in parts:
-        cofactor = _cofactor(top, f)
-        if cofactor != {0: 1}:
-            ints = qt_mul_qp(ints, cofactor)
-        qt_iadd(num, ints, k * (scale // s))
-    return RationalQT(num, {0: scale}, top)
+    # each part adds k * scale / s * ints * cofactor into dense t-slices,
+    # whose spans are fixed first
+    cofactors = [_cofactor(top, f) for _, _, _, f in parts]
+    span = {}
+    for (ints, _, _, _), cofactor in zip(parts, cofactors):
+        n = len(cofactor) - 1
+        for a, b in ints:
+            ends = span.setdefault(b, [a, a + n])
+            if a < ends[0]:
+                ends[0] = a
+            if a + n > ends[1]:
+                ends[1] = a + n
+    rows = {b: (lo, [0] * (hi - lo + 1)) for b, (lo, hi) in span.items()}
+    for (ints, s, k, _), cofactor in zip(parts, cofactors):
+        w = k * (scale // s)
+        taps = [(j, w * c) for j, c in enumerate(cofactor) if c]
+        for (a, b), v in ints.items():
+            lo, row = rows[b]
+            a -= lo
+            for j, c in taps:
+                row[a + j] += v * c
+    slices = _Slices()
+    slices.scale = scale
+    for b, (lo, row) in rows.items():
+        nonzero = [i for i, c in enumerate(row) if c]
+        if nonzero:
+            slices[b] = (lo + nonzero[0], row[nonzero[0]:nonzero[-1] + 1])
+    return RationalQT(slices, None, top)
 
 
 def rational_product(factors):
@@ -505,8 +501,8 @@ class RationalQT:
     """Quotient of a bivariate Laurent polynomial by a product of Phi_d(q).
 
     ``RationalQT(num, den, mults)`` is num / (den * prod Phi_d^m over the
-    (d, m) pairs of mults), in canonical form.  num is a term dict, an int or
-    a Fraction; den is a dense q-only term dict, factored here by trial
+    (d, m) pairs of mults), in canonical form.  num is a term dict, an int, a
+    Fraction or _Slices; den is a dense q-only term dict, factored by trial
     division (NonCyclotomicDenominator when a factor is not cyclotomic), and
     defaults to 1; mults is a dict or pairs, and defaults to none.
     """
@@ -519,20 +515,31 @@ class RationalQT:
                 raise TypeError("den and mults not allowed when copying a RationalQT")
             self.num, self.mults = num.num, num.mults
             return
-        if isinstance(num, (int, Fraction)):
-            num = {(0, 0): num} if num else {}
-        num, lc, mults = qt_normalize(num), 1, dict(mults)
-        if den is not None:
-            num, pairs, lc = _factor_dense(num, den)
-            for d, m in pairs:
-                mults[d] = mults.get(d, 0) + m
-        self.num, self.mults = _canonical(num, lc, mults)
+        mults = dict(mults)
+        if not isinstance(num, _Slices):
+            if isinstance(num, (int, Fraction)):
+                num = {(0, 0): num} if num else {}
+            num, lc = qt_normalize(num), 1
+            if den is not None:
+                num, pairs, lc = _factor_dense(num, den)
+                for d, m in pairs:
+                    mults[d] = mults.get(d, 0) + m
+            if not num or not mults and lc == 1:
+                self.num, self.mults = num, ()
+                return
+            num = _slices(num, lc)
+        # the gcd of the slices with the denominator is divided out at once
+        scale = num.scale
+        num, cut = _cyclotomic_content(num, mults) if num else ({}, mults)  # 0 is 0 / 1
+        left = ((d, m - cut.get(d, 0)) for d, m in sorted(mults.items()))
+        self.num, self.mults = _terms(num, scale), tuple((d, m) for d, m in left if m)
 
     @property
     def den(self):
-        """The dense denominator {qexp: coef}, monic with a nonzero constant
-        term; shared with the cache that renders it, so read-only."""
-        return _cyclotomic_product(self.mults)
+        """The dense denominator {qexp: coef} by descending exponent, monic
+        with a nonzero constant term."""
+        p = _cyclotomic_product(self.mults)
+        return {a: p[a] for a in range(len(p) - 1, -1, -1) if p[a]}
 
     @property
     def is_zero(self):
@@ -607,16 +614,11 @@ class RationalQT:
         if not other.num:
             raise ZeroInput("division by zero polynomial")
         x = self * RationalQT({(a, 0): c for a, c in other.den.items()})
-        common = _denominator_lcm(other.num)
-        slices, mults = _cyclotomic_content(_slices(_scaled(other.num, common)))
+        content = _slices(other.num)
+        slices, mults = _cyclotomic_content(content)
         for d, m in x.mults:
             mults[d] = mults.get(d, 0) + m
-        prim = {
-            (lo + i, b): _ratio(c, common)
-            for b, (lo, p) in slices.items()
-            for i, c in enumerate(p)
-            if c
-        }
+        prim = _terms(slices, content.scale)
         return RationalQT(qt_div_exact(x.num, prim), None, mults)
 
     def substitute(self, qpow=1, tsign=1, tpow=1):
@@ -788,15 +790,13 @@ def valuation_at_q1(x):
 
     With q = e^u this equals the u-valuation, since u has a simple zero there.
     The denominator's order is its Phi_1 multiplicity; the numerator's is the
-    number of times q - 1 divides every t-slice.
+    multiplicity of q - 1 in the gcd of its t-slices.
     """
     x = _coerce_strict(x)
     if not x.num:
         raise ZeroInput("valuation of zero")
-    ints = _scaled(x.num, _denominator_lcm(x.num))
-    _, m_num = _cancel(_slices(ints), 1, inf)
-    m_den = dict(x.mults).get(1, 0)
-    return m_num - m_den
+    rows = [p for _, p in _slices(x.num).values()]
+    return _multiplicity(rows, 1, min(map(len, rows)) - 1) - dict(x.mults).get(1, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ as a finding rather than a crash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -154,8 +153,7 @@ def conjecture_lhs(src, mu, antisymmetrize=True):
     return to_z_basis(rational_sum([((g,) + factors, z_stat_multi(mu))]))
 
 
-@dataclass(frozen=True)
-class NTable:
+class NTable(NamedTuple):
     """Integer coefficients indexed by genus (half-integers) and t-degree."""
 
     mu: tuple

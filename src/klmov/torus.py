@@ -9,7 +9,6 @@ Adams-transformed sb expansions back to the sb basis, divided once at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
@@ -39,8 +38,7 @@ class TorusLinkSpec(NamedTuple):
         return f"T({self.r * self.L},{self.k * self.L})"
 
 
-@dataclass(frozen=True)
-class CTildeTable:
+class CTildeTable(NamedTuple):
     colors: tuple
     r: int
     entries: dict  # partition -> Fraction

@@ -121,6 +121,21 @@ def test_char_table_closed_pipe_exits_quietly():
     assert err == b""
 
 
+def test_cli_import_leaves_golden_and_dataclasses_unloaded():
+    # the modules `import klmov.cli` adds to a bare interpreter's: verify and
+    # its crosschecks load with it, the golden tables and dataclasses do not
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def loaded(code):
+        out = subprocess.run([sys.executable, "-c", f"{code}import sys; print(*sys.modules)"],
+                             capture_output=True, env=env, timeout=60, check=True).stdout
+        return set(out.split())
+
+    added = loaded("import klmov.cli; ") - loaded("")
+    assert {b"klmov.verify", b"klmov.bmw", b"klmov.rmatrix"} <= added
+    assert not {b"klmov.golden", b"dataclasses"} & added
+
+
 def test_sb_command(capsys):
     code, out = run(capsys, "sb", "--partition", "2")
     assert code == 0
@@ -260,6 +275,14 @@ def test_rmatrix_rank_must_be_positive(capsys, value):
         main(["rmatrix", "--N", value])
     assert exc.value.code == 2
     assert f"N must be positive, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-1", "0"])
+def test_ctilde_degree_must_be_positive(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["ctilde", "--colors", "2", "--r", value])
+    assert exc.value.code == 2
+    assert f"argument --r: r must be positive, got {value}" in capsys.readouterr().err
 
 
 def test_invariant_torus_knot_symmetry(capsys):

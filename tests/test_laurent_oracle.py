@@ -9,12 +9,16 @@ order 100 to 250, non-cyclotomic ones, ones with fractional coefficients,
 and mixtures of these.  Where a denominator has a non-cyclotomic factor
 (sympy checks the division), building the value must raise
 ``NonCyclotomicDenominator``.  ``to_z_basis`` is compared with sympy's
-substitution z = q - 1/q.
+substitution z = q - 1/q.  The multiplicity of Phi_d found by derivative
+tests is compared with sympy's, and ``rational_sum`` with the earlier route
+kept here as a reference: dict products with each cofactor, then one Phi_d
+cancelled per round while every t-slice allows it.
 """
 
 import random
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 import pytest
 
@@ -26,6 +30,7 @@ from klmov.errors import (  # noqa: E402
     NotPolynomial,
     NotZRepresentable,
 )
+from klmov import laurent  # noqa: E402
 from klmov.laurent import (  # noqa: E402
     RationalQT,
     p1_div_exact,
@@ -525,3 +530,142 @@ def test_substitute_matches_sympy(k):
         num = {(a * k, b * j): -c if sign < 0 and b % 2 else c for (a, b), c in num.items()}
         den = {a * k: c for a, c in den.items()}
         assert canonical(got) == Frac.of(num, den).canonical()
+
+
+# ---------------------------------------------------------------------------
+# rational_sum against the earlier route: each term's int numerator times its
+# cofactor as a dict product, accumulated into one dict, then cancelled one
+# Phi_d at a time while every t-slice allows it
+# ---------------------------------------------------------------------------
+
+
+def dict_product(ints, cofactor):
+    out = {}
+    for (a, b), c in ints.items():
+        for e, pc in cofactor.items():
+            out[(a + e, b)] = out.get((a + e, b), 0) + c * pc
+    return {k: c for k, c in out.items() if c}
+
+
+def round_robin(ints, scale, mults):
+    """(num, mults') of ints / (scale * prod Phi_d^mults[d]), dividing every
+    slice by one Phi_d per round while all allow it."""
+    if not ints:
+        return {}, ()
+    slices = {}
+    for (a, b), c in ints.items():
+        slices.setdefault(b, {})[a] = c
+    slices = {b: (min(row), [row.get(a, 0) for a in range(min(row), max(row) + 1)])
+              for b, row in slices.items()}
+    kept = []
+    for d, m in sorted(mults.items()):
+        phi, k = laurent._cyclotomic(d), 0
+        while k < m and not any(any(laurent._div_monic(p, phi)[1]) for _, p in slices.values()):
+            slices = {b: (lo, laurent._div_monic(p, phi)[0]) for b, (lo, p) in slices.items()}
+            k += 1
+        if k < m:
+            kept.append((d, m - k))
+    num = {(lo + i, b): Fraction(c, scale)
+           for b, (lo, p) in slices.items() for i, c in enumerate(p) if c}
+    return num, tuple(kept)
+
+
+def reference_sum(terms):
+    parts = []
+    for x, m in terms:
+        factors = x if isinstance(x, tuple) else (x,)
+        if isinstance(m, dict):
+            factors, m = factors + ((m, {0: 1}),), 1
+        part = laurent._product_term(factors, m) if m else None
+        if part is not None:
+            parts.append(part)
+    top = {}
+    for _, _, _, f in parts:
+        for d, e in f.items():
+            top[d] = max(e, top.get(d, 0))
+    scale = reduce(lcm, (s for _, s, _, _ in parts), 1)
+    acc = {}
+    for ints, s, k, f in parts:
+        cofactor = {a: c for a, c in enumerate(laurent._cofactor(top, f)) if c}
+        for key, c in dict_product(ints, cofactor).items():
+            acc[key] = acc.get(key, 0) + k * (scale // s) * c
+    return round_robin({k: c for k, c in acc.items() if c}, scale, top)
+
+
+def power(p, n):
+    return reduce(multiply, [p] * n, {0: 1})
+
+
+def phi12_term(rng):
+    """A value whose numerator and denominator carry Phi_1 and Phi_2 to
+    multiplicities up to 8, with slices of nonzero least exponent."""
+    num = random_laurent(rng)
+    num = {(a + rng.randint(-6, 6), b): c for (a, b), c in num.items()}
+    num = times_q_poly(num, multiply(power(cyclotomic(1), rng.randint(0, 8)),
+                                     power(cyclotomic(2), rng.randint(0, 8))))
+    den = multiply(power(cyclotomic(1), rng.randint(0, 8)), power(cyclotomic(2), rng.randint(0, 8)))
+    return RationalQT(num, den)
+
+
+@pytest.mark.parametrize("family", ("cyclotomic", "mixed", "high-order", "phi-1-2"))
+def test_rational_sum_matches_round_robin_reference(family):
+    rng = random.Random(f"reference-{family}")
+    for i in range(12):
+        terms = []
+        for _ in range(rng.randint(1, 6)):
+            if family == "phi-1-2":
+                x, m = phi12_term(rng), rng.choice((1, -3, Fraction(2, 5), {(3, -2): 2}))
+            else:
+                x, m = random_term(rng, family, terms[-1][0] if terms else None)
+            if x is not None:
+                terms.append((x, m))
+        if i % 3 == 0 and terms:
+            # a sum of products, and the negation of every term: the total is 0
+            terms.append(((terms[0][0], terms[-1][0]), Fraction(-7, 3)))
+            terms += [(x, -m if not isinstance(m, dict) else {k: -c for k, c in m.items()})
+                      for x, m in terms]
+        target = None
+        if i % 3 == 1 and terms:
+            # a last term over the lcm so far that leaves target, whose
+            # numerator carries Phi_1 and Phi_2 beyond their multiplicities
+            # in that lcm: the cap keeps them in the numerator
+            target = RationalQT(times_q_poly(random_laurent(rng), multiply(
+                power(cyclotomic(1), 3), power(cyclotomic(2), 2))))
+            total = reduce(RationalQT.__add__, (x * RationalQT(as_terms(m)) for x, m in terms))
+            terms.append((target - total, 1))
+        got, (num, mults) = rational_sum(terms), reference_sum(terms)
+        assert (canonical(got)[0], got.mults) == (num, mults)
+        if i % 3 == 0:
+            assert not got and got.mults == ()
+        if target is not None:
+            assert got == target
+
+
+def sympy_multiplicity(p, d):
+    poly, phi, m = q_poly(p), sympy.Poly(sympy.cyclotomic_poly(d, q), q, domain="QQ"), 0
+    while poly.rem(phi).is_zero:
+        poly, m = poly.exquo(phi), m + 1
+    return m
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6, 12, 30] + HIGH_ORDERS[:2])
+def test_multiplicity_matches_sympy(d):
+    # the multiplicity of Phi_d in the gcd of the rows, found by testing the
+    # successive derivatives; the cap bounds it
+    rng = random.Random(f"multiplicity-{d}")
+    for _ in range(8):
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            p = multiply(power(cyclotomic(d), rng.randint(0, 4)),
+                         {a: rng.randint(-3, 3) for a in range(rng.randint(0, 5))} or {0: 1})
+            p = {a: c for a, c in p.items() if c} or {0: 1}
+            rows.append([p.get(a, 0) for a in range(min(p), max(p) + 1)])
+        want = min(sympy_multiplicity({a: c for a, c in enumerate(p) if c}, d) for p in rows)
+        deg = min(len(p) for p in rows) - 1
+        assert laurent._multiplicity(rows, d, deg) == want
+        assert laurent._multiplicity(rows, d, max(want - 1, 0)) == max(want - 1, 0)
+    # a nonzero constant has no cyclotomic factor; a zero row passes every
+    # test, so there only the cap ends the search
+    assert laurent._multiplicity([[5]], d, 3) == 0
+    assert laurent._multiplicity([[0]], d, 3) == 3
+    assert laurent._cyclotomic_content({0: (2, [7])}) == ({0: (2, [7])}, {})
