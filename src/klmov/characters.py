@@ -1,10 +1,11 @@
 """Symmetric-group and Brauer-algebra characters.
 
-Symmetric-group characters come from the Murnaghan-Nakayama border-strip
-recursion on beta-sets.  Littlewood-Richardson coefficients are computed by
-transporting both Schur functions to the power-sum basis (one shared code
-path, easy to validate against orthogonality).  Brauer characters on the
-symmetric-group conjugacy classes follow Ram's restriction formula
+An S_n character column, chi_lam(nu) over all lam |- |nu|, is one
+Murnaghan-Nakayama step from the column of nu[1:], through a table of the rim
+hooks of size nu[0]; both are memoised.  Littlewood-Richardson coefficients
+are computed by transporting both Schur functions to the power-sum basis (one
+shared code path, easy to validate against orthogonality).  Brauer characters
+on the symmetric-group conjugacy classes follow Ram's restriction formula
 
     chi_A(gamma_mu) = sum_{nu |- |mu|} (sum_beta c_{A beta}^nu) chi_nu(mu)
 
@@ -23,11 +24,11 @@ gives
 
 where mu' runs over the sub-multisets of the parts of mu, m_i counts the
 parts equal to i, and z_mu / (z_mu' z_rho) is the binomial product.  Only
-integers appear.  The splits of a class depend on the label size alone, so
-they are enumerated once per size and shared by all labels of that size.
-``lr_coefficient`` keeps the term-by-term definition available as an
-independent route for the tests.  Completed tables can be mirrored to a small
-JSON cache on disk.
+integers appear.  So the Brauer column of mu over the labels of one size is
+an integer combination of the S_n columns of its splits mu', and E(rho) is
+read off the column of rho.  ``lr_coefficient`` keeps the term-by-term
+definition available as an independent route for the tests.  Completed tables
+can be mirrored to a small JSON cache on disk.
 """
 
 from __future__ import annotations
@@ -38,10 +39,12 @@ import tempfile
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 
 from .errors import ParityMismatch, SizeMismatch
 from .partitions import (
     brauer_label_sizes,
+    is_partition,
     partitions_of,
     z_stat,
 )
@@ -59,38 +62,48 @@ def set_cache_dir(path):
     _brauer_table_cached.cache_clear()
 
 
-def _beta_set(lam):
-    n = len(lam)
-    return tuple(sorted(lam[i] + (n - 1 - i) for i in range(n)))
+@lru_cache(maxsize=None)
+def _index(n):
+    return {lam: i for i, lam in enumerate(partitions_of(n))}
 
 
 @lru_cache(maxsize=None)
-def _mn(betas, mu):
-    if not mu:
-        return 1
-    m = mu[0]
-    rest = mu[1:]
-    bs = set(betas)
-    total = 0
-    for b in betas:
-        lo = b - m
-        if lo >= 0 and lo not in bs:
-            height = sum(1 for c in betas if lo < c < b)
-            nb = tuple(sorted((bs - {b}) | {lo}))
-            sub = _mn(nb, rest)
-            if sub:
-                total += -sub if height % 2 else sub
-    return total
+def _rim_hooks(j, r):
+    """For each lam |- j, the (index in partitions_of(j - r), sign) of lam
+    minus each of its rim hooks of size r, read off the beta-set of lam."""
+    index, out = _index(j - r), []
+    for lam in partitions_of(j):
+        top = len(lam) - 1
+        beads = [p + top - i for i, p in enumerate(lam)]
+        hooks = []
+        for b in beads:
+            lo = b - r
+            if lo >= 0 and lo not in beads:
+                moved = sorted([c for c in beads if c != b] + [lo], reverse=True)
+                sub = tuple(c - top + i for i, c in enumerate(moved) if c - top + i)
+                hooks.append((index[sub], (-1) ** sum(lo < c < b for c in beads)))
+        out.append(hooks)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _column(nu):
+    """(chi_lam(nu) for lam in partitions_of(|nu|)), one MN step from nu[1:]."""
+    if not nu:
+        return (1,)
+    rest = _column(nu[1:])
+    return tuple(sum(s * rest[i] for i, s in h) for h in _rim_hooks(sum(nu), nu[0]))
 
 
 def sn_character(lam, mu):
     """Character of the S_n irreducible lam on the class of cycle type mu."""
-    lam, mu = tuple(lam), tuple(mu)
+    lam, mu = tuple(lam), tuple(sorted(mu, reverse=True))
+    for p in (lam, mu):
+        if not is_partition(p):
+            raise ValueError(f"not a partition: {p}")
     if sum(lam) != sum(mu):
         raise SizeMismatch(f"|{lam}| != |{mu}|")
-    if not lam:
-        return 1
-    return _mn(_beta_set(lam), tuple(sorted(mu, reverse=True)))
+    return _column(mu)[_index(sum(mu))[lam]]
 
 
 @lru_cache(maxsize=None)
@@ -131,15 +144,12 @@ def brauer_labels(n):
     return tuple(out)
 
 
-def _even_partitions(m):
-    # all parts even <=> halving gives a partition of m/2
-    return tuple(tuple(2 * p for p in lam) for lam in partitions_of(m // 2))
-
-
 @lru_cache(maxsize=None)
 def _even_sum(rho):
     """E(rho): the characters at rho of all even-part partitions of |rho|, summed."""
-    return sum(_mn(_beta_set(beta), rho) for beta in _even_partitions(sum(rho)))
+    # all parts even <=> halving gives a partition of |rho|/2
+    index, col, half = _index(sum(rho)), _column(rho), partitions_of(sum(rho) // 2)
+    return sum(col[index[tuple(2 * p for p in lam)]] for lam in half)
 
 
 def _splits(mu, k):
@@ -149,19 +159,19 @@ def _splits(mu, k):
     dropped.  Both mu' and its complement come out weakly decreasing.
     """
     groups = [(part, mu.count(part)) for part in sorted(set(mu), reverse=True)]
+    tail = [sum(p * m for p, m in groups[i:]) for i in range(len(groups) + 1)]
     out = []
 
     def walk(i, size, sub, rest, weight):
-        if size > k:
+        if size + tail[i] < k:
             return
-        if i == len(groups):
-            if size == k:
-                weight *= _even_sum(rest)
-                if weight:
-                    out.append((sub, weight))
+        if i == len(groups):  # size == k: the tail check and the count bound pin it
+            weight *= _even_sum(rest)
+            if weight:
+                out.append((sub, weight))
             return
         part, m = groups[i]
-        for c in range(m, -1, -1):
+        for c in range(min(m, (k - size) // part), -1, -1):
             walk(i + 1, size + c * part, sub + (part,) * c,
                  rest + (part,) * (m - c), weight * comb(m, c))
 
@@ -177,11 +187,14 @@ def _compute_brauer_table(n):
     classes = partitions_of(n)
     table = {}
     for k in brauer_label_sizes(n):
-        splits = [(mu, _splits(mu, k)) for mu in classes]
-        for a in partitions_of(k):
-            betas = _beta_set(a)
-            for mu, split in splits:
-                table[(a, mu)] = sum(w * _mn(betas, sub) for sub, w in split)
+        labels, cols = partitions_of(k), []
+        for mu in classes:
+            col = [0] * len(labels)
+            for sub, w in _splits(mu, k):
+                col = [x + w * y for x, y in zip(col, _column(sub))]
+            cols.append(col)
+        for i, a in enumerate(labels):
+            table.update(((a, mu), col[i]) for mu, col in zip(classes, cols))
     return table
 
 
@@ -225,7 +238,7 @@ def _store_brauer_table(n, table):
     fd, tmp = tempfile.mkstemp(dir=_CACHE_DIR, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
+            fh.write(json.dumps(data))  # json.dump would use the pure-Python encoder
         os.replace(tmp, _cache_path(n))
     except OSError:
         try:
@@ -258,8 +271,9 @@ def brauer_character(a, mu):
 
 
 def brauer_table(n):
-    """Completed table {(label, class): value} for the rank-n Brauer algebra."""
-    return dict(_brauer_table_cached(n))
+    """Completed table {(label, class): value} for the rank-n Brauer algebra,
+    as a read-only view of the memoised table."""
+    return MappingProxyType(_brauer_table_cached(n))
 
 
 def multi_character(avec, mu):

@@ -223,13 +223,20 @@ def _adams(mults, k):
 
 @lru_cache(maxsize=None)
 def _cyclotomic_product(powers):
-    """The product of Phi_d^e over (d, e) in powers, as dense coefficients."""
-    p = {0: 1}
-    for d, e in powers:
-        phi = {a: c for a, c in enumerate(_cyclotomic(d)) if c}
-        for _ in range(e):
-            p = qp_mul(p, phi)
-    return tuple(p.get(a, 0) for a in range(max(p) + 1))
+    """The product of Phi_d^e over (d, e) in powers, as dense coefficients:
+    the memoised product of all pairs but the last, times Phi_d e times."""
+    if not powers:
+        return (1,)
+    d, e = powers[-1]
+    p, phi = _cyclotomic_product(powers[:-1]), _cyclotomic(d)
+    for _ in range(e):
+        out = [0] * (len(p) + len(phi) - 1)
+        for j, c in enumerate(phi):
+            if c:
+                for i, a in enumerate(p, j):
+                    out[i] += c * a
+        p = out
+    return tuple(p)
 
 
 def _cofactor(fa, fb):

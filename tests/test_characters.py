@@ -2,6 +2,10 @@
 
 import json
 import os
+from collections import Counter
+from functools import lru_cache
+from itertools import product
+from math import comb, prod
 
 import pytest
 
@@ -16,7 +20,69 @@ from klmov.characters import (
 )
 from klmov.errors import ParityMismatch, SizeMismatch
 from klmov.golden import BRAUER_EXTRA_ROWS, SN_TABLES
-from klmov.partitions import partitions_of, z_stat
+from klmov.partitions import brauer_label_sizes, partitions_of, z_stat
+
+
+# The beta-set Murnaghan-Nakayama recursion, one character at a time: the
+# reference route for the character columns of the library.
+
+
+def _beta_set(lam):
+    n = len(lam)
+    return tuple(sorted(lam[i] + (n - 1 - i) for i in range(n)))
+
+
+@lru_cache(maxsize=None)
+def _mn(betas, mu):
+    if not mu:
+        return 1
+    m = mu[0]
+    rest = mu[1:]
+    bs = set(betas)
+    total = 0
+    for b in betas:
+        lo = b - m
+        if lo >= 0 and lo not in bs:
+            height = sum(1 for c in betas if lo < c < b)
+            nb = tuple(sorted((bs - {b}) | {lo}))
+            sub = _mn(nb, rest)
+            if sub:
+                total += -sub if height % 2 else sub
+    return total
+
+
+def _reference_sn_character(lam, mu):
+    return _mn(_beta_set(lam), tuple(sorted(mu, reverse=True)))
+
+
+def _reference_brauer_table(n):
+    """Ram's closed form with every character from the beta-set recursion:
+    chi_A(mu) = sum over sub-multisets mu' of mu with |mu'| = |A| of
+    prod_i C(m_i(mu), m_i(mu')) chi_A(mu') E(mu - mu')."""
+
+    def even_sum(rho):
+        evens = [tuple(2 * p for p in lam) for lam in partitions_of(sum(rho) // 2)]
+        return sum(_reference_sn_character(beta, rho) for beta in evens)
+
+    table = {}
+    for k in brauer_label_sizes(n):
+        splits = {}
+        for mu in partitions_of(n):
+            mult = Counter(mu)
+            splits[mu] = []
+            for counts in product(*(range(m + 1) for m in mult.values())):
+                sub = [p for p, c in zip(mult, counts) for _ in range(c)]
+                if sum(sub) != k:
+                    continue
+                rest = [p for p, c in zip(mult, counts) for _ in range(mult[p] - c)]
+                weight = prod(comb(mult[p], c) for p, c in zip(mult, counts))
+                splits[mu].append((tuple(sub), weight * even_sum(tuple(rest))))
+        for a in partitions_of(k):
+            for mu in partitions_of(n):
+                table[(a, mu)] = sum(
+                    w * _reference_sn_character(a, sub) for sub, w in splits[mu]
+                )
+    return table
 
 
 def test_sn_examples():
@@ -36,6 +102,27 @@ def test_sn_tables_match_reference():
 def test_sn_size_mismatch():
     with pytest.raises(SizeMismatch):
         sn_character((2,), (1, 1, 1))
+
+
+@pytest.mark.parametrize("lam, mu", [
+    ((1, 2), (3,)),
+    ((2, 0), (2,)),
+    ((2, -1), (1,)),
+    ((2,), (2, 0)),
+    ((1,), (-1, 2)),
+])
+def test_sn_character_rejects_non_partitions(lam, mu):
+    with pytest.raises(ValueError, match="not a partition"):
+        sn_character(lam, mu)
+
+
+def test_sn_characters_match_beta_set_recursion():
+    for n in range(11):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                assert sn_character(lam, mu) == _reference_sn_character(lam, mu)
+    # a class given in any order is the same class
+    assert sn_character((3, 1), (1, 2, 1)) == sn_character((3, 1), (2, 1, 1)) == 1
 
 
 def test_orthogonality():
@@ -116,6 +203,19 @@ def test_brauer_closed_form_matches_restriction_formula():
         assert list(brauer_table(n).items()) == list(
             _restriction_formula_table(n).items()
         )
+
+
+def test_brauer_tables_match_beta_set_recursion():
+    # values and order: the table is label-major, classes inner
+    for n in range(13):
+        assert list(brauer_table(n).items()) == list(_reference_brauer_table(n).items())
+
+
+def test_brauer_table_is_a_read_only_view():
+    table = brauer_table(3)
+    with pytest.raises(TypeError):
+        table[((3,), (3,))] = 0
+    assert table == brauer_table(3) and table[((3,), (3,))] == 1
 
 
 def test_brauer_parity():

@@ -562,3 +562,24 @@ def test_lmov_writes_the_benchmark_bytes(key, argv):
     )
     assert proc.returncode == 0
     assert proc.stdout == (root / f"perfbench/expected/{key}.stdout").read_bytes()
+
+
+@pytest.mark.parametrize("key, argv", [
+    ("char-table-12", ("char-table", "--n", "12")),
+    ("ctilde-0", ("ctilde", "--colors", "3|3", "--r", "2")),
+])
+def test_character_jobs_write_the_benchmark_bytes(key, argv, tmp_path):
+    # the benchmark's characters jobs run cold, then warm from the tables the
+    # cold run stored; both compare their stdout verbatim
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("KLMOV_")}
+    env["PYTHONPATH"] = str(root / "src")
+    expected = (root / f"perfbench/expected/{key}.stdout").read_bytes()
+    for _ in ("cold", "warm"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "klmov", *argv, "--cache-dir", str(tmp_path)],
+            capture_output=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == expected
+    assert list(tmp_path.glob("brauer_*.json"))
