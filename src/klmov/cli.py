@@ -20,6 +20,14 @@ writes: ``lmov`` text, json and csv; ``char-table``, ``sb``, ``ctilde``,
 ``invariant`` and ``degree`` text and json; ``bmw``, ``rmatrix`` and
 ``verify`` text only.  Any other choice is a usage error.
 
+Each command executes only the modules it runs: ``characters``,
+``partitions`` and ``errors`` load with this module and the other layers on
+first use (``char-table`` runs none of them, ``sb`` runs ``laurent`` and
+``schur``, ``ctilde`` and ``bmw`` add ``torus``, ``invariant``, ``lmov`` and
+``degree`` add ``torus`` and ``lmov``, ``rmatrix`` runs ``laurent``,
+``verify`` all), which matters because with ``PYTHONDONTWRITEBYTECODE`` set
+every process compiles each module it executes from source.
+
 ``verify --only NAME`` runs the checks whose names match NAME exactly, or
 match it as a shell-style pattern such as ``'ctilde*'``.
 
@@ -38,12 +46,15 @@ reports for a process ended by SIGPIPE).  The error cases print one
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
+from itertools import chain
 
-from . import characters, verify
+from . import characters
 from .errors import (
     BoundExceeded,
     KlmovError,
@@ -53,21 +64,36 @@ from .errors import (
     NotPolynomial,
     NotZRepresentable,
 )
-from .laurent import RationalQT
-from .lmov import (
-    UnlinkSpec,
-    conjecture_lhs,
-    degree_check,
-    describe_source,
-    extract_n_table,
-    format_genus,
-    invariant,
+from .partitions import (
+    format_partition,
+    mp_norm,
+    parse_multipartition,
+    parse_partition,
+    partitions_of,
 )
-from .partitions import format_partition, mp_norm, parse_multipartition, parse_partition
-from .rmatrix import bmw_relations_check, braid_relation_check, ribbon_check
-from .schur import pb_in_sb, sb_closed_form
-from .torus import TorusLinkSpec, ctilde
-from . import bmw
+
+
+def _lazy(name):
+    """The module klmov.<name>, executed when one of its attributes is first read.
+
+    It is bound on the package, as ``import klmov.<name>`` binds it.  A module
+    already imported is returned as it is: a fresh copy would give its
+    classes a second identity.
+    """
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return sys.modules[full]
+
+
+laurent, lmov, schur, torus, verify, bmw, rmatrix = map(
+    _lazy, ("laurent", "lmov", "schur", "torus", "verify", "bmw", "rmatrix")
+)
 
 SCHEMA = "klmov-v1"
 
@@ -95,15 +121,19 @@ def rationalqt_to_json(x):
 def rationalqt_from_json(data):
     num = {(a, b): Fraction(c) for a, b, c in data["num"]}
     den = {a: Fraction(c) for a, c in data["den"]}
-    return RationalQT(num, den)
+    return laurent.RationalQT(num, den)
 
 
 def _emit(args, text):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    _emit_lines(args, (text,))
+
+
+def _emit_lines(args, lines):
+    """Write each line as it is made, and a newline, to --out or standard output."""
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
 
 
 def _configure_cache(args):
@@ -125,16 +155,16 @@ def _check_size(args, size):
 
 def _parse_source(args):
     if args.torus is None:
-        return UnlinkSpec(args.unlink)
+        return lmov.UnlinkSpec(args.unlink)
     try:
         r, k, L = (int(x) for x in args.torus.split(","))
     except ValueError:
         raise KlmovError(f"--torus wants r,k,L, got {args.torus!r}") from None
-    return TorusLinkSpec(r, k, L).validate()
+    return torus.TorusLinkSpec(r, k, L).validate()
 
 
 def _source_json(src):
-    if isinstance(src, TorusLinkSpec):
+    if isinstance(src, torus.TorusLinkSpec):
         return {"torus": [src.r, src.k, src.L]}
     return {"unlink": src.L}
 
@@ -143,8 +173,6 @@ def cmd_char_table(args):
     _check_size(args, args.n)
     table = characters.brauer_table(args.n)
     labels = characters.brauer_labels(args.n)
-    from .partitions import partitions_of
-
     classes = partitions_of(args.n)
     if args.format == "json":
         data = {
@@ -159,12 +187,12 @@ def cmd_char_table(args):
         return 0
     width = max(len(format_partition(m)) for m in classes) + 2
     head = "chi".ljust(width) + "".join(format_partition(m).rjust(width) for m in classes)
-    lines = [head]
-    for a in labels:
-        row = format_partition(a).ljust(width)
-        row += "".join(str(table[(a, m)]).rjust(width) for m in classes)
-        lines.append(row)
-    _emit(args, "\n".join(lines))
+    rows = (
+        format_partition(a).ljust(width)
+        + "".join(str(table[(a, m)]).rjust(width) for m in classes)
+        for a in labels
+    )
+    _emit_lines(args, chain((head,), rows))
     return 0
 
 
@@ -175,18 +203,18 @@ def cmd_sb(args):
         _check_size(args, sum(lam))
     lines = []
     if args.pb or not args.closed:
-        lines.append(f"pb expansion of {format_partition(lam)}: {pb_in_sb(lam)}")
+        lines.append(f"pb expansion of {format_partition(lam)}: {schur.pb_in_sb(lam)}")
     if args.closed or not args.pb:
-        lines.append(f"closed form: {sb_closed_form(lam)}")
+        lines.append(f"closed form: {schur.sb_closed_form(lam)}")
     if args.format == "json":
         data = {
             "schema": SCHEMA,
             "kind": "sb",
             "partition": list(lam),
-            "closed": rationalqt_to_json(sb_closed_form(lam)),
+            "closed": rationalqt_to_json(schur.sb_closed_form(lam)),
             "pb_expansion": {
                 format_partition(mu): str(Fraction(c))
-                for mu, c in pb_in_sb(lam).items()
+                for mu, c in schur.pb_in_sb(lam).items()
             },
         }
         _emit(args, json.dumps(data, indent=2))
@@ -198,7 +226,7 @@ def cmd_sb(args):
 def cmd_ctilde(args):
     colors = parse_multipartition(args.colors)
     _check_size(args, args.r * mp_norm(colors))
-    table = ctilde(colors, args.r)
+    table = torus.ctilde(colors, args.r)
     entries = sorted(table.entries.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
     if args.format == "json":
         data = {
@@ -220,9 +248,9 @@ def cmd_ctilde(args):
 def cmd_invariant(args):
     src = _parse_source(args)
     colors = parse_multipartition(args.colors)
-    if isinstance(src, TorusLinkSpec):
+    if isinstance(src, torus.TorusLinkSpec):
         _check_size(args, min(src.r, src.k) * mp_norm(colors))
-    value = invariant(src, colors)
+    value = lmov.invariant(src, colors)
     if args.format == "json":
         data = {
             "schema": SCHEMA,
@@ -242,8 +270,8 @@ def cmd_lmov(args):
     mu = parse_multipartition(args.mu)
     _check_size(args, mp_norm(mu))
     try:
-        poly = conjecture_lhs(src, mu, antisymmetrize=not args.no_antisym)
-        table = extract_n_table(poly, mu)
+        poly = lmov.conjecture_lhs(src, mu, antisymmetrize=not args.no_antisym)
+        table = lmov.extract_n_table(poly, mu)
     except _FINDINGS as exc:
         finding = {
             "schema": SCHEMA,
@@ -256,7 +284,7 @@ def cmd_lmov(args):
         if args.format == "json":
             _emit(args, json.dumps(finding, indent=2))
         else:
-            _emit(args, f"FINDING for {describe_source(src)} colored {args.mu}: "
+            _emit(args, f"FINDING for {lmov.describe_source(src)} colored {args.mu}: "
                         f"{finding['finding']}")
         return 1
     if args.format == "json":
@@ -267,7 +295,7 @@ def cmd_lmov(args):
             "mu": args.mu,
             "integral": True,
             "entries": [
-                {"g": format_genus(g), "beta": b, "N": n}
+                {"g": lmov.format_genus(g), "beta": b, "N": n}
                 for (g, b), n in sorted(table.entries.items())
             ],
         }
@@ -275,10 +303,10 @@ def cmd_lmov(args):
     elif args.format == "csv":
         lines = ["g,beta,N"]
         for (g, b), n in sorted(table.entries.items()):
-            lines.append(f"{format_genus(g)},{b},{n}")
+            lines.append(f"{lmov.format_genus(g)},{b},{n}")
         _emit(args, "\n".join(lines))
     else:
-        head = f"{describe_source(src)} colored {args.mu}"
+        head = f"{lmov.describe_source(src)} colored {args.mu}"
         _emit(args, head + "\n" + table.render_text())
     return 0
 
@@ -287,7 +315,7 @@ def cmd_degree(args):
     src = _parse_source(args)
     mu = parse_multipartition(args.mu)
     _check_size(args, mp_norm(mu))
-    res = degree_check(src, mu)
+    res = lmov.degree_check(src, mu)
     if args.format == "json":
         data = {
             "schema": SCHEMA,
@@ -329,11 +357,11 @@ def cmd_rmatrix(args):
     _check_size(args, n)
     results = []
     if args.check in ("all", "ribbon"):
-        results.append(("ribbon", ribbon_check(n)))
+        results.append(("ribbon", rmatrix.ribbon_check(n)))
     if args.check in ("all", "braid"):
-        results.append(("braid", braid_relation_check(n)))
+        results.append(("braid", rmatrix.braid_relation_check(n)))
     if args.check in ("all", "bmw"):
-        results.append(("bmw", bmw_relations_check(n)))
+        results.append(("bmw", rmatrix.bmw_relations_check(n)))
     lines = [f"{'PASS' if ok else 'FAIL'}  {name} (N={n})" for name, ok in results]
     _emit(args, "\n".join(lines))
     return 0 if all(ok for _, ok in results) else 1

@@ -121,19 +121,83 @@ def test_char_table_closed_pipe_exits_quietly():
     assert err == b""
 
 
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
+def run_python(code):
+    """Standard output of a fresh interpreter running code."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=SRC_ENV, timeout=60, check=True).stdout
+
+
 def test_cli_import_leaves_golden_and_dataclasses_unloaded():
     # the modules `import klmov.cli` adds to a bare interpreter's: verify and
-    # its crosschecks load with it, the golden tables and dataclasses do not
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-
+    # its crosschecks are registered with it (to be executed on first use),
+    # the golden tables and dataclasses are not
     def loaded(code):
-        out = subprocess.run([sys.executable, "-c", f"{code}import sys; print(*sys.modules)"],
-                             capture_output=True, env=env, timeout=60, check=True).stdout
-        return set(out.split())
+        return set(run_python(f"{code}import sys; print(*sys.modules)").split())
 
     added = loaded("import klmov.cli; ") - loaded("")
-    assert {b"klmov.verify", b"klmov.bmw", b"klmov.rmatrix"} <= added
-    assert not {b"klmov.golden", b"dataclasses"} & added
+    assert {"klmov.verify", "klmov.bmw", "klmov.rmatrix"} <= added
+    assert not {"klmov.golden", "dataclasses"} & added
+
+
+def executed_modules(*argv):
+    """The klmov modules whose code runs in a fresh process running the command.
+
+    Read from the interpreter's ``exec`` audit events: ``-X importtime``
+    does not list a module executed by a lazy loader.
+    """
+    out = run_python(
+        "import sys\n"
+        "seen = set()\n"
+        "def hook(event, args):\n"
+        "    if event == 'exec':\n"
+        "        seen.add(getattr(args[0], 'co_filename', ''))\n"
+        "sys.addaudithook(hook)\n"
+        "from klmov.cli import main\n"
+        f"assert main({list(argv)!r}) == 0\n"
+        "print(*sorted(f.rsplit('/', 1)[-1][:-3] for f in seen\n"
+        "              if f.endswith('.py') and '/klmov/' in f))\n"
+    )
+    return set(out.split("\n")[-2].split())
+
+
+@pytest.mark.parametrize("argv, used, unused", [
+    (("char-table", "--n", "1", "--no-cache"), {"cli", "characters", "partitions"},
+     {"laurent", "lmov", "verify", "bmw", "rmatrix"}),
+    (("ctilde", "--colors", "2", "--r", "2", "--no-cache"), {"laurent", "schur", "torus"},
+     {"lmov", "verify", "bmw", "rmatrix"}),
+], ids=["char-table", "ctilde"])
+def test_command_executes_only_the_modules_it_runs(argv, used, unused):
+    executed = executed_modules(*argv)
+    assert used <= executed
+    assert not unused & executed
+
+
+def test_lazy_layers_keep_an_imported_module():
+    # a layer imported before klmov.cli, or before a second import of it, is
+    # the one the command line and the package hand out
+    out = run_python(
+        "import sys\n"
+        "import klmov.laurent\n"
+        "laurent = sys.modules['klmov.laurent']\n"
+        "import klmov.cli\n"
+        "assert klmov.cli.laurent is sys.modules['klmov.laurent'] is laurent\n"
+        "del sys.modules['klmov.cli']\n"
+        "import klmov.cli as again\n"
+        "assert again.laurent is sys.modules['klmov.laurent'] is laurent\n"
+        "import klmov.torus\n"
+        "assert klmov.torus is sys.modules['klmov.torus']\n"
+        "assert klmov.RationalQT is klmov.laurent.RationalQT is laurent.RationalQT\n"
+        "namespace = {}\n"
+        "exec('from klmov import *', namespace)\n"
+        "missing = set(klmov.__all__) - set(namespace)\n"
+        "assert not missing, missing\n"
+        "assert set(klmov.__all__) <= set(dir(klmov))\n"
+        "print('ok')\n"
+    )
+    assert out == "ok\n"
 
 
 def test_sb_command(capsys):
@@ -349,26 +413,26 @@ def test_cache_dir_flag(tmp_path, capsys):
 
 def test_lmov_finding_exit_code(monkeypatch, capsys):
     # a non-representable value is reported as a finding with exit 1
-    from klmov import cli
+    from klmov import lmov
     from klmov.errors import NotZRepresentable
 
     def boom(*args, **kwargs):
         raise NotZRepresentable("residual q-dependence at q^3")
 
-    monkeypatch.setattr(cli, "conjecture_lhs", boom)
+    monkeypatch.setattr(lmov, "conjecture_lhs", boom)
     code, out = run(capsys, "lmov", "--torus", "1,1,2", "--mu", "1|1")
     assert code == 1
     assert "FINDING" in out and "NotZRepresentable" in out
 
 
 def test_lmov_finding_json(monkeypatch, capsys):
-    from klmov import cli
+    from klmov import lmov
     from klmov.errors import NonIntegerCoefficient
 
     def boom(*args, **kwargs):
         raise NonIntegerCoefficient("coefficient 1/2 at z^0 t^1")
 
-    monkeypatch.setattr(cli, "conjecture_lhs", boom)
+    monkeypatch.setattr(lmov, "conjecture_lhs", boom)
     code, out = run(capsys, "lmov", "--torus", "1,1,2", "--mu", "1|1",
                     "--format", "json")
     assert code == 1
@@ -448,12 +512,12 @@ def test_unlink_component_count(capsys, argv, message):
 def test_internal_arithmetic_error_exits_4(monkeypatch, capsys, error, target, argv):
     # an arithmetic error outside the findings of lmov is neither a usage
     # error (2) nor a finding (1)
-    from klmov import cli, errors
+    from klmov import errors, lmov
 
     def boom(*args, **kwargs):
         raise getattr(errors, error)("remainder q in univariate division")
 
-    monkeypatch.setattr(cli, target, boom)
+    monkeypatch.setattr(lmov, target, boom)
     code, err = run_failing(capsys, *argv)
     assert code == 4
     assert err == "error: remainder q in univariate division\n"
