@@ -27,8 +27,12 @@ parts equal to i, and z_mu / (z_mu' z_rho) is the binomial product.  Only
 integers appear.  So the Brauer column of mu over the labels of one size is
 an integer combination of the S_n columns of its splits mu', and E(rho) is
 read off the column of rho.  ``lr_coefficient`` keeps the term-by-term
-definition available as an independent route for the tests.  Completed tables
-can be mirrored to a small JSON cache on disk.
+definition available as an independent route for the tests.
+
+One class's column, the characters of all labels of its rank at gamma_mu, is
+the unit of work: ``brauer_character`` reads a memoised column and builds no
+table.  Only complete tables (``brauer_table``) are memoised whole and can be
+mirrored to a small JSON cache on disk.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import os
 import tempfile
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from types import MappingProxyType
 
@@ -183,18 +188,38 @@ def _cache_path(n):
     return os.path.join(_CACHE_DIR, f"brauer_{n}.json")
 
 
+def _brauer_segment(mu, k):
+    """[chi_a(gamma_mu) for a in partitions_of(k)]: the combination of the S_n
+    columns of the splits of mu of size k."""
+    col = [0] * len(partitions_of(k))
+    for sub, w in _splits(mu, k):
+        col = [x + w * y for x, y in zip(col, _column(sub))]
+    return col
+
+
+@lru_cache(maxsize=None)
+def _brauer_column(mu):
+    """(chi_a(gamma_mu) for a in brauer_labels(|mu|)), for one class mu."""
+    return tuple(chain.from_iterable(
+        _brauer_segment(mu, k) for k in brauer_label_sizes(sum(mu))
+    ))
+
+
+@lru_cache(maxsize=None)
+def _label_index(n):
+    return {a: i for i, a in enumerate(brauer_labels(n))}
+
+
 def _compute_brauer_table(n):
+    # one label size at a time and unmemoised, so that a whole table holds
+    # no second copy of its columns
     classes = partitions_of(n)
     table = {}
     for k in brauer_label_sizes(n):
-        labels, cols = partitions_of(k), []
-        for mu in classes:
-            col = [0] * len(labels)
-            for sub, w in _splits(mu, k):
-                col = [x + w * y for x, y in zip(col, _column(sub))]
-            cols.append(col)
-        for i, a in enumerate(labels):
+        cols = [_brauer_segment(mu, k) for mu in classes]
+        for i, a in enumerate(partitions_of(k)):
             table.update(((a, mu), col[i]) for mu, col in zip(classes, cols))
+        del cols  # freed before the next size's columns are made
     return table
 
 
@@ -260,14 +285,18 @@ def _brauer_table_cached(n):
 
 
 def brauer_character(a, mu):
-    """Character of the Brauer irreducible labeled a on the class gamma_mu."""
+    """Character of the Brauer irreducible labeled a on the class gamma_mu,
+    read off the memoised column of mu; no table is built or cached."""
     a, mu = tuple(a), tuple(mu)
     n = sum(mu)
     diff = n - sum(a)
     if diff < 0 or diff % 2:
         raise ParityMismatch(f"|{mu}| - |{a}| must be even and nonnegative")
     mu = tuple(sorted(mu, reverse=True))
-    return _brauer_table_cached(n)[(a, mu)]
+    i = _label_index(n).get(a)
+    if i is None or mu not in _index(n):
+        raise KeyError((a, mu))
+    return _brauer_column(mu)[i]
 
 
 def brauer_table(n):

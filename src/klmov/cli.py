@@ -22,11 +22,17 @@ writes: ``lmov`` text, json and csv; ``char-table``, ``sb``, ``ctilde``,
 
 Each command executes only the modules it runs: ``characters``,
 ``partitions`` and ``errors`` load with this module and the other layers on
-first use (``char-table`` runs none of them, ``sb`` runs ``laurent`` and
-``schur``, ``ctilde`` and ``bmw`` add ``torus``, ``invariant``, ``lmov`` and
-``degree`` add ``torus`` and ``lmov``, ``rmatrix`` runs ``laurent``,
-``verify`` all), which matters because with ``PYTHONDONTWRITEBYTECODE`` set
-every process compiles each module it executes from source.
+first use, which matters because with ``PYTHONDONTWRITEBYTECODE`` set every
+process compiles each module it executes from source:
+
+    char-table                   none of them
+    ctilde                       schur, torus (cabling constants are
+                                 integers and fractions: no laurent)
+    sb                           laurent, schur
+    bmw                          laurent, schur, torus, bmw
+    invariant, lmov, degree      laurent, schur, torus, lmov
+    rmatrix                      laurent, rmatrix
+    verify                       all
 
 ``verify --only NAME`` runs the checks whose names match NAME exactly, or
 match it as a shell-style pattern such as ``'ctilde*'``.
@@ -175,15 +181,24 @@ def cmd_char_table(args):
     labels = characters.brauer_labels(args.n)
     classes = partitions_of(args.n)
     if args.format == "json":
-        data = {
+        # the bytes of json.dumps(..., indent=2) with "values" filled in, one
+        # row per label, written as each row is made
+        head = json.dumps({
             "schema": SCHEMA,
             "kind": "char-table",
             "n": args.n,
             "labels": [list(a) for a in labels],
             "classes": [list(m) for m in classes],
-            "values": [[table[(a, m)] for m in classes] for a in labels],
-        }
-        _emit(args, json.dumps(data, indent=2))
+            "values": [],
+        }, indent=2)
+        last = len(labels) - 1
+        rows = (
+            "    "
+            + json.dumps([table[(a, m)] for m in classes], indent=2).replace("\n", "\n    ")
+            + ("," if i < last else "")
+            for i, a in enumerate(labels)
+        )
+        _emit_lines(args, chain((head[:-len("]\n}")],), rows, ("  ]\n}",)))
         return 0
     width = max(len(format_partition(m)) for m in classes) + 2
     head = "chi".ljust(width) + "".join(format_partition(m).rjust(width) for m in classes)

@@ -14,9 +14,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from . import laurent
 from .characters import brauer_character, brauer_labels, brauer_table, sn_character
 from .errors import NonIntegerCoefficient
-from .laurent import RationalQT, q_minus_qinv, rational_product, rational_sum
 from .partitions import partitions_of, transpose, z_stat
 
 
@@ -189,7 +189,7 @@ def sb_closed_form(a):
     for i in range(1, len(a) + 1):
         for j in range(1, a[i - 1] + 1):
             h = row(i) + col(j) - i - j + 1
-            den = q_minus_qinv(h)
+            den = laurent.q_minus_qinv(h)
             if i == j:
                 e = row(j) - col(j)
                 num = {(e, 1): 1, (-e, -1): -1}
@@ -202,22 +202,22 @@ def sb_closed_form(a):
                 else:
                     d = -col(i) - col(j) + i + j - 1
                 cells.append(({(d, 1): 1, (-d, -1): -1}, den))
-    return rational_product(cells)
+    return laurent.rational_product(cells)
 
 
 def evaluate_sb_element(x):
     """Evaluate an SbElement to a RationalQT through the closed forms."""
-    return rational_sum((sb_closed_form(a), c) for a, c in x.items())
+    return laurent.rational_sum((sb_closed_form(a), c) for a, c in x.items())
 
 
 def pb_value(n):
     """Value of pb_n under the principal evaluation: 1 + (t^n - t^-n)/(q^n - q^-n)."""
     num = {(n, 0): 1, (-n, 0): -1, (0, n): 1, (0, -n): -1}
-    return RationalQT(num, q_minus_qinv(n))
+    return laurent.RationalQT(num, laurent.q_minus_qinv(n))
 
 
 def pb_product_value(mu):
-    return rational_product(pb_value(part) for part in mu)
+    return laurent.rational_product(pb_value(part) for part in mu)
 
 
 def unknot_identity_check(mu):

@@ -14,8 +14,8 @@ from functools import lru_cache
 from math import factorial, gcd
 from typing import NamedTuple
 
+from . import laurent
 from .errors import ComponentCountMismatch, NonIntegerExponent
-from .laurent import RationalQT, rational_product, rational_sum, to_z_basis
 from .partitions import kappa
 from .schur import loop_weight, pb_in_sb, pb_one, sb_closed_form, sb_in_pb_scaled
 
@@ -87,7 +87,7 @@ def cable_terms(r, k, colors):
 @lru_cache(maxsize=None)
 def _torus_invariant_active(r, k, colors):
     terms = cable_terms(r, k, colors)
-    return rational_sum((sb_closed_form(lam), m) for lam, m in terms.items())
+    return laurent.rational_sum((sb_closed_form(lam), m) for lam, m in terms.items())
 
 
 def torus_invariant(spec, colors):
@@ -106,13 +106,13 @@ def torus_invariant(spec, colors):
         )
     active = tuple(a for a in colors if a)
     if not active:
-        return RationalQT(1)
+        return laurent.RationalQT(1)
     return _torus_invariant_active(min(spec.r, spec.k), max(spec.r, spec.k), active)
 
 
 def unlink_invariant(colors):
     """Invariant of an unlink: product of quantum dimensions."""
-    return rational_product(sb_closed_form(tuple(a)) for a in colors)
+    return laurent.rational_product(sb_closed_form(tuple(a)) for a in colors)
 
 
 @lru_cache(maxsize=None)
@@ -136,9 +136,9 @@ def bracket_coefficients(spec):
     spec = TorusLinkSpec(*spec).validate()
     shift = spec.L - 1
     value = kauffman_bracket(spec)
-    zpoly = RationalQT({(1, 0): 1, (-1, 0): -1})
-    ztp = to_z_basis(value * zpoly**shift)
+    zpoly = laurent.RationalQT({(1, 0): 1, (-1, 0): -1})
+    ztp = laurent.to_z_basis(value * zpoly**shift)
     out = {}
     for zp, row in ztp.rows().items():
-        out[zp - shift] = RationalQT({(0, b): c for b, c in row.items()})
+        out[zp - shift] = laurent.RationalQT({(0, b): c for b, c in row.items()})
     return out

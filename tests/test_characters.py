@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import product
@@ -221,6 +223,48 @@ def test_brauer_table_is_a_read_only_view():
 def test_brauer_parity():
     with pytest.raises(ParityMismatch):
         brauer_character((1,), (2, 2))
+
+
+@pytest.mark.parametrize("a, mu", [
+    ((1, 2), (3,)),
+    ((2,), (2, 0)),
+    ((2,), (1, 1, 0)),
+    ((2,), (3, -1)),
+])
+def test_brauer_character_wants_a_label_and_a_class(a, mu):
+    with pytest.raises(KeyError):
+        brauer_character(a, mu)
+
+
+def test_brauer_character_rejects_a_larger_label():
+    with pytest.raises(ParityMismatch):
+        brauer_character((4,), (2,))
+
+
+def test_brauer_characters_without_a_table():
+    # in a fresh process whose tables cannot be built, every single character
+    # comes from the class columns
+    code = (
+        "import json\n"
+        "from klmov import characters\n"
+        "def refuse(n):\n"
+        "    raise AssertionError(f'rank-{n} table built')\n"
+        "characters._compute_brauer_table = refuse\n"
+        "print(json.dumps([[a, mu, characters.brauer_character(a, mu)]\n"
+        "                  for n in range(11)\n"
+        "                  for a in characters.brauer_labels(n)\n"
+        "                  for mu in characters.partitions_of(n)]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("KLMOV_")}
+    env["PYTHONPATH"] = src
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120, check=True).stdout
+    got = {(tuple(a), tuple(mu)): v for a, mu, v in json.loads(out)}
+    want = {}
+    for n in range(11):
+        want.update(_reference_brauer_table(n))
+    assert got == want
 
 
 def test_brauer_labels():
