@@ -25,8 +25,8 @@ _EXPORTS = {
         "parse_partition", "partitions_of", "splittings", "updown_dimension", "z_stat",
     ),
     "characters": (
-        "brauer_character", "brauer_labels", "lr_coefficient", "multi_character",
-        "sn_character",
+        "brauer_character", "brauer_column", "brauer_labels", "lr_coefficient",
+        "multi_character", "sn_character",
     ),
     "schur": (
         "PbElement", "SbElement", "evaluate_sb_element", "pb_in_sb", "sb_closed_form",

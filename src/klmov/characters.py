@@ -30,9 +30,10 @@ read off the column of rho.  ``lr_coefficient`` keeps the term-by-term
 definition available as an independent route for the tests.
 
 One class's column, the characters of all labels of its rank at gamma_mu, is
-the unit of work: ``brauer_character`` reads a memoised column and builds no
-table.  Only complete tables (``brauer_table``) are memoised whole and can be
-mirrored to a small JSON cache on disk.
+the unit of work: ``brauer_column`` memoises it, and ``brauer_character`` and
+``schur.pb_in_sb`` read it and build no table.  Only complete tables
+(``brauer_table``) are memoised whole and can be mirrored to a small JSON
+cache on disk.
 """
 
 from __future__ import annotations
@@ -198,8 +199,12 @@ def _brauer_segment(mu, k):
 
 
 @lru_cache(maxsize=None)
-def _brauer_column(mu):
-    """(chi_a(gamma_mu) for a in brauer_labels(|mu|)), for one class mu."""
+def brauer_column(mu):
+    """(chi_a(gamma_mu) for a in brauer_labels(|mu|)): the characters of one
+    class, memoised.  A class that is not a partition raises KeyError."""
+    mu = tuple(sorted(mu, reverse=True))
+    if mu not in _index(sum(mu)):
+        raise KeyError(mu)
     return tuple(chain.from_iterable(
         _brauer_segment(mu, k) for k in brauer_label_sizes(sum(mu))
     ))
@@ -296,7 +301,7 @@ def brauer_character(a, mu):
     i = _label_index(n).get(a)
     if i is None or mu not in _index(n):
         raise KeyError((a, mu))
-    return _brauer_column(mu)[i]
+    return brauer_column(mu)[i]
 
 
 def brauer_table(n):

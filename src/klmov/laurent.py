@@ -3,41 +3,47 @@
 Two value types live here:
 
 * ``RationalQT``: a quotient ``num / den`` where ``num`` is a Laurent
-  polynomial in q and t with rational coefficients, stored sparsely as
-  ``{(qexp, texp): coefficient}``, and ``den`` is a product of cyclotomic
-  polynomials ``Phi_d(q)``, stored as ``mults``, the sorted ``(d, m)`` pairs
-  of its factors ``Phi_d^m``.  Every denominator of the invariant formulas
-  has this shape once monomials move into the numerator: q^h - q^-h is
-  q^-h prod_{d | 2h} Phi_d(q), and q -> q^k maps each Phi_d(q) to the
-  product of the Phi_e(q) with e | dk and e / gcd(e, k) = d.
+  polynomial in q and t with rational coefficients and ``den`` is a product
+  of cyclotomic polynomials ``Phi_d(q)``, stored as ``mults``, the sorted
+  ``(d, m)`` pairs of its factors ``Phi_d^m``.  Every denominator of the
+  invariant formulas has this shape once monomials move into the numerator:
+  q^h - q^-h is q^-h prod_{d | 2h} Phi_d(q), and q -> q^k maps each Phi_d(q)
+  to the product of the Phi_e(q) with e | dk and e / gcd(e, k) = d.
+  The numerator is stored as int t-slices over one scale (content times
+  primitive part, Knuth, TAOCP Vol. 2 4.6.1): ``rows`` holds one
+  ``(texp, lo, coefficients)`` per nonzero t-slice, by increasing texp, for
+  t^texp q^lo times the dense int coefficients, whose ends are nonzero;
+  ``num`` is their sum over the positive int ``scale``, and gcd(scale, every
+  coefficient) = 1.  ``.num`` renders it as a term dict
+  ``{(qexp, texp): coefficient}`` for readers.
 * ``ZTPoly``: a polynomial in z = q - 1/q and t, the target ring of the
   integrality checks.
 
-In canonical form no ``Phi_d`` of ``mults`` divides every t-slice of
-``num``.  Each ``Phi_d`` is monic, irreducible and separable, so its
-multiplicity in the gcd of the integer-scaled t-slices is the number of
-successive derivatives p, p', ... of every slice it divides; the slices are
-then divided once by the product of the ``Phi_d`` to those multiplicities.
-Only a dense denominator from outside is factored, by trial division: the
-``den`` of the constructor (as from ``parse_qt``) or of a raw ``(num, den)``
-factor of ``rational_sum``; a factor that is not cyclotomic raises
-``NonCyclotomicDenominator``.
+In canonical form no ``Phi_d`` of ``mults`` divides every row.  Each
+``Phi_d`` is monic, irreducible and separable, so its multiplicity in the
+gcd of the rows is the number of successive derivatives p, p', ... of every
+row it divides; the rows are then divided once by the product of the
+``Phi_d`` to those multiplicities.  Only a dense denominator from outside is
+factored, by trial division: the ``den`` of the constructor (as from
+``parse_qt``) or of a raw ``(num, den)`` factor of ``rational_sum``; a
+factor that is not cyclotomic raises ``NonCyclotomicDenominator``.
 
 A term of ``rational_sum`` is a tuple of factors standing for their product:
-numerators are scaled to ints and multiplied, and multiplicities are added.
-The lcm of the term denominators takes the per-d maximum; each numerator,
-over one common scale and times its cofactor lcm / den, is accumulated into
-one dense int list per t-exponent, so a sum is canonicalized once.  ``+``,
+their rows are multiplied slice by slice and their multiplicities added.
+The lcm of the term denominators takes the per-d maximum; each term's rows,
+over one common scale and times its cofactor lcm / den, are accumulated into
+one dense int row per t-exponent, so a sum is canonicalized once.  ``+``,
 ``*`` and ``rational_product`` are special cases.
 
 There is one division, ``/``: the divisor's denominator moves up and its
-cyclotomic q-content (the Phi_d dividing every t-slice of its numerator)
-moves down; the rest must divide exactly, else ``NotDivisible``.  Below it
-is one division kernel, ``_div_monic``, the long division of dense
-coefficient lists by a monic divisor.
+cyclotomic q-content (the Phi_d dividing every row of its numerator) moves
+down; the rest must divide exactly, else ``NotDivisible``.  Below it is one
+division kernel, ``_div_monic``, the long division of dense coefficient
+lists by a monic divisor.
 
-All coefficients are ints or ``fractions.Fraction``; nothing here ever
-touches floating point.
+The arithmetic runs on ints.  Ints or ``fractions.Fraction`` appear only in
+``.num`` and in raw inputs: term dicts and multipliers given to the
+constructor or to ``rational_sum``.  Nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -59,29 +65,6 @@ from .errors import (
 # polynomial kernels on raw term dicts: bivariate ones map (qexp, texp) to a
 # nonzero int or Fraction, univariate ones map exp to a coefficient
 # ---------------------------------------------------------------------------
-
-
-def qt_mul(d1, d2):
-    """Convolution product of two bivariate term dicts."""
-    if not d1 or not d2:
-        return {}
-    if len(d1) > len(d2):
-        d1, d2 = d2, d1
-    out = {}
-    items2 = list(d2.items())
-    for (a1, b1), c1 in d1.items():
-        for (a2, b2), c2 in items2:
-            k = (a1 + a2, b1 + b2)
-            v = out.get(k)
-            if v is None:
-                out[k] = c1 * c2
-            else:
-                v = v + c1 * c2
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-    return out
 
 
 def qt_iadd(acc, d, c=1):
@@ -198,12 +181,12 @@ def _cyclotomic(d):
 
 @lru_cache(maxsize=None)
 def _factor(den):
-    """The (d, m) pairs of a monic dense den that is the product of the
-    Phi_d^m; any other factor raises NonCyclotomicDenominator."""
-    slices, mults = _cyclotomic_content({0: (0, den)})
-    rest = slices[0][1]
+    """The (d, m) pairs of a dense int den that is its leading coefficient
+    times the product of the Phi_d^m; any other factor raises
+    NonCyclotomicDenominator."""
+    (rest,), mults = _cyclotomic_content([den])
     if len(rest) > 1:
-        factor = render_qt({(a, 0): c for a, c in enumerate(rest) if c})
+        factor = render_qt({(a, 0): Fraction(c, den[-1]) for a, c in enumerate(rest) if c})
         raise NonCyclotomicDenominator(f"denominator factor {factor} is not cyclotomic")
     return tuple(sorted(mults.items()))
 
@@ -245,46 +228,6 @@ def _cofactor(fa, fb):
     return _cyclotomic_product(tuple(sorted((d, e) for d, e in extra if e > 0)))
 
 
-def _denominator_lcm(num):
-    return lcm(*{c.denominator for c in num.values()})
-
-
-def _scaled(num, scale):
-    """scale * num as a new dict with int coefficients; scale must clear every
-    denominator."""
-    if scale == 1:
-        return {k: c.numerator for k, c in num.items()}
-    return {k: c.numerator * (scale // c.denominator) for k, c in num.items()}
-
-
-def _ratio(n, d):
-    """n / d as an int when it is one, else as a Fraction."""
-    quo, rem = divmod(n, d)
-    return Fraction(n, d) if rem else quo
-
-
-class _Slices(dict):
-    """Int t-slices {texp: (least qexp, dense coefficients)} of a numerator
-    times .scale: the form in which sums accumulate and gcds cancel."""
-
-    __slots__ = ("scale",)
-
-
-def _slices(num, lc=1):
-    """num / lc as _Slices over the least scale that clears denominators."""
-    common = _denominator_lcm(num)
-    ints = _scaled(num, common * lc.denominator)
-    out = _Slices((b, _dense(row)) for b, row in qt_t_slices(ints).items())
-    out.scale = common * lc.numerator
-    return out
-
-
-def _terms(slices, scale):
-    """slices / scale as a term dict."""
-    return {(lo + i, b): _ratio(c, scale)
-            for b, (lo, p) in slices.items() for i, c in enumerate(p) if c}
-
-
 def _multiplicity(rows, d, cap):
     """The multiplicity of Phi_d in the gcd of the dense rows, at most cap.
 
@@ -305,16 +248,15 @@ def _multiplicity(rows, d, cap):
     return cap
 
 
-def _cyclotomic_content(slices, caps=None):
-    """(quotients, {d: k_d > 0}) of the slices divided once by the product
-    of the Phi_d^k_d, k_d the multiplicity of Phi_d in their gcd.
+def _cyclotomic_content(rows, caps=None):
+    """(quotients, {d: k_d > 0}) of the dense rows divided once by the
+    product of the Phi_d^k_d, k_d the multiplicity of Phi_d in their gcd.
 
     caps maps each d to test to the largest k_d wanted; without caps every d
-    is tested.  Only d < 6 deg can divide, deg the least slice degree less
-    the factors found: d < 6 phi(d) for every d below 2 * 10^8, and phi(d),
-    the degree of Phi_d, also bounds k_d by deg / phi(d).
+    is tested.  Only d < 6 deg can divide, deg the least row degree less the
+    factors found: d < 6 phi(d) for every d below 2 * 10^8, and phi(d), the
+    degree of Phi_d, also bounds k_d by deg / phi(d).
     """
-    rows = [p for _, p in slices.values()]
     deg = min(len(p) for p in rows) - 1
     found = {}
     for d in sorted(caps) if caps is not None else count(1):
@@ -327,8 +269,8 @@ def _cyclotomic_content(slices, caps=None):
             deg -= k * phi
     if found:
         m = _cyclotomic_product(tuple(sorted(found.items())))
-        slices = {b: (lo, _div_monic(p, m)[0]) for b, (lo, p) in slices.items()}
-    return slices, found
+        rows = [_div_monic(p, m)[0] for p in rows]
+    return rows, found
 
 
 # ---------------------------------------------------------------------------
@@ -338,13 +280,6 @@ def _cyclotomic_content(slices, caps=None):
 
 def qt_normalize(d):
     return {k: c for k, c in d.items() if c}
-
-def qt_t_slices(d):
-    """Group terms by t-exponent: {texp: {qexp: coef}}."""
-    out = {}
-    for (a, b), c in d.items():
-        out.setdefault(b, {})[a] = c
-    return out
 
 def qt_q_slices(d):
     """Group terms by q-exponent: {qexp: {texp: coef}}."""
@@ -393,49 +328,143 @@ def q_minus_qinv(n):
 
 
 # ---------------------------------------------------------------------------
+# int t-slices: rows (texp, lo, dense ints) standing for t^texp q^lo * ints
+# ---------------------------------------------------------------------------
+
+
+def _int_rows(terms):
+    """(s, rows) with terms == rows / s, for a term dict with int or Fraction
+    coefficients: s is their least common denominator and rows the int
+    t-slices of the nonzero terms."""
+    s = lcm(*(c.denominator for c in terms.values()))
+    by_t = {}
+    for (a, b), c in terms.items():
+        if c:
+            by_t.setdefault(b, {})[a] = c.numerator * (s // c.denominator)
+    return s, [(b, *_dense(p)) for b, p in by_t.items()]
+
+
+def _mul_into(acc, x, y):
+    """acc += x * y for rows x and y: the one row product.  acc maps texp to
+    [lo, dense ints], and each entry is widened as needed."""
+    for b2, lo2, p2 in y:
+        taps = [(j, c) for j, c in enumerate(p2) if c]
+        for b1, lo1, p1 in x:
+            lo = lo1 + lo2
+            hi = lo + len(p1) + len(p2) - 2
+            slot = acc.get(b1 + b2)
+            if slot is None:
+                slot = acc[b1 + b2] = [lo, [0] * (hi - lo + 1)]
+            elif lo < slot[0]:
+                slot[1][:0] = [0] * (slot[0] - lo)
+                slot[0] = lo
+            row = slot[1]
+            if hi >= slot[0] + len(row):
+                row.extend([0] * (hi - slot[0] - len(row) + 1))
+            for i, v in enumerate(p1, lo - slot[0]):
+                if v:
+                    for j, c in taps:
+                        row[i + j] += v * c
+
+
+def _trimmed(acc):
+    """The nonzero rows of an accumulator of _mul_into, zero ends cut."""
+    rows = []
+    for b, (lo, p) in acc.items():
+        nonzero = [i for i, c in enumerate(p) if c]
+        if nonzero:
+            rows.append((b, lo + nonzero[0], p[nonzero[0]:nonzero[-1] + 1]))
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # RationalQT
 # ---------------------------------------------------------------------------
 
 
-def _factor_dense(num, den):
-    """(num', mults, lc) with num / den == num' / (lc * D), D the product of
-    the Phi_d^m over the (d, m) pairs mults, for a dense q-only dict den."""
-    den = qt_normalize(den)
-    if not den:
+def _raw(num, den):
+    """A raw factor num / den, for a term dict num and a dense q-only term
+    dict den, as a part (rows, s, k, mults) of a sum: num / den is
+    k * rows / (s * D), D the product of the Phi_d^m over the (d, m) pairs
+    mults."""
+    ds, drows = _int_rows({(a, 0): c for a, c in den.items()})
+    if not drows:
         raise ZeroInput("zero denominator")
-    s, top = min(den), max(den)
-    if s:
-        num = {(a - s, b): c for (a, b), c in num.items()}
-    lc = Fraction(den[top])
-    monic = (Fraction(den.get(a, 0)) / lc for a in range(s, top + 1))
-    return num, _factor(tuple(_ratio(c.numerator, c.denominator) for c in monic)), lc
+    ((_, shift, ints),) = drows
+    s, rows = _int_rows(num)
+    lc = ints[-1]
+    return ([(b, lo - shift, p) for b, lo, p in rows], s * abs(lc),
+            ds if lc > 0 else -ds, _factor(tuple(ints)))
 
 
 def _product_term(factors, m):
-    """m times the product of factors as (ints, s, k, mults), or None when it
-    is zero.
+    """m times the product of factors as a part (rows, s, k, mults), or None
+    when it is zero.
 
-    The value is k * ints / (s * D) with ints an int term dict, s > 0 and D
-    the product of the Phi_d^mults[d].  Numerators are multiplied as ints and
+    The value is k * rows / (s * D) with rows int t-slices, s > 0 and D the
+    product of the Phi_d^mults[d].  Rows are multiplied slice by slice and
     denominators by adding their multiplicities.
     """
-    ints, s, k, mults = None, m.denominator, m.numerator, {}
+    rows, s, k, mults = None, m.denominator, m.numerator, {}
     for f in factors:
         if isinstance(f, RationalQT):
-            num, fm, lc = f.num, f.mults, 1
+            frows, fs, fk, fm = f.rows, f.scale, 1, f.mults
         else:
-            num, fm, lc = _factor_dense(qt_normalize(f[0]), f[1])
-        if not num:
+            frows, fs, fk, fm = _raw(*f)
+        if not frows:
             return None
-        fs = _denominator_lcm(num)
-        ints = _scaled(num, fs) if ints is None else qt_mul(ints, _scaled(num, fs))
-        s *= fs
-        if lc != 1:
-            s *= abs(lc.numerator)
-            k *= lc.denominator if lc > 0 else -lc.denominator
+        if rows is None:
+            rows = frows
+        else:
+            acc = {}
+            _mul_into(acc, rows, frows)
+            rows = _trimmed(acc)
+        s, k = s * fs, k * fk
         for d, e in fm:
             mults[d] = mults.get(d, 0) + e
-    return {(0, 0): 1} if ints is None else ints, s, k, mults
+    return [(0, 0, (1,))] if rows is None else rows, s, k, mults
+
+
+def _sum(parts):
+    """The canonical sum of parts of _product_term, over one lcm."""
+    # the lcm takes the largest multiplicity of each Phi_d
+    top = {}
+    for _, _, _, f in parts:
+        for d, e in f.items():
+            top[d] = max(e, top.get(d, 0))
+    scale = lcm(*(s for _, s, _, _ in parts))
+    # each part adds k * scale / s * rows * cofactor into dense rows
+    acc = {}
+    for rows, s, k, f in parts:
+        w = k * (scale // s)
+        _mul_into(acc, rows, ((0, 0, [w * c for c in _cofactor(top, f)]),))
+    rows = _trimmed(acc)
+    if not rows:
+        return _reduced(1, (), ())
+    # the gcd of the rows with the lcm is divided out at once
+    polys, cut = _cyclotomic_content([p for _, _, p in rows], top)
+    left = ((d, m - cut.get(d, 0)) for d, m in sorted(top.items()))
+    return _reduced(scale, sorted((b, lo, p) for (b, lo, _), p in zip(rows, polys)),
+                    tuple((d, m) for d, m in left if m))
+
+
+def _reduced(scale, rows, mults):
+    """The RationalQT rows / (scale * D), D the product of the Phi_d^m over
+    the (d, m) pairs mults, for sorted trimmed rows with no Phi_d of mults
+    dividing every one: the gcd of scale and every coefficient is divided
+    out."""
+    g = scale
+    for _, _, p in rows:
+        if g == 1:
+            break
+        g = gcd(g, *p)
+    if g > 1:
+        rows = [(b, lo, [c // g for c in p]) for b, lo, p in rows]
+    out = RationalQT.__new__(RationalQT)
+    out.scale = scale // g
+    out.rows = tuple((b, lo, tuple(p)) for b, lo, p in rows)
+    out.mults = mults
+    return out
 
 
 def rational_sum(terms):
@@ -458,44 +487,9 @@ def rational_sum(terms):
         if part is not None:
             parts.append(part)
             same = factors[0] if m == 1 and len(factors) == 1 else None
-    if not parts:
-        return RationalQT(0)
     if len(parts) == 1 and isinstance(same, RationalQT):
         return same
-    # the lcm takes the largest multiplicity of each Phi_d
-    top = {}
-    for _, _, _, f in parts:
-        for d, e in f.items():
-            top[d] = max(e, top.get(d, 0))
-    scale = lcm(*(s for _, s, _, _ in parts))
-    # each part adds k * scale / s * ints * cofactor into dense t-slices,
-    # whose spans are fixed first
-    cofactors = [_cofactor(top, f) for _, _, _, f in parts]
-    span = {}
-    for (ints, _, _, _), cofactor in zip(parts, cofactors):
-        n = len(cofactor) - 1
-        for a, b in ints:
-            ends = span.setdefault(b, [a, a + n])
-            if a < ends[0]:
-                ends[0] = a
-            if a + n > ends[1]:
-                ends[1] = a + n
-    rows = {b: (lo, [0] * (hi - lo + 1)) for b, (lo, hi) in span.items()}
-    for (ints, s, k, _), cofactor in zip(parts, cofactors):
-        w = k * (scale // s)
-        taps = [(j, w * c) for j, c in enumerate(cofactor) if c]
-        for (a, b), v in ints.items():
-            lo, row = rows[b]
-            a -= lo
-            for j, c in taps:
-                row[a + j] += v * c
-    slices = _Slices()
-    slices.scale = scale
-    for b, (lo, row) in rows.items():
-        nonzero = [i for i, c in enumerate(row) if c]
-        if nonzero:
-            slices[b] = (lo + nonzero[0], row[nonzero[0]:nonzero[-1] + 1])
-    return RationalQT(slices, None, top)
+    return _sum(parts)
 
 
 def rational_product(factors):
@@ -508,38 +502,36 @@ class RationalQT:
     """Quotient of a bivariate Laurent polynomial by a product of Phi_d(q).
 
     ``RationalQT(num, den, mults)`` is num / (den * prod Phi_d^m over the
-    (d, m) pairs of mults), in canonical form.  num is a term dict, an int, a
-    Fraction or _Slices; den is a dense q-only term dict, factored by trial
-    division (NonCyclotomicDenominator when a factor is not cyclotomic), and
-    defaults to 1; mults is a dict or pairs, and defaults to none.
+    (d, m) pairs of mults), in canonical form.  num is a term dict, an int
+    or a Fraction, or a RationalQT to copy; den is a dense q-only term dict,
+    factored by trial division (NonCyclotomicDenominator when a factor is
+    not cyclotomic), and defaults to 1; mults is a dict or pairs, and
+    defaults to none.  The value is stored as ``scale``, ``rows`` and
+    ``mults`` (see the module docstring); ``num`` and ``den`` are rendered.
     """
 
-    __slots__ = ("num", "mults")
+    __slots__ = ("scale", "rows", "mults")
 
     def __init__(self, num, den=None, mults=()):
         if isinstance(num, RationalQT):
             if den is not None or mults:
                 raise TypeError("den and mults not allowed when copying a RationalQT")
-            self.num, self.mults = num.num, num.mults
-            return
-        mults = dict(mults)
-        if not isinstance(num, _Slices):
+        else:
             if isinstance(num, (int, Fraction)):
-                num = {(0, 0): num} if num else {}
-            num, lc = qt_normalize(num), 1
-            if den is not None:
-                num, pairs, lc = _factor_dense(num, den)
-                for d, m in pairs:
-                    mults[d] = mults.get(d, 0) + m
-            if not num or not mults and lc == 1:
-                self.num, self.mults = num, ()
-                return
-            num = _slices(num, lc)
-        # the gcd of the slices with the denominator is divided out at once
-        scale = num.scale
-        num, cut = _cyclotomic_content(num, mults) if num else ({}, mults)  # 0 is 0 / 1
-        left = ((d, m - cut.get(d, 0)) for d, m in sorted(mults.items()))
-        self.num, self.mults = _terms(num, scale), tuple((d, m) for d, m in left if m)
+                num = {(0, 0): num}
+            part = _product_term(((num, {0: 1} if den is None else den),), 1)
+            if part is not None:
+                for d, m in dict(mults).items():
+                    part[3][d] = part[3].get(d, 0) + m
+            num = _sum([part] if part else [])
+        self.scale, self.rows, self.mults = num.scale, num.rows, num.mults
+
+    @property
+    def num(self):
+        """The numerator as a term dict {(qexp, texp): int or Fraction}."""
+        s = self.scale
+        return {(lo + i, b): Fraction(c, s) if c % s else c // s
+                for b, lo, p in self.rows for i, c in enumerate(p) if c}
 
     @property
     def den(self):
@@ -550,19 +542,19 @@ class RationalQT:
 
     @property
     def is_zero(self):
-        return not self.num
+        return not self.rows
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self.rows)
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.num == other.num and self.mults == other.mults
+        return (self.scale, self.rows, self.mults) == (other.scale, other.rows, other.mults)
 
     def __hash__(self):
-        return hash((frozenset(self.num.items()), self.mults))
+        return hash((self.scale, self.rows, self.mults))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -579,19 +571,15 @@ class RationalQT:
         return _coerce_strict(other) - self
 
     def __neg__(self):
-        out = RationalQT.__new__(RationalQT)
-        out.num = {k: -c for k, c in self.num.items()}
-        out.mults = self.mults
-        return out
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 return RationalQT(0)
-            out = RationalQT.__new__(RationalQT)
-            out.num = {k: other * c for k, c in self.num.items()}
-            out.mults = self.mults
-            return out
+            k = other.numerator
+            return _reduced(self.scale * other.denominator,
+                            [(b, lo, [k * c for c in p]) for b, lo, p in self.rows], self.mults)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -618,25 +606,29 @@ class RationalQT:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.num:
+        if not other:
             raise ZeroInput("division by zero polynomial")
         x = self * RationalQT({(a, 0): c for a, c in other.den.items()})
-        content = _slices(other.num)
-        slices, mults = _cyclotomic_content(content)
+        polys, mults = _cyclotomic_content([p for _, _, p in other.rows])
         for d, m in x.mults:
             mults[d] = mults.get(d, 0) + m
-        prim = _terms(slices, content.scale)
-        return RationalQT(qt_div_exact(x.num, prim), None, mults)
+        prim = _reduced(other.scale, [(b, lo, p) for (b, lo, _), p in zip(other.rows, polys)], ())
+        return RationalQT(qt_div_exact(x.num, prim.num), None, mults)
 
     def substitute(self, qpow=1, tsign=1, tpow=1):
-        """Map q -> q^qpow and t -> (tsign * t)^... i.e. t^b -> tsign^b t^(b*tpow)."""
+        """Map q -> q^qpow and t -> (tsign * t)^... i.e. t^b -> tsign^b t^(b*tpow).
+
+        The result stays canonical: Phi_e(q) divides p(q^qpow) exactly when
+        Phi_d divides p for the d that e contributes to in Phi_d(q^qpow).
+        """
         if qpow < 1 or tpow < 1 or tsign not in (1, -1):
             raise ValueError("substitution wants positive powers and tsign in {1,-1}")
-        num = {
-            (a * qpow, b * tpow): -c if tsign == -1 and b % 2 else c
-            for (a, b), c in self.num.items()
-        }
-        return RationalQT(num, None, _adams(self.mults, qpow))
+        rows = []
+        for b, lo, p in self.rows:
+            spread = [0] * (qpow * (len(p) - 1) + 1)
+            spread[::qpow] = [-c for c in p] if tsign == -1 and b % 2 else p
+            rows.append((b * tpow, lo * qpow, spread))
+        return _reduced(self.scale, rows, _adams(self.mults, qpow))
 
     def specialize_t(self, m):
         """Substitute t = q^m; result is a q-only dict and must be polynomial."""
@@ -745,22 +737,6 @@ class ZTPoly:
         return f"ZTPoly({self})"
 
 
-def _reduce_parity_class(part, out):
-    """Peel c * z^d * t^b terms off one q-parity class of a Laurent dict."""
-    while part:
-        d = max(a for a, _ in part)
-        if d < 0:
-            witness = render_qt(part)
-            raise NotZRepresentable(
-                f"value is not symmetric under q -> -1/q; leftover terms {witness}"
-            )
-        top = {b: c for (a, b), c in part.items() if a == d}
-        for b, c in top.items():
-            out[(d, b)] = out.get((d, b), 0) + c
-        for b, c in top.items():
-            qt_iadd(part, {(a, b): bc for a, bc in _z_power_q(d)}, -c)
-
-
 def to_z_basis(x):
     """Rewrite x as a polynomial in z = q - 1/q with t-Laurent coefficients.
 
@@ -769,21 +745,38 @@ def to_z_basis(x):
     that means empty mults: no Phi_d of mults divides every t-slice, so the
     finding renders the remainder of the failing slice of least t-exponent.
     The two q-parity classes reduce independently since z^d only contains
-    exponents of the parity of d.
+    exponents of the parity of d: the even one first, from the top exponent
+    down, each exponent on every row by descending t-exponent, which is the
+    order of the terms of the result.
     """
     x = _coerce_strict(x)
     if x.mults:
-        for _, row in sorted(qt_t_slices(x.num).items()):
+        for _, lo, p in x.rows:
             try:
-                p1_div_exact(row, x.den)
+                p1_div_exact({lo + i: Fraction(c, x.scale) for i, c in enumerate(p) if c}, x.den)
             except NotDivisible as exc:
                 raise NotPolynomial(str(exc)) from None
-    lau = x.num
-    even = {k: c for k, c in lau.items() if k[0] % 2 == 0}
-    odd = {k: c for k, c in lau.items() if k[0] % 2}
+    # each row dense from -hi to hi, where peeling z^d for d <= hi can reach
+    rows = []
+    for b, lo, p in reversed(x.rows):
+        base = min(lo, 1 - lo - len(p))
+        rows.append((b, base, [0] * (lo - base) + list(p)))
+    top = max((base + len(row) - 1 for _, base, row in rows), default=-1)
     out = {}
-    _reduce_parity_class(even, out)
-    _reduce_parity_class(odd, out)
+    for parity in (0, 1):
+        for d in range(top - (top - parity) % 2, -1, -2):
+            for b, base, row in rows:
+                c = row[d - base] if d - base < len(row) else 0
+                if c:
+                    out[(d, b)] = c if x.scale == 1 else Fraction(c, x.scale)
+                    for e, bc in _z_power_q(d):
+                        row[e - base] -= c * bc
+        witness = {(base + i, b): Fraction(c, x.scale) for b, base, row in rows
+                   for i, c in enumerate(row) if c and (base + i) % 2 == parity}
+        if witness:
+            raise NotZRepresentable(
+                f"value is not symmetric under q -> -1/q; leftover terms {render_qt(witness)}"
+            )
     return ZTPoly(out)
 
 
@@ -800,9 +793,9 @@ def valuation_at_q1(x):
     multiplicity of q - 1 in the gcd of its t-slices.
     """
     x = _coerce_strict(x)
-    if not x.num:
+    if not x:
         raise ZeroInput("valuation of zero")
-    rows = [p for _, p in _slices(x.num).values()]
+    rows = [p for _, _, p in x.rows]
     return _multiplicity(rows, 1, min(map(len, rows)) - 1) - dict(x.mults).get(1, 0)
 
 

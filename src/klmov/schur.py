@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import factorial
 
 from . import laurent
-from .characters import brauer_character, brauer_labels, brauer_table, sn_character
+from .characters import brauer_column, brauer_labels, brauer_table, sn_character
 from .errors import NonIntegerCoefficient
 from .partitions import partitions_of, transpose, z_stat
 
@@ -131,12 +131,7 @@ def pb_one():
 def pb_in_sb(mu):
     """Expand pb_mu over sb symbols via the Brauer character transition."""
     mu = tuple(mu)
-    out = {}
-    for a in brauer_labels(sum(mu)):
-        ch = brauer_character(a, mu)
-        if ch:
-            out[a] = ch
-    return SbElement(out)
+    return SbElement(dict(zip(brauer_labels(sum(mu)), brauer_column(mu))))
 
 
 @lru_cache(maxsize=None)

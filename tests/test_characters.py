@@ -14,6 +14,7 @@ import pytest
 from klmov import characters
 from klmov.characters import (
     brauer_character,
+    brauer_column,
     brauer_labels,
     brauer_table,
     lr_coefficient,
@@ -234,6 +235,20 @@ def test_brauer_parity():
 def test_brauer_character_wants_a_label_and_a_class(a, mu):
     with pytest.raises(KeyError):
         brauer_character(a, mu)
+
+
+def test_brauer_column_is_aligned_with_the_labels():
+    for n in range(9):
+        for mu in partitions_of(n):
+            want = tuple(brauer_table(n)[(a, mu)] for a in brauer_labels(n))
+            assert brauer_column(mu) == want
+            assert brauer_column(mu[::-1]) == want
+
+
+@pytest.mark.parametrize("mu", [(2, 0), (1, 1, 0), (3, -1)])
+def test_brauer_column_wants_a_class(mu):
+    with pytest.raises(KeyError):
+        brauer_column(mu)
 
 
 def test_brauer_character_rejects_a_larger_label():

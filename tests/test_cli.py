@@ -651,6 +651,11 @@ def test_verify_all_writes_the_benchmark_bytes():
     ("lmov-t36-0", ("--torus", "1,2,3", "--mu", "2|2|2")),
     ("lmov-t36-1", ("--torus", "1,2,3", "--mu", "2|2|1,1")),
     ("lmov-t36-2", ("--torus", "1,2,3", "--mu", "1,1|2|2")),
+    ("lmov-t22-1", ("--torus", "1,1,2", "--bound", "8", "--mu", "2,2|4")),
+    ("lmov-t22-2", ("--torus", "1,1,2", "--bound", "8", "--mu", "3,1|2,2")),
+    ("lmov-t25-0", ("--torus", "2,5,1", "--mu", "4")),
+    ("lmov-t25-1", ("--torus", "2,5,1", "--mu", "3,1")),
+    ("lmov-t25-2", ("--torus", "2,5,1", "--mu", "2,2")),
 ])
 def test_lmov_writes_the_benchmark_bytes(key, argv):
     # the benchmark's table jobs compare their csv tables verbatim

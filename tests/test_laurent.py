@@ -114,6 +114,21 @@ def test_z_basis_failure():
         to_z_basis(Q + QI)
 
 
+@pytest.mark.parametrize("value, leftover", [
+    (Q + QI, "2*q^-1"),
+    # both q-parity classes fail; the even one is reported
+    (Z * Z * T + Q * Q + RationalQT({(3, 1): Fraction(1, 2), (-3, 1): Fraction(1, 2)}),
+     "-q^-2"),
+    (Z * T + RationalQT({(1, -1): 2, (-1, 2): 3}), "3*q^-1*t^2 + 2*q^-1*t^-1"),
+], ids=["odd", "even-first", "several-t"])
+def test_z_basis_failure_renders_the_leftover_terms(value, leftover):
+    with pytest.raises(NotZRepresentable) as exc:
+        to_z_basis(value)
+    assert str(exc.value) == (
+        f"value is not symmetric under q -> -1/q; leftover terms {leftover}"
+    )
+
+
 def test_not_polynomial_finding_follows_from_the_value():
     # the finding renders the remainder of the failing t-slice of least
     # t-exponent, whatever order the numerator's terms were inserted in
@@ -290,3 +305,24 @@ def test_rational_sum_of_products():
     assert rational_product([]) == 1
     assert rational_product([X]) is X
     assert rational_product([raw, X]) == RationalQT(*raw) * X
+
+
+def test_equal_values_hash_alike_whatever_their_route():
+    # (3/2 q t - q^-1) / (q - q^-1), built each way the library builds values
+    want = RationalQT({(1, 1): Fraction(3, 2), (-1, 0): Fraction(-2, 2)}, {1: 1, -1: -1})
+    halved = RationalQT({(1, 1): 3, (-1, 0): -2})
+    routes = [
+        parse_qt("(3/2*q*t - q^-1)/(q - q^-1)"),
+        # one product term whose sum cancels Phi_4 and the content 2
+        rational_sum([((halved, Q + QI, ({(0, 0): 1}, {2: 1, -2: -1})), Fraction(1, 2))]),
+        rational_sum([(want, 3), (halved * Z, Fraction(-1, 1)), (want, -2), (halved * Z, 1)]),
+        want.substitute(tsign=-1).substitute(tsign=-1),
+        -(want * Fraction(-4, 3)) * Fraction(3, 4),
+    ]
+    table = {want: "found"}
+    for x in routes:
+        assert x == want and hash(x) == hash(want)
+        assert table[x] == "found"
+    doubled = RationalQT({(2, 2): Fraction(3, 2), (-2, 0): -1}, {2: 1, -2: -1})
+    assert want.substitute(qpow=2, tpow=2) == doubled
+    assert hash(want.substitute(qpow=2, tpow=2)) == hash(doubled)

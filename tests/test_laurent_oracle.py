@@ -18,7 +18,6 @@ cancelled per round while every t-slice allows it.
 import random
 from fractions import Fraction
 from functools import reduce
-from math import lcm
 
 import pytest
 
@@ -539,21 +538,21 @@ def test_substitute_matches_sympy(k):
 # ---------------------------------------------------------------------------
 
 
-def dict_product(ints, cofactor):
+def dict_product(num, cofactor):
     out = {}
-    for (a, b), c in ints.items():
+    for (a, b), c in num.items():
         for e, pc in cofactor.items():
             out[(a + e, b)] = out.get((a + e, b), 0) + c * pc
     return {k: c for k, c in out.items() if c}
 
 
-def round_robin(ints, scale, mults):
-    """(num, mults') of ints / (scale * prod Phi_d^mults[d]), dividing every
-    slice by one Phi_d per round while all allow it."""
-    if not ints:
+def round_robin(num, mults):
+    """(num', mults') of num / prod Phi_d^mults[d], dividing every slice by
+    one Phi_d per round while all allow it."""
+    if not num:
         return {}, ()
     slices = {}
-    for (a, b), c in ints.items():
+    for (a, b), c in num.items():
         slices.setdefault(b, {})[a] = c
     slices = {b: (min(row), [row.get(a, 0) for a in range(min(row), max(row) + 1)])
               for b, row in slices.items()}
@@ -565,31 +564,42 @@ def round_robin(ints, scale, mults):
             k += 1
         if k < m:
             kept.append((d, m - k))
-    num = {(lo + i, b): Fraction(c, scale)
+    num = {(lo + i, b): Fraction(c)
            for b, (lo, p) in slices.items() for i, c in enumerate(p) if c}
     return num, tuple(kept)
 
 
 def reference_sum(terms):
+    """The sum as Fraction dict products, built from each RationalQT's .num
+    and .mults and the raw monomials, times each cofactor, then cancelled by
+    round_robin."""
     parts = []
     for x, m in terms:
-        factors = x if isinstance(x, tuple) else (x,)
-        if isinstance(m, dict):
-            factors, m = factors + ((m, {0: 1}),), 1
-        part = laurent._product_term(factors, m) if m else None
-        if part is not None:
-            parts.append(part)
+        num, mults = as_terms(m), {}
+        for f in x if isinstance(x, tuple) else (x,):
+            num = times_qt_poly(num, f.num)
+            for d, e in f.mults:
+                mults[d] = mults.get(d, 0) + e
+        if num:
+            parts.append((num, mults))
     top = {}
-    for _, _, _, f in parts:
+    for _, f in parts:
         for d, e in f.items():
             top[d] = max(e, top.get(d, 0))
-    scale = reduce(lcm, (s for _, s, _, _ in parts), 1)
     acc = {}
-    for ints, s, k, f in parts:
+    for num, f in parts:
         cofactor = {a: c for a, c in enumerate(laurent._cofactor(top, f)) if c}
-        for key, c in dict_product(ints, cofactor).items():
-            acc[key] = acc.get(key, 0) + k * (scale // s) * c
-    return round_robin({k: c for k, c in acc.items() if c}, scale, top)
+        for key, c in dict_product(num, cofactor).items():
+            acc[key] = acc.get(key, 0) + c
+    return round_robin({k: c for k, c in acc.items() if c}, top)
+
+
+def times_qt_poly(p1, p2):
+    out = {}
+    for (a1, b1), c1 in p1.items():
+        for (a2, b2), c2 in p2.items():
+            out[(a1 + a2, b1 + b2)] = out.get((a1 + a2, b1 + b2), 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
 
 
 def power(p, n):
@@ -668,4 +678,4 @@ def test_multiplicity_matches_sympy(d):
     # test, so there only the cap ends the search
     assert laurent._multiplicity([[5]], d, 3) == 0
     assert laurent._multiplicity([[0]], d, 3) == 3
-    assert laurent._cyclotomic_content({0: (2, [7])}) == ({0: (2, [7])}, {})
+    assert laurent._cyclotomic_content([[7]]) == ([[7]], {})

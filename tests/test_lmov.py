@@ -1,11 +1,14 @@
 """Partition-function coefficients, free energy, reformulated invariants,
 and the integrality / degree machinery."""
 
+import fractions
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from klmov import laurent
 from klmov.characters import brauer_labels, multi_character
 from klmov.errors import ComponentCountMismatch, NonIntegerCoefficient, NotPolynomial
 from klmov.laurent import RationalQT, ZTPoly, rational_sum, to_z_basis
@@ -337,3 +340,34 @@ def test_conjecture_lhs_is_the_row_by_row_quotient(src, mu, antisymmetrize):
         assert got == "NotPolynomial: remainder 2 in univariate division"
     else:
         assert isinstance(got, ZTPoly)
+
+
+def test_free_energy_sums_build_no_fraction():
+    # the sums run on int t-slices: laurent code under rational_sum builds no
+    # Fraction for a benchmark table job (T(2,5) colored 3,1), memos cleared
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("klmov."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+    new, built = Fraction.__new__.__code__, []
+
+    def profile(frame, event, arg):
+        if event != "call" or frame.f_code is not new:
+            return
+        caller = frame.f_back
+        while caller.f_code.co_filename == fractions.__file__:
+            caller = caller.f_back
+        first = caller.f_code.co_name
+        while caller is not None and caller.f_code.co_filename == laurent.__file__:
+            if caller.f_code.co_name == "rational_sum":
+                built.append(first)
+                return
+            caller = caller.f_back
+
+    sys.setprofile(profile)
+    try:
+        free_energy(TorusLinkSpec(2, 5, 1), ((3, 1),))
+    finally:
+        sys.setprofile(None)
+    assert not built, sorted(set(built))

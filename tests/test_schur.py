@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from klmov.golden import PB_IN_SB, SB_IN_PB, sb_closed_reference
 from klmov.laurent import RationalQT
 from klmov.partitions import partitions_of
@@ -38,6 +40,12 @@ def test_adams():
 def test_pb_in_sb_reference_lines():
     for mu, want in PB_IN_SB.items():
         assert dict(pb_in_sb(mu).items()) == {k: v for k, v in want.items() if v}
+
+
+@pytest.mark.parametrize("mu", [(2, 0), (1, 1, 0), (3, -1)])
+def test_pb_in_sb_wants_a_class(mu):
+    with pytest.raises(KeyError):
+        pb_in_sb(mu)
 
 
 def test_sb_in_pb_reference_lines():
