@@ -37,13 +37,20 @@ one dense int row per t-exponent, so a sum is canonicalized once.  ``+``,
 
 There is one division, ``/``: the divisor's denominator moves up and its
 cyclotomic q-content (the Phi_d dividing every row of its numerator) moves
-down; the rest must divide exactly, else ``NotDivisible``.  Below it is one
-division kernel, ``_div_monic``, the long division of dense coefficient
-lists by a monic divisor.
+down; the rest must divide exactly, else ``NotDivisible``.  Kronecker
+substitution (Knuth, TAOCP Vol. 2 4.6) flattens it: t^b q^a -> X^(b w + a),
+w the q-span of the dividend x plus 1, is one to one below that span, and
+q-degrees add, so an exact quotient by y has its q-exponents in the window
+[lo_x - lo_y, hi_x - hi_y] and one univariate division finds it.  Every
+univariate division runs through ``_div_monic``, the long division of dense
+coefficient lists by a monic divisor.
 
-The arithmetic runs on ints.  Ints or ``fractions.Fraction`` appear only in
-``.num`` and in raw inputs: term dicts and multipliers given to the
-constructor or to ``rational_sum``.  Nothing here touches floating point.
+The arithmetic runs on ints: ``RationalQT`` operations read only ``scale``,
+``rows`` and ``mults``, and ``.num``/``.den`` are rendered for readers.
+``fractions.Fraction`` appears only there, in raw inputs (term dicts and
+multipliers given to the constructor or ``rational_sum``), in a division by
+a flattened divisor whose leading coefficient is not 1, and in the output
+of ``specialize_t``.  Nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -62,8 +69,8 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
-# polynomial kernels on raw term dicts: bivariate ones map (qexp, texp) to a
-# nonzero int or Fraction, univariate ones map exp to a coefficient
+# polynomial kernels on raw term dicts {(qexp, texp) or exp: coefficient},
+# for rmatrix, ZTPoly.expand and the raw q-only factors of schur and lmov
 # ---------------------------------------------------------------------------
 
 
@@ -108,6 +115,11 @@ def qp_mul(p1, p2):
 
 
 qp_iadd = qt_iadd
+
+
+def q_minus_qinv(n):
+    """q^n - q^-n as a raw q-only dict."""
+    return {n: 1, -n: -1}
 
 
 # ---------------------------------------------------------------------------
@@ -274,60 +286,6 @@ def _cyclotomic_content(rows, caps=None):
 
 
 # ---------------------------------------------------------------------------
-# bivariate helpers on raw {(a, b): coef} dicts
-# ---------------------------------------------------------------------------
-
-
-def qt_normalize(d):
-    return {k: c for k, c in d.items() if c}
-
-def qt_q_slices(d):
-    """Group terms by q-exponent: {qexp: {texp: coef}}."""
-    out = {}
-    for (a, b), c in d.items():
-        out.setdefault(a, {})[b] = c
-    return out
-
-def qt_div_exact(num, den):
-    """Exact division of bivariate Laurent polynomials.
-
-    Division runs on q-degree with coefficients in Q[t, 1/t]; each leading
-    coefficient step must divide exactly in the t-Laurent ring and the final
-    remainder must vanish, otherwise NotDivisible is raised.
-    """
-    if not den:
-        raise ZeroInput("division by zero polynomial")
-    if not num:
-        return {}
-    ns = qt_q_slices(num)
-    ds = qt_q_slices(den)
-    dmax = max(ds)
-    dlead = ds[dmax]
-    qmin_bound = min(ns) - min(ds)
-    quot = {}
-    while ns:
-        nmax = max(ns)
-        e = nmax - dmax
-        if e < qmin_bound:
-            raise NotDivisible("quotient support exceeded in bivariate division")
-        cq = p1_div_exact(ns[nmax], dlead)
-        quot[e] = cq
-        for a, tco in ds.items():
-            tgt = ns.get(a + e)
-            if tgt is None:
-                tgt = ns[a + e] = {}
-            qp_iadd(tgt, qp_mul(cq, tco), -1)
-            if not tgt:
-                del ns[a + e]
-    return {(a, b): c for a, sl in quot.items() for b, c in sl.items()}
-
-
-def q_minus_qinv(n):
-    """q^n - q^-n as a raw q-only dict."""
-    return {n: 1, -n: -1}
-
-
-# ---------------------------------------------------------------------------
 # int t-slices: rows (texp, lo, dense ints) standing for t^texp q^lo * ints
 # ---------------------------------------------------------------------------
 
@@ -375,6 +333,31 @@ def _trimmed(acc):
         if nonzero:
             rows.append((b, lo + nonzero[0], p[nonzero[0]:nonzero[-1] + 1]))
     return rows
+
+
+def _div_flat(x, y):
+    """The term dict of x / y for nonzero rows x and y, flattened to one
+    p1_div_exact (see the module docstring): each quotient exponent e maps
+    back to the q-exponent of the window congruent to e mod w.  A remainder
+    or an exponent outside the window raises NotDivisible."""
+    (lo_x, hi_x), (lo_y, hi_y) = (
+        (min(lo for _, lo, _ in r), max(lo + len(p) - 1 for _, lo, p in r)) for r in (x, y))
+    lo, hi, w = lo_x - lo_y, hi_x - hi_y, hi_x - lo_x + 1
+    fail = NotDivisible("the divisor does not divide exactly")
+    if hi < lo:
+        raise fail
+    try:
+        quo = p1_div_exact(*({b * w + a + i: c for b, a, p in r for i, c in enumerate(p) if c}
+                             for r in (x, y)))
+    except NotDivisible:
+        raise fail from None
+    out = {}
+    for e, c in quo.items():
+        a = lo + (e - lo) % w
+        if a > hi:
+            raise fail
+        out[(a, (e - a) // w)] = c
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +537,10 @@ class RationalQT:
         return (self.scale, self.rows, self.mults) == (other.scale, other.rows, other.mults)
 
     def __hash__(self):
+        # a constant hashes as the int or Fraction it equals
+        c = self.rows[0][2] if self.rows else (0,)
+        if not self.mults and self.rows in ((), ((0, 0, c),)) and len(c) == 1:
+            return hash(Fraction(c[0], self.scale))
         return hash((self.scale, self.rows, self.mults))
 
     def __add__(self, other):
@@ -598,8 +585,9 @@ class RationalQT:
         other's denominator moves up and its cyclotomic q-content, the Phi_d
         that divide every t-slice of its numerator, moves down.  The rest of
         other's numerator, including any q-only factor that is not
-        cyclotomic, must divide exactly or NotDivisible is raised.  A zero
-        divisor raises ZeroInput.
+        cyclotomic, must divide self's numerator times other's denominator
+        exactly, by _div_flat, or NotDivisible is raised.  A zero divisor
+        raises ZeroInput.
         """
         if isinstance(other, (int, Fraction)) and other:
             return self * (1 / Fraction(other))
@@ -608,12 +596,16 @@ class RationalQT:
             return NotImplemented
         if not other:
             raise ZeroInput("division by zero polynomial")
-        x = self * RationalQT({(a, 0): c for a, c in other.den.items()})
+        if not self:
+            return self
+        acc = {}
+        _mul_into(acc, self.rows, ((0, 0, _cyclotomic_product(other.mults)),))
         polys, mults = _cyclotomic_content([p for _, _, p in other.rows])
-        for d, m in x.mults:
+        for d, m in self.mults:
             mults[d] = mults.get(d, 0) + m
-        prim = _reduced(other.scale, [(b, lo, p) for (b, lo, _), p in zip(other.rows, polys)], ())
-        return RationalQT(qt_div_exact(x.num, prim.num), None, mults)
+        prim = [(b, lo, p) for (b, lo, _), p in zip(other.rows, polys)]
+        s, rows = _int_rows(_div_flat(_trimmed(acc), prim))
+        return _sum([(rows, s * self.scale, other.scale, mults)])
 
     def substitute(self, qpow=1, tsign=1, tpow=1):
         """Map q -> q^qpow and t -> (tsign * t)^... i.e. t^b -> tsign^b t^(b*tpow).
@@ -631,11 +623,17 @@ class RationalQT:
         return _reduced(self.scale, rows, _adams(self.mults, qpow))
 
     def specialize_t(self, m):
-        """Substitute t = q^m; result is a q-only dict and must be polynomial."""
+        """Substitute t = q^m: the q-only dict {qexp: int or Fraction} of a
+        Laurent polynomial.  The rows merge into one int q-list, which the
+        product of the Phi_d of mults must divide (else NotDivisible); the
+        quotient is divided by scale at the end."""
         merged = {}
-        for (a, b), c in self.num.items():
-            qp_iadd(merged, {a + m * b: c})
-        return p1_div_exact(merged, self.den)
+        for b, lo, p in self.rows:
+            for a, c in enumerate(p, lo + m * b):
+                merged[a] = merged.get(a, 0) + c
+        s, den = self.scale, dict(enumerate(_cyclotomic_product(self.mults)))
+        quo = p1_div_exact({a: c for a, c in merged.items() if c}, den)
+        return {a: Fraction(c, s) if c % s else c // s for a, c in quo.items()}
 
     def __str__(self):
         num = render_qt(self.num)
@@ -683,7 +681,7 @@ class ZTPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = qt_normalize(terms or {})
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
         if any(z < 0 for z, _ in self.terms):
             raise ValueError("negative z-power")
 
@@ -838,8 +836,9 @@ def render_qt(terms):
 def _quotient(value, divisor):
     """value / divisor for parsed input: a q-only polynomial divisor is a
     dense denominator from outside, factored by the constructor."""
-    if divisor.num and not divisor.mults and all(b == 0 for _, b in divisor.num):
-        return value * RationalQT(1, {a: c for (a, _), c in divisor.num.items()})
+    if not divisor.mults and len(divisor.rows) == 1 and divisor.rows[0][0] == 0:
+        ((_, lo, p),) = divisor.rows
+        return value * RationalQT(divisor.scale, {lo + i: c for i, c in enumerate(p) if c})
     return value / divisor
 
 

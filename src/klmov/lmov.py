@@ -149,7 +149,7 @@ def conjecture_lhs(src, mu, antisymmetrize=True):
     )
     if antisymmetrize:
         # the denominator is q-only, so (g(t) - g(-t)) / 2 keeps the odd-t terms
-        g = RationalQT({k: c for k, c in g.num.items() if k[1] % 2}, None, g.mults)
+        g = rational_sum(((g, Fraction(1, 2)), (g.substitute(tsign=-1), Fraction(-1, 2))))
     return to_z_basis(rational_sum([((g,) + factors, z_stat_multi(mu))]))
 
 

@@ -83,6 +83,29 @@ def test_exact_div_failure():
         num / RationalQT({(0, 2): 1, (0, 0): -1})
 
 
+def test_exact_div_rejects_a_quotient_outside_the_q_window():
+    # flattened by t -> X^3, the univariate division is exact: -X^-6 - X^-7;
+    # but an exact quotient has q-exponents in [0 - (-1), 2 - 1] = [1, 1],
+    # and X^-6 maps back to q^3 t^-3
+    with pytest.raises(NotDivisible) as window:
+        parse_qt("(1 - q^2)*t^-2") / parse_qt("q^-1*t - q")
+    # a remainder gets the same message, with no flattened exponent
+    with pytest.raises(NotDivisible) as remainder:
+        parse_qt("(q^2-q^-2)*t") / parse_qt("(q-q^-1)*(t+1)")
+    assert str(window.value) == str(remainder.value) == "the divisor does not divide exactly"
+    # a divisor wider in q than the dividend fails before flattening
+    with pytest.raises(NotDivisible):
+        T / (Q**3 * T + 1)
+
+
+def test_constants_hash_as_the_number_they_equal():
+    for c in (2, -7, Fraction(3, 4), 0):
+        x = RationalQT(c)
+        assert x == c and hash(x) == hash(c)
+        assert c in {x} and x in {c}
+    assert 2 in {RationalQT(4) / 2}
+
+
 def test_exact_div_zero_divisor():
     with pytest.raises(ZeroInput):
         Q / RationalQT(0)

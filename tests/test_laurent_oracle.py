@@ -3,7 +3,8 @@
 Canonical forms of ``RationalQT`` values, sums (pairwise and over one lcm),
 sums of product terms, products, powers, exact division, the substitution
 q -> q^k, t -> +-t^j and the valuation at q = 1 are compared with sympy's
-``cancel`` (denominator made monic) on seeded random inputs.  The
+``cancel`` (denominator made monic) on seeded random inputs, and the
+specialization t = q^m with sympy's univariate division.  The
 denominators are products of cyclotomic polynomials of low order or of
 order 100 to 250, non-cyclotomic ones, ones with fractional coefficients,
 and mixtures of these.  Where a denominator has a non-cyclotomic factor
@@ -234,6 +235,21 @@ def test_sum_and_product_match_sympy(family):
         assert canonical(x * y) == (fx * fy).canonical()
 
 
+# t-dependent divisor factors: monic q t + c once flattened, leading
+# coefficients other than +-1 (with int or Fraction coefficients), t-degree 2
+# and negative t-exponents
+T_FACTORS = (
+    {(1, 1): 1, (0, 0): 1},
+    {(1, 1): 1, (0, 0): -3},
+    {(1, 1): 3, (0, 0): -2},
+    {(2, 1): Fraction(-5, 2), (0, 0): 1, (-1, 0): Fraction(1, 3)},
+    {(0, 2): 1, (1, 1): -2, (-1, 0): 3},
+    {(2, 2): 2, (0, 1): 1, (0, 0): -1},
+    {(0, -1): 1, (1, 0): 4},
+    {(1, 1): 1, (-2, -2): -3},
+)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_exact_div_matches_sympy(family):
     rng = random.Random(f"div-{family}")
@@ -242,7 +258,7 @@ def test_exact_div_matches_sympy(family):
             rng, family if family in CYCLOTOMIC_FAMILIES else "cyclotomic"))
         # divisor: a q-only factor times a t-dependent factor of the dividend
         qpart = rng.choice(random_factors(rng, family))
-        tpart = {(1, 1): 1, (0, 0): rng.choice((1, -3))}
+        tpart = rng.choice(T_FACTORS)
         divisor = times_q_poly(tpart, qpart)
         if is_cyclotomic_product(qpart):
             # the divisor's cyclotomic q-content moves to the denominator
@@ -516,6 +532,37 @@ def test_p1_div_exact_matches_sympy():
             p1_div_exact(num, den)
         assert str(exc.value) == f"remainder {rest} in univariate division"
     assert 10 < fails < 50
+
+
+@pytest.mark.parametrize("m", (-3, -1, 2, 5))
+def test_specialize_t_matches_sympy(m):
+    # num = F den + (t - q^m) G specializes at t = q^m to F(q, q^m) den, yet
+    # keeps den in mults; one value in three is perturbed by a monomial, so
+    # its specialization is mostly not a Laurent polynomial
+    rng = random.Random(f"specialize-t-{m}")
+    seen = set()
+    for i in range(15):
+        den = reduce(multiply, random_factors(rng, "cyclotomic"), {0: 1})
+        num = times_q_poly(random_laurent(rng), den)
+        for key, c in times_qt_poly(random_laurent(rng), {(0, 1): 1, (m, 0): -1}).items():
+            num[key] = num.get(key, 0) + c
+        if i % 3 == 2:
+            key = (rng.randint(-4, 4), rng.randint(-2, 2))
+            num[key] = num.get(key, 0) + Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+        num = {key: c for key, c in num.items() if c}
+        x = RationalQT(num, den)
+        merged = {}
+        for (a, b), c in num.items():
+            merged[a + m * b] = merged.get(a + m * b, 0) + c
+        quo, rem = q_poly({a: c for a, c in merged.items() if c}).div(q_poly(den))
+        seen.add((x.scale > 1, bool(x.mults), rem.is_zero))
+        if rem.is_zero:
+            shift = min(a for a, c in merged.items() if c) - min(den)
+            assert x.specialize_t(m) == {a + shift: as_fraction(c) for (a,), c in quo.terms()}
+        else:
+            with pytest.raises(NotDivisible):
+                x.specialize_t(m)
+    assert {(True, True, True), (True, True, False)} <= seen
 
 
 @pytest.mark.parametrize("k", range(1, 9))

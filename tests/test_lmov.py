@@ -26,7 +26,13 @@ from klmov.lmov import (
 )
 from klmov.partitions import splittings, z_stat_multi
 from klmov.schur import pb_value, sb_closed_form
-from klmov.torus import TorusLinkSpec, torus_invariant, unlink_invariant
+from klmov.torus import (
+    TorusLinkSpec,
+    bracket_coefficients,
+    kauffman_bracket,
+    torus_invariant,
+    unlink_invariant,
+)
 
 
 def _mono(qe, te, c=1):
@@ -342,14 +348,18 @@ def test_conjecture_lhs_is_the_row_by_row_quotient(src, mu, antisymmetrize):
         assert isinstance(got, ZTPoly)
 
 
-def test_free_energy_sums_build_no_fraction():
-    # the sums run on int t-slices: laurent code under rational_sum builds no
-    # Fraction for a benchmark table job (T(2,5) colored 3,1), memos cleared
+def _clear_memos():
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("klmov."):
             for obj in vars(module).values():
                 if hasattr(obj, "cache_clear"):
                     obj.cache_clear()
+
+
+def test_free_energy_sums_build_no_fraction():
+    # the sums run on int t-slices: laurent code under rational_sum builds no
+    # Fraction for a benchmark table job (T(2,5) colored 3,1), memos cleared
+    _clear_memos()
     new, built = Fraction.__new__.__code__, []
 
     def profile(frame, event, arg):
@@ -371,3 +381,24 @@ def test_free_energy_sums_build_no_fraction():
     finally:
         sys.setprofile(None)
     assert not built, sorted(set(built))
+
+
+def test_library_arithmetic_renders_no_num_or_den(monkeypatch):
+    # .num and .den render the stored rows and mults for readers; every
+    # operation reads the rows: one table job of each benchmark pool, the
+    # bracket division and the parser's q-only quotient, memos cleared
+    _clear_memos()
+
+    def rendered(self):
+        raise AssertionError("library arithmetic rendered .num or .den")
+
+    monkeypatch.setattr(RationalQT, "num", property(rendered))
+    monkeypatch.setattr(RationalQT, "den", property(rendered))
+    for src, mu in [(TorusLinkSpec(1, 1, 2), ((3, 1), (2, 2))),
+                    (TorusLinkSpec(2, 5, 1), ((3, 1),)),
+                    (TorusLinkSpec(1, 2, 3), ((2,), (2,), (2,)))]:
+        assert not extract_n_table(conjecture_lhs(src, mu), mu).is_empty()
+    for spec in (TorusLinkSpec(1, 2, 2), TorusLinkSpec(1, 1, 3)):
+        assert kauffman_bracket(spec) and bracket_coefficients(spec)
+    assert sb_closed_form((1,)).specialize_t(4) == {3: 1, 1: 1, 0: 1, -1: 1, -3: 1}
+    assert laurent.parse_qt("(q^2-q^-2)/(q-q^-1)") == RationalQT({(1, 0): 1, (-1, 0): 1})
