@@ -46,15 +46,17 @@ univariate division runs through ``_div_monic``, the long division of dense
 coefficient lists by a monic divisor.
 
 The arithmetic runs on ints: ``RationalQT`` operations read only ``scale``,
-``rows`` and ``mults``, and ``.num``/``.den`` are rendered for readers.
-``fractions.Fraction`` appears only there, in raw inputs (term dicts and
-multipliers given to the constructor or ``rational_sum``), in a division by
-a flattened divisor whose leading coefficient is not 1, and in the output
-of ``specialize_t``.  Nothing here touches floating point.
+``rows`` and ``mults`` and end in one canonical triple of them, which the
+constructor stores as it is.  ``.num`` and ``.den`` are rendered for
+readers, and ``fractions.Fraction`` appears only there, in raw inputs (term
+dicts and multipliers given to the constructor or ``rational_sum``), in a
+division by a flattened divisor whose leading coefficient is not 1, and in
+the output of ``specialize_t``.  Nothing here touches floating point.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -112,9 +114,6 @@ def qp_mul(p1, p2):
                 else:
                     del out[k]
     return out
-
-
-qp_iadd = qt_iadd
 
 
 def q_minus_qinv(n):
@@ -225,12 +224,9 @@ def _cyclotomic_product(powers):
     d, e = powers[-1]
     p, phi = _cyclotomic_product(powers[:-1]), _cyclotomic(d)
     for _ in range(e):
-        out = [0] * (len(p) + len(phi) - 1)
-        for j, c in enumerate(phi):
-            if c:
-                for i, a in enumerate(p, j):
-                    out[i] += c * a
-        p = out
+        acc = {}
+        _mul_into(acc, ((0, 0, p),), ((0, 0, phi),))
+        p = acc[0][1]
     return tuple(p)
 
 
@@ -335,20 +331,26 @@ def _trimmed(acc):
     return rows
 
 
+def _span(rows):
+    """The least and the greatest q-exponent of nonzero rows."""
+    return min(lo for _, lo, _ in rows), max(lo + len(p) - 1 for _, lo, p in rows)
+
+
 def _div_flat(x, y):
     """The term dict of x / y for nonzero rows x and y, flattened to one
     p1_div_exact (see the module docstring): each quotient exponent e maps
     back to the q-exponent of the window congruent to e mod w.  A remainder
     or an exponent outside the window raises NotDivisible."""
-    (lo_x, hi_x), (lo_y, hi_y) = (
-        (min(lo for _, lo, _ in r), max(lo + len(p) - 1 for _, lo, p in r)) for r in (x, y))
+    lo_x, hi_x = _span(x)
+    lo_y, hi_y = _span(y)
     lo, hi, w = lo_x - lo_y, hi_x - hi_y, hi_x - lo_x + 1
     fail = NotDivisible("the divisor does not divide exactly")
     if hi < lo:
         raise fail
+    flat_x = {b * w + a + i: c for b, a, p in x for i, c in enumerate(p) if c}
+    flat_y = {b * w + a + i: c for b, a, p in y for i, c in enumerate(p) if c}
     try:
-        quo = p1_div_exact(*({b * w + a + i: c for b, a, p in r for i, c in enumerate(p) if c}
-                             for r in (x, y)))
+        quo = p1_div_exact(flat_x, flat_y)
     except NotDivisible:
         raise fail from None
     out = {}
@@ -409,7 +411,7 @@ def _product_term(factors, m):
 
 
 def _sum(parts):
-    """The canonical sum of parts of _product_term, over one lcm."""
+    """The _Canonical sum of parts of _product_term, over one lcm."""
     # the lcm takes the largest multiplicity of each Phi_d
     top = {}
     for _, _, _, f in parts:
@@ -431,8 +433,12 @@ def _sum(parts):
                     tuple((d, m) for d, m in left if m))
 
 
+# a canonical value, which the RationalQT constructor stores as it is
+_Canonical = namedtuple("_Canonical", "scale rows mults")
+
+
 def _reduced(scale, rows, mults):
-    """The RationalQT rows / (scale * D), D the product of the Phi_d^m over
+    """The _Canonical rows / (scale * D), D the product of the Phi_d^m over
     the (d, m) pairs mults, for sorted trimmed rows with no Phi_d of mults
     dividing every one: the gcd of scale and every coefficient is divided
     out."""
@@ -443,11 +449,7 @@ def _reduced(scale, rows, mults):
         g = gcd(g, *p)
     if g > 1:
         rows = [(b, lo, [c // g for c in p]) for b, lo, p in rows]
-    out = RationalQT.__new__(RationalQT)
-    out.scale = scale // g
-    out.rows = tuple((b, lo, tuple(p)) for b, lo, p in rows)
-    out.mults = mults
-    return out
+    return _Canonical(scale // g, tuple((b, lo, tuple(p)) for b, lo, p in rows), mults)
 
 
 def rational_sum(terms):
@@ -472,7 +474,7 @@ def rational_sum(terms):
             same = factors[0] if m == 1 and len(factors) == 1 else None
     if len(parts) == 1 and isinstance(same, RationalQT):
         return same
-    return _sum(parts)
+    return RationalQT(_sum(parts))
 
 
 def rational_product(factors):
@@ -491,12 +493,13 @@ class RationalQT:
     not cyclotomic), and defaults to 1; mults is a dict or pairs, and
     defaults to none.  The value is stored as ``scale``, ``rows`` and
     ``mults`` (see the module docstring); ``num`` and ``den`` are rendered.
+    Every value the arithmetic builds passes here, as a _Canonical.
     """
 
     __slots__ = ("scale", "rows", "mults")
 
     def __init__(self, num, den=None, mults=()):
-        if isinstance(num, RationalQT):
+        if isinstance(num, (RationalQT, _Canonical)):
             if den is not None or mults:
                 raise TypeError("den and mults not allowed when copying a RationalQT")
         else:
@@ -538,9 +541,8 @@ class RationalQT:
 
     def __hash__(self):
         # a constant hashes as the int or Fraction it equals
-        c = self.rows[0][2] if self.rows else (0,)
-        if not self.mults and self.rows in ((), ((0, 0, c),)) and len(c) == 1:
-            return hash(Fraction(c[0], self.scale))
+        if not self.mults and all(b == lo == 0 and len(p) == 1 for b, lo, p in self.rows):
+            return hash(Fraction(sum(p[0] for _, _, p in self.rows), self.scale))
         return hash((self.scale, self.rows, self.mults))
 
     def __add__(self, other):
@@ -565,8 +567,8 @@ class RationalQT:
             if not other:
                 return RationalQT(0)
             k = other.numerator
-            return _reduced(self.scale * other.denominator,
-                            [(b, lo, [k * c for c in p]) for b, lo, p in self.rows], self.mults)
+            rows = [(b, lo, [k * c for c in p]) for b, lo, p in self.rows]
+            return RationalQT(_reduced(self.scale * other.denominator, rows, self.mults))
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -605,7 +607,7 @@ class RationalQT:
             mults[d] = mults.get(d, 0) + m
         prim = [(b, lo, p) for (b, lo, _), p in zip(other.rows, polys)]
         s, rows = _int_rows(_div_flat(_trimmed(acc), prim))
-        return _sum([(rows, s * self.scale, other.scale, mults)])
+        return RationalQT(_sum([(rows, s * self.scale, other.scale, mults)]))
 
     def substitute(self, qpow=1, tsign=1, tpow=1):
         """Map q -> q^qpow and t -> (tsign * t)^... i.e. t^b -> tsign^b t^(b*tpow).
@@ -620,20 +622,18 @@ class RationalQT:
             spread = [0] * (qpow * (len(p) - 1) + 1)
             spread[::qpow] = [-c for c in p] if tsign == -1 and b % 2 else p
             rows.append((b * tpow, lo * qpow, spread))
-        return _reduced(self.scale, rows, _adams(self.mults, qpow))
+        return RationalQT(_reduced(self.scale, rows, _adams(self.mults, qpow)))
 
     def specialize_t(self, m):
         """Substitute t = q^m: the q-only dict {qexp: int or Fraction} of a
-        Laurent polynomial.  The rows merge into one int q-list, which the
-        product of the Phi_d of mults must divide (else NotDivisible); the
-        quotient is divided by scale at the end."""
-        merged = {}
-        for b, lo, p in self.rows:
-            for a, c in enumerate(p, lo + m * b):
-                merged[a] = merged.get(a, 0) + c
-        s, den = self.scale, dict(enumerate(_cyclotomic_product(self.mults)))
-        quo = p1_div_exact({a: c for a, c in merged.items() if c}, den)
-        return {a: Fraction(c, s) if c % s else c // s for a, c in quo.items()}
+        Laurent polynomial.  The rows merge into one int row, which the
+        product of the Phi_d of mults must divide, by _div_flat (else
+        NotDivisible); the quotient is divided by scale at the end."""
+        acc = {}
+        _mul_into(acc, [(0, lo + m * b, p) for b, lo, p in self.rows], ((0, 0, (1,)),))
+        merged, s = _trimmed(acc), self.scale
+        quo = _div_flat(merged, ((0, 0, _cyclotomic_product(self.mults)),)) if merged else {}
+        return {a: Fraction(c, s) if c % s else c // s for (a, _), c in quo.items()}
 
     def __str__(self):
         num = render_qt(self.num)

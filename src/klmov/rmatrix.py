@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import HalfIntegerExponent, NotDivisible
-from .laurent import p1_div_exact, qp_iadd, qp_mul
+from .laurent import p1_div_exact, qt_iadd, qp_mul
 
 
 class QMatrix:
@@ -38,7 +38,7 @@ class QMatrix:
         cur = row.get(j)
         if cur is None:
             cur = row[j] = {}
-        qp_iadd(cur, poly)
+        qt_iadd(cur, poly)
         if not cur:
             del row[j]
             if not row:
@@ -82,7 +82,7 @@ class QMatrix:
                     cur = acc_row.get(j)
                     if cur is None:
                         cur = acc_row[j] = {}
-                    qp_iadd(cur, qp_mul(p, p2))
+                    qt_iadd(cur, qp_mul(p, p2))
             acc_row = {j: p for j, p in acc_row.items() if p}
             if acc_row:
                 out.rows[i] = acc_row
@@ -171,7 +171,7 @@ def k2rho_trace(n):
     k = build_k2rho(n)
     out = {}
     for i in range(k.dim):
-        qp_iadd(out, k.entry(i, i))
+        qt_iadd(out, k.entry(i, i))
     return out
 
 
@@ -187,7 +187,7 @@ def ribbon_check(n):
         if c == d:
             key = (a, b)
             cur = theta.setdefault(key, {})
-            qp_iadd(cur, qp_mul(poly, k.entry(c, c)))
+            qt_iadd(cur, qp_mul(poly, k.entry(c, c)))
     theta = {k2: v for k2, v in theta.items() if v}
     expected = {(i, i): {2 * n: 1} for i in range(dim_v)}
     return theta == expected
@@ -264,7 +264,7 @@ def bmw_relations_check(n):
 
     # e^2 = x e with x = 1 + (q^(2N) - q^(-2N))/(q - q^-1)
     x = p1_div_exact({2 * n: 1, -2 * n: -1}, z)
-    qp_iadd(x, {0: 1})
+    qt_iadd(x, {0: 1})
     if e @ e != e.scaled(x):
         return False
     return braid_relation_check(n)

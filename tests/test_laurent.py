@@ -106,6 +106,29 @@ def test_constants_hash_as_the_number_they_equal():
     assert 2 in {RationalQT(4) / 2}
 
 
+def test_every_value_is_built_by_the_constructor(monkeypatch):
+    # the arithmetic hands each result to RationalQT as a canonical triple,
+    # so every value it builds, and only those, passes __init__
+    built = []
+    init = RationalQT.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RationalQT, "__init__", counted)
+    # x - y is x + (-y): two values
+    for op, values in [(lambda: X + T, 1), (lambda: X - T, 2), (lambda: X * T, 1),
+                       (lambda: X * 3, 1), (lambda: -X, 1), (lambda: X / Z, 1),
+                       (lambda: X.substitute(qpow=2, tsign=-1), 1),
+                       (lambda: rational_sum([(X, 2), (T, Fraction(1, 3))]), 1)]:
+        assert isinstance(op(), RationalQT)
+        assert [type(x).__name__ for x in built] == ["_Canonical"] * values
+        built.clear()
+    # a copy or a raw value given to the constructor is counted once too
+    assert RationalQT(X) == X and RationalQT({(0, 1): 1}) == T and len(built) == 2
+
+
 def test_exact_div_zero_divisor():
     with pytest.raises(ZeroInput):
         Q / RationalQT(0)

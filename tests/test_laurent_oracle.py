@@ -560,7 +560,7 @@ def test_specialize_t_matches_sympy(m):
             shift = min(a for a, c in merged.items() if c) - min(den)
             assert x.specialize_t(m) == {a + shift: as_fraction(c) for (a,), c in quo.terms()}
         else:
-            with pytest.raises(NotDivisible):
+            with pytest.raises(NotDivisible, match="^the divisor does not divide exactly$"):
                 x.specialize_t(m)
     assert {(True, True, True), (True, True, False)} <= seen
 

@@ -69,7 +69,7 @@ def test_quantum_trace_matches_cabling_formula():
     # powers of the braiding, weighted by the enhancement on both factors)
     # agrees with the cabling formula after specializing t = q^(2N); knots
     # carry the self-writhe framing correction t^-m
-    from klmov.laurent import qp_iadd, qp_mul
+    from klmov.laurent import qt_iadd, qp_mul
     from klmov.torus import TorusLinkSpec, torus_invariant
 
     def shifted(p, k):
@@ -86,7 +86,7 @@ def test_quantum_trace_matches_cabling_formula():
         for i, j, poly in acc.entries():
             if i == j:
                 a, c = divmod(i, dimv)
-                qp_iadd(tr, qp_mul(poly, qp_mul(k.entry(a, a), k.entry(c, c))))
+                qt_iadd(tr, qp_mul(poly, qp_mul(k.entry(a, a), k.entry(c, c))))
         return tr
 
     cases = [
