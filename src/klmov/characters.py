@@ -29,11 +29,12 @@ an integer combination of the S_n columns of its splits mu', and E(rho) is
 read off the column of rho.  ``lr_coefficient`` keeps the term-by-term
 definition available as an independent route for the tests.
 
-One class's column, the characters of all labels of its rank at gamma_mu, is
-the unit of work: ``brauer_column`` memoises it, and ``brauer_character`` and
-``schur.pb_in_sb`` read it and build no table.  Only complete tables
-(``brauer_table``) are memoised whole and can be mirrored to a small JSON
-cache on disk.
+One class's column is the unit of work.  ``sn_column`` memoises the S_n
+column, the characters of all partitions of |mu| at mu.  ``brauer_column``
+memoises the Brauer column, the characters of all labels of its rank at
+gamma_mu; ``brauer_character`` and ``schur.pb_in_sb`` read it and build no
+table.  Only complete tables (``brauer_table``) are memoised whole and can be
+mirrored to a small JSON cache on disk.
 """
 
 from __future__ import annotations
@@ -99,6 +100,16 @@ def _column(nu):
         return (1,)
     rest = _column(nu[1:])
     return tuple(sum(s * rest[i] for i, s in h) for h in _rim_hooks(sum(nu), nu[0]))
+
+
+@lru_cache(maxsize=None)
+def sn_column(mu):
+    """(chi_lam(mu) for lam in partitions_of(|mu|)): the characters of one
+    class, memoised; the class is validated once and may come unsorted."""
+    mu = tuple(sorted(mu, reverse=True))
+    if not is_partition(mu):
+        raise ValueError(f"not a partition: {mu}")
+    return _column(mu)
 
 
 def sn_character(lam, mu):

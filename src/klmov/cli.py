@@ -72,6 +72,7 @@ from .errors import (
 )
 from .partitions import (
     format_partition,
+    mp_is_zero,
     mp_norm,
     parse_multipartition,
     parse_partition,
@@ -157,6 +158,15 @@ def _check_size(args, size):
     bound = max(args.bound, default)
     if size > bound:
         raise BoundExceeded(f"{what} {size} exceeds bound {bound}")
+
+
+def _parse_mu(args):
+    """The --mu multi-partition, refused before any computation when zero."""
+    mu = parse_multipartition(args.mu)
+    if mp_is_zero(mu):
+        raise ValueError("needs a nonzero multi-partition")
+    _check_size(args, mp_norm(mu))
+    return mu
 
 
 def _parse_source(args):
@@ -282,8 +292,7 @@ def cmd_invariant(args):
 
 def cmd_lmov(args):
     src = _parse_source(args)
-    mu = parse_multipartition(args.mu)
-    _check_size(args, mp_norm(mu))
+    mu = _parse_mu(args)
     try:
         poly = lmov.conjecture_lhs(src, mu, antisymmetrize=not args.no_antisym)
         table = lmov.extract_n_table(poly, mu)
@@ -328,8 +337,7 @@ def cmd_lmov(args):
 
 def cmd_degree(args):
     src = _parse_source(args)
-    mu = parse_multipartition(args.mu)
-    _check_size(args, mp_norm(mu))
+    mu = _parse_mu(args)
     res = lmov.degree_check(src, mu)
     if args.format == "json":
         data = {

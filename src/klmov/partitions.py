@@ -2,7 +2,9 @@
 
 A partition is a plain tuple of weakly decreasing positive ints; the empty
 tuple is the zero partition.  A multi-partition is a tuple of L partitions,
-one per link component.
+one per link component.  One enumerator of multiset partitions, Knuth's
+Algorithm M, feeds both the splittings of a multi-partition (the multiset
+partitions of its rows) and the vanishing sum over vector partitions.
 """
 
 from __future__ import annotations
@@ -10,8 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .errors import ParityMismatch
 
@@ -27,8 +28,11 @@ def parse_partition(text):
     text = text.strip()
     if text in ("", "0", "()"):
         return ()
-    parts = tuple(int(p) for p in text.split(","))
-    if not is_partition(parts):
+    try:
+        parts = tuple(int(p) for p in text.split(","))
+    except ValueError:  # a row that is not an integer
+        parts = None
+    if parts is None or not is_partition(parts):
         raise ValueError(f"not a partition: {text!r}")
     return parts
 
@@ -134,29 +138,75 @@ def mobius(k):
     return out
 
 
-# -- splittings of a multi-partition (multiset partitions of its rows) -------
+# -- multiset partitions: splittings and the vanishing sum -------------------
 
 
-def _sub_multisets(counter_items):
-    """All nonzero sub-multisets of a multiset given as ((atom, mult), ...)."""
-    if not counter_items:
+def _multiset_partitions(counts):
+    """Each partition of the multiset with counts[i] copies of atom i, once.
+
+    Knuth's Algorithm M (TAOCP Vol. 4A, 7.2.1.5).  A partition is a tuple of
+    parts, each a count vector as long as counts, in lexicographically
+    decreasing order, so equal parts are adjacent.  The stack holds the
+    parts one after another: part i is entries f[i] to f[i+1] - 1, entry k
+    has v[k] of the u[k] copies of atom c[k] not in earlier parts.
+    """
+    atoms = [i for i, n in enumerate(counts) if n]  # M wants positive counts
+    total = sum(counts)
+    if not total:
+        yield ()
         return
-    atom, mult = counter_items[0]
-    rest = counter_items[1:]
-    tails = list(_sub_multisets(rest)) if rest else []
-    for take in range(mult + 1):
-        head = ((atom, take),) if take else ()
-        if take:
-            yield head
-        for tail in tails:
-            yield head + tail
+    size = len(atoms) * total + 1
+    c, u, v, f = [0] * size, [0] * size, [0] * size, [0] * (total + 1)
+    for j, i in enumerate(atoms):
+        c[j], u[j], v[j] = i, counts[i], counts[i]
+    a, b, l = 0, len(atoms), 0
+    f[1] = b
+    while True:
+        while True:  # M2-M3: push the largest next part of what is left
+            k, smaller = b, False  # whether the new part is below the last
+            for j in range(a, b):
+                left = u[j] - v[j]
+                if not left:
+                    smaller = True
+                    continue
+                c[k], u[k] = c[j], left
+                v[k] = left if smaller else min(v[j], left)
+                smaller = smaller or left < v[j]
+                k += 1
+            if k == b:
+                break
+            a, b, l = b, k, l + 1
+            f[l + 1] = b
+        parts = []  # M4
+        for i in range(l + 1):
+            vec = [0] * len(counts)
+            for k in range(f[i], f[i + 1]):
+                vec[c[k]] = v[k]
+            parts.append(tuple(vec))
+        yield tuple(parts)
+        while True:  # M5-M6: decrease the last part that can be, or pop
+            j = b - 1
+            while not v[j]:
+                j -= 1
+            if j > a or v[j] > 1:
+                break
+            if l == 0:
+                return
+            l, b = l - 1, a
+            a = f[l]
+        v[j] -= 1
+        for k in range(j + 1, b):
+            v[k] = u[k]
 
 
-def _atoms_to_multipartition(atom_counts, ncomp):
-    comps = [[] for _ in range(ncomp)]
-    for (alpha, row), m in atom_counts:
-        comps[alpha].extend([row] * m)
-    return tuple(tuple(sorted(c, reverse=True)) for c in comps)
+def _sign_and_aut(parts):
+    """(-1)^(r-1) (r-1)! and |Aut| of r parts with equal parts adjacent."""
+    aut = run = 1
+    for prev, part in zip(parts, parts[1:]):
+        run = run + 1 if part == prev else 1
+        aut *= run
+    r = len(parts)
+    return (-1) ** (r - 1) * factorial(r - 1), aut
 
 
 def splittings(mu):
@@ -167,51 +217,24 @@ def splittings(mu):
     """
     if mp_is_zero(mu):
         raise ValueError("cannot split the zero multi-partition")
-    ncomp = len(mu)
-    atoms = Counter()
-    for alpha, lam in enumerate(mu):
-        for row in lam:
-            atoms[(alpha, row)] += 1
+    # atoms (component, row) by component, rows decreasing: then a count
+    # vector's rows come out decreasing, and count vectors and the
+    # multi-partitions they spell sort alike
+    atoms = [(alpha, row) for alpha, lam in enumerate(mu)
+             for row in sorted(set(lam), reverse=True)]
+
+    @lru_cache(maxsize=None)  # a part recurs across the splittings
+    def spell(vec):
+        comps = [()] * len(mu)
+        for (alpha, row), n in zip(atoms, vec):
+            comps[alpha] += (row,) * n
+        return tuple(comps)
 
     results = []
-
-    def descend(remaining, max_part, acc):
-        if not remaining:
-            r = len(acc)
-            aut = 1
-            for m in Counter(acc).values():
-                aut *= factorial(m)
-            coeff = Fraction((-1) ** (r - 1) * factorial(r - 1), aut)
-            results.append((tuple(sorted(acc, reverse=True)), coeff))
-            return
-        items = tuple(sorted(remaining.items()))
-        for sub in _sub_multisets(items):
-            part = _atoms_to_multipartition(sub, ncomp)
-            if max_part is not None and part > max_part:
-                continue
-            rest = remaining - Counter(dict(sub))
-            acc.append(part)
-            descend(rest, part, acc)
-            acc.pop()
-
-    descend(atoms, None, [])
+    for parts in _multiset_partitions([mu[alpha].count(row) for alpha, row in atoms]):
+        sign, aut = _sign_and_aut(parts)
+        results.append((tuple(map(spell, parts)), Fraction(sign, aut)))
     return results
-
-
-# -- vanishing sum over vector partitions ------------------------------------
-
-
-def _vector_partitions(target, cap):
-    """Multisets of nonzero vectors <= cap (lexicographically) summing to target."""
-    if all(v == 0 for v in target):
-        yield ()
-        return
-    for v in product(*(range(b, -1, -1) for b in target)):
-        if not any(v) or (cap is not None and v > cap):
-            continue
-        rest_target = tuple(a - b for a, b in zip(target, v))
-        for rest in _vector_partitions(rest_target, v):
-            yield (v,) + rest
 
 
 def lemma72_sum(dvec):
@@ -220,18 +243,15 @@ def lemma72_sum(dvec):
     Each multiset {v_1, ..., v_r} of nonzero vectors summing to dvec
     contributes (-1)^(r-1) (r-1)! / (|Aut| * prod_j prod_a v_j[a]!).
     """
-    total = Fraction(0)
-    for parts in _vector_partitions(tuple(dvec), None):
-        r = len(parts)
-        aut = 1
-        for m in Counter(parts).values():
-            aut *= factorial(m)
-        denom = aut
+    numerators = {}  # denominator -> summed numerators
+    for parts in _multiset_partitions(dvec):
+        sign, denom = _sign_and_aut(parts)
         for v in parts:
             for entry in v:
                 denom *= factorial(entry)
-        total += Fraction((-1) ** (r - 1) * factorial(r - 1), denom)
-    return total
+        numerators[denom] = numerators.get(denom, 0) + sign
+    common = lcm(*numerators)
+    return Fraction(sum(n * (common // d) for d, n in numerators.items()), common)
 
 
 # -- up-down tableau dimensions ----------------------------------------------

@@ -20,6 +20,7 @@ from klmov.characters import (
     lr_coefficient,
     multi_character,
     sn_character,
+    sn_column,
 )
 from klmov.errors import ParityMismatch, SizeMismatch
 from klmov.golden import BRAUER_EXTRA_ROWS, SN_TABLES
@@ -117,6 +118,22 @@ def test_sn_size_mismatch():
 def test_sn_character_rejects_non_partitions(lam, mu):
     with pytest.raises(ValueError, match="not a partition"):
         sn_character(lam, mu)
+
+
+def test_sn_column_is_the_characters_of_one_class():
+    for n in range(9):
+        for mu in partitions_of(n):
+            assert sn_column(mu) == tuple(sn_character(lam, mu) for lam in partitions_of(n))
+    assert sn_column((1, 2, 1)) == sn_column((2, 1, 1))
+
+
+@pytest.mark.parametrize("mu", [(2, 0), (-1, 2), (2, 1, 0)])
+def test_sn_column_rejects_non_partitions_like_sn_character(mu):
+    with pytest.raises(ValueError) as column_error:
+        sn_column(mu)
+    with pytest.raises(ValueError) as character_error:
+        sn_character((1,) * sum(mu), mu)
+    assert str(column_error.value) == str(character_error.value)
 
 
 def test_sn_characters_match_beta_set_recursion():

@@ -541,6 +541,19 @@ def test_unlink_component_count(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("lmov", "--torus", "2,3,1", "--mu", "1,a"), "not a partition: '1,a'"),
+    (("lmov", "--torus", "2,3,1", "--mu", ",1"), "not a partition: ',1'"),
+    (("lmov", "--torus", "2,3,1", "--mu", "0"), "needs a nonzero multi-partition"),
+    (("degree", "--torus", "2,3,1", "--mu", "0"), "needs a nonzero multi-partition"),
+    (("degree", "--unlink", "2", "--mu", "0|0"), "needs a nonzero multi-partition"),
+], ids=["letter-row", "empty-row", "zero-lmov", "zero-degree", "zero-degree-link"])
+def test_bad_color_is_a_usage_error(capsys, argv, message):
+    code, err = run_failing(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("error", ["NotDivisible", "NonCyclotomicDenominator"])
 @pytest.mark.parametrize("target, argv", [
     ("invariant", ("invariant", "--torus", "2,3,1", "--colors", "1")),

@@ -1,6 +1,9 @@
 """Partition statistics, splittings, divisors, and up-down tableaux."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
+from math import factorial
 
 import pytest
 
@@ -10,6 +13,7 @@ from klmov.partitions import (
     format_multipartition,
     format_partition,
     kappa,
+    _multiset_partitions,
     lemma72_sum,
     mobius,
     parse_multipartition,
@@ -21,6 +25,92 @@ from klmov.partitions import (
     z_stat,
     z_stat_multi,
 )
+
+
+# The enumerators the library used before Algorithm M, kept as the reference
+# route: splittings by subtracting sub-multisets of the rows, and vector
+# partitions by filtering every vector below a cap.
+
+
+def _sub_multisets(counter_items):
+    """All nonzero sub-multisets of a multiset given as ((atom, mult), ...)."""
+    if not counter_items:
+        return
+    atom, mult = counter_items[0]
+    rest = counter_items[1:]
+    tails = list(_sub_multisets(rest)) if rest else []
+    for take in range(mult + 1):
+        head = ((atom, take),) if take else ()
+        if take:
+            yield head
+        for tail in tails:
+            yield head + tail
+
+
+def _atoms_to_multipartition(atom_counts, ncomp):
+    comps = [[] for _ in range(ncomp)]
+    for (alpha, row), m in atom_counts:
+        comps[alpha].extend([row] * m)
+    return tuple(tuple(sorted(c, reverse=True)) for c in comps)
+
+
+def _reference_splittings(mu):
+    ncomp = len(mu)
+    atoms = Counter()
+    for alpha, lam in enumerate(mu):
+        for row in lam:
+            atoms[(alpha, row)] += 1
+    results = []
+
+    def descend(remaining, max_part, acc):
+        if not remaining:
+            r = len(acc)
+            aut = 1
+            for m in Counter(acc).values():
+                aut *= factorial(m)
+            coeff = Fraction((-1) ** (r - 1) * factorial(r - 1), aut)
+            results.append((tuple(sorted(acc, reverse=True)), coeff))
+            return
+        items = tuple(sorted(remaining.items()))
+        for sub in _sub_multisets(items):
+            part = _atoms_to_multipartition(sub, ncomp)
+            if max_part is not None and part > max_part:
+                continue
+            rest = remaining - Counter(dict(sub))
+            acc.append(part)
+            descend(rest, part, acc)
+            acc.pop()
+
+    descend(atoms, None, [])
+    return results
+
+
+def _vector_partitions(target, cap):
+    """Multisets of nonzero vectors <= cap (lexicographically) summing to target."""
+    if all(v == 0 for v in target):
+        yield ()
+        return
+    for v in product(*(range(b, -1, -1) for b in target)):
+        if not any(v) or (cap is not None and v > cap):
+            continue
+        rest_target = tuple(a - b for a, b in zip(target, v))
+        for rest in _vector_partitions(rest_target, v):
+            yield (v,) + rest
+
+
+def _reference_lemma72_sum(dvec):
+    total = Fraction(0)
+    for parts in _vector_partitions(tuple(dvec), None):
+        r = len(parts)
+        aut = 1
+        for m in Counter(parts).values():
+            aut *= factorial(m)
+        denom = aut
+        for v in parts:
+            for entry in v:
+                denom *= factorial(entry)
+        total += Fraction((-1) ** (r - 1) * factorial(r - 1), denom)
+    return total
 
 
 def test_partitions_of_small():
@@ -83,6 +173,36 @@ def test_splitting_coefficients_telescope():
         assert sum(c for _, c in splittings(mu)) == 0
 
 
+def _degree_bound_mus():
+    from klmov.verify import REGRESSION_PAIRS, _unlink_mus
+
+    singles, doubles = _unlink_mus(6)
+    return [mu for _, mu in REGRESSION_PAIRS] + singles + doubles
+
+
+def test_splittings_match_reference():
+    mus = _degree_bound_mus()
+    assert len(mus) == 189
+    for mu in mus + [((2, 2, 1, 1), (2, 1), (1,))]:
+        assert Counter(splittings(mu)) == Counter(_reference_splittings(mu)), mu
+
+
+def test_splittings_reject_zero():
+    with pytest.raises(ValueError, match="cannot split the zero multi-partition"):
+        splittings(((), ()))
+
+
+def test_multiset_partitions_sorted_and_distinct():
+    for counts in [(3,), (2, 1), (1, 0, 2), (2, 2, 1), (0, 0)]:
+        got = list(_multiset_partitions(counts))
+        assert len(set(got)) == len(got)
+        for parts in got:
+            assert list(parts) == sorted(parts, reverse=True)
+            assert all(any(v) and len(v) == len(counts) for v in parts)
+            assert tuple(map(sum, zip(*parts))) == (tuple(counts) if parts else ())
+    assert list(_multiset_partitions((0, 0))) == [()]
+
+
 def test_common_divisors():
     assert common_divisors(((2,), (2,))) == (1, 2)
     assert common_divisors(((2,), (1,))) == (1,)
@@ -122,6 +242,12 @@ def test_lemma72():
     assert lemma72_sum((2,)) == 0
     assert lemma72_sum((1,)) == 1
     assert lemma72_sum((3, 2)) == 0
+
+
+def test_lemma72_matches_reference():
+    dvecs = [lam for n in range(1, 9) for lam in partitions_of(n)]
+    for dvec in dvecs + [(1, 0, 2), (0, 1), (2, 2, 2)]:
+        assert lemma72_sum(dvec) == _reference_lemma72_sum(dvec), dvec
 
 
 def test_parse_format():
