@@ -32,9 +32,10 @@ definition available as an independent route for the tests.
 One class's column is the unit of work.  ``sn_column`` memoises the S_n
 column, the characters of all partitions of |mu| at mu.  ``brauer_column``
 memoises the Brauer column, the characters of all labels of its rank at
-gamma_mu; ``brauer_character`` and ``schur.pb_in_sb`` read it and build no
-table.  Only complete tables (``brauer_table``) are memoised whole and can be
-mirrored to a small JSON cache on disk.
+gamma_mu; ``brauer_character``, ``schur.pb_in_sb`` and ``schur.sb_in_pb_scaled``
+read it.  A whole table (``brauer_table``, which only ``char-table`` asks for)
+is the tuple of its class columns, those same memoised tuples, and is the one
+thing mirrored to the JSON cache on disk, which stores it label-major.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import comb
-from types import MappingProxyType
 
 from .errors import ParityMismatch, SizeMismatch
 from .partitions import (
@@ -66,7 +66,6 @@ def set_cache_dir(path):
     if path:
         os.makedirs(path, exist_ok=True)
     _CACHE_DIR = path
-    _brauer_table_cached.cache_clear()
 
 
 @lru_cache(maxsize=None)
@@ -227,19 +226,12 @@ def _label_index(n):
 
 
 def _compute_brauer_table(n):
-    # one label size at a time and unmemoised, so that a whole table holds
-    # no second copy of its columns
-    classes = partitions_of(n)
-    table = {}
-    for k in brauer_label_sizes(n):
-        cols = [_brauer_segment(mu, k) for mu in classes]
-        for i, a in enumerate(partitions_of(k)):
-            table.update(((a, mu), col[i]) for mu, col in zip(classes, cols))
-        del cols  # freed before the next size's columns are made
-    return table
+    return tuple(map(brauer_column, partitions_of(n)))
 
 
 def _load_brauer_table(n):
+    """The class columns of the stored table, or None if the file is missing
+    or does not hold exactly the rank-n table; the file is label-major."""
     path = _cache_path(n)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -251,29 +243,25 @@ def _load_brauer_table(n):
         values = data["values"]
         if labels != list(brauer_labels(n)) or classes != list(partitions_of(n)):
             raise ValueError("label mismatch")
-        table = {}
-        for i, a in enumerate(labels):
-            row = values[i]
+        if len(values) != len(labels):
+            raise ValueError("row count mismatch")
+        for row in values:
             if len(row) != len(classes):
                 raise ValueError("row length mismatch")
-            for j, mu in enumerate(classes):
-                if not isinstance(row[j], int):
-                    raise ValueError("non-integer entry")
-                table[(a, mu)] = row[j]
-        return table
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError):
+            if not all(isinstance(x, int) for x in row):
+                raise ValueError("non-integer entry")
+        return tuple(zip(*values))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
 
 def _store_brauer_table(n, table):
-    labels = brauer_labels(n)
-    classes = partitions_of(n)
     data = {
         "schema": _CACHE_SCHEMA,
         "n": n,
-        "labels": [list(a) for a in labels],
-        "classes": [list(mu) for mu in classes],
-        "values": [[table[(a, mu)] for mu in classes] for a in labels],
+        "labels": [list(a) for a in brauer_labels(n)],
+        "classes": [list(mu) for mu in partitions_of(n)],
+        "values": list(zip(*table)),  # label-major rows
     }
     # atomic publication: write then rename
     fd, tmp = tempfile.mkstemp(dir=_CACHE_DIR, suffix=".tmp")
@@ -286,18 +274,6 @@ def _store_brauer_table(n, table):
             os.unlink(tmp)
         except OSError:
             pass
-
-
-@lru_cache(maxsize=None)
-def _brauer_table_cached(n):
-    if _CACHE_DIR:
-        table = _load_brauer_table(n)
-        if table is not None:
-            return table
-    table = _compute_brauer_table(n)
-    if _CACHE_DIR:
-        _store_brauer_table(n, table)
-    return table
 
 
 def brauer_character(a, mu):
@@ -316,9 +292,19 @@ def brauer_character(a, mu):
 
 
 def brauer_table(n):
-    """Completed table {(label, class): value} for the rank-n Brauer algebra,
-    as a read-only view of the memoised table."""
-    return MappingProxyType(_brauer_table_cached(n))
+    """The rank-n Brauer table as the tuple of its class columns: entry
+    [j][i] is chi_a(gamma_mu) for the j-th class mu of partitions_of(n) and
+    the i-th label a of brauer_labels(n).  It is read from the disk cache
+    when one is set and holds it, else computed and stored there; it is not
+    memoised, but computed columns are the memoised brauer_column tuples."""
+    if _CACHE_DIR:
+        table = _load_brauer_table(n)
+        if table is not None:
+            return table
+    table = _compute_brauer_table(n)
+    if _CACHE_DIR:
+        _store_brauer_table(n, table)
+    return table
 
 
 def multi_character(avec, mu):

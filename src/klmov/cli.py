@@ -204,9 +204,9 @@ def cmd_char_table(args):
         last = len(labels) - 1
         rows = (
             "    "
-            + json.dumps([table[(a, m)] for m in classes], indent=2).replace("\n", "\n    ")
+            + json.dumps([col[i] for col in table], indent=2).replace("\n", "\n    ")
             + ("," if i < last else "")
-            for i, a in enumerate(labels)
+            for i in range(len(labels))
         )
         _emit_lines(args, chain((head[:-len("]\n}")],), rows, ("  ]\n}",)))
         return 0
@@ -214,8 +214,8 @@ def cmd_char_table(args):
     head = "chi".ljust(width) + "".join(format_partition(m).rjust(width) for m in classes)
     rows = (
         format_partition(a).ljust(width)
-        + "".join(str(table[(a, m)]).rjust(width) for m in classes)
-        for a in labels
+        + "".join(str(col[i]).rjust(width) for col in table)
+        for i, a in enumerate(labels)
     )
     _emit_lines(args, chain((head,), rows))
     return 0

@@ -486,29 +486,25 @@ def rational_product(factors):
 class RationalQT:
     """Quotient of a bivariate Laurent polynomial by a product of Phi_d(q).
 
-    ``RationalQT(num, den, mults)`` is num / (den * prod Phi_d^m over the
-    (d, m) pairs of mults), in canonical form.  num is a term dict, an int
-    or a Fraction, or a RationalQT to copy; den is a dense q-only term dict,
-    factored by trial division (NonCyclotomicDenominator when a factor is
-    not cyclotomic), and defaults to 1; mults is a dict or pairs, and
-    defaults to none.  The value is stored as ``scale``, ``rows`` and
-    ``mults`` (see the module docstring); ``num`` and ``den`` are rendered.
+    ``RationalQT(num, den)`` is num / den in canonical form.  num is a term
+    dict, an int or a Fraction, or a RationalQT to copy; den is a dense
+    q-only term dict, factored by trial division (NonCyclotomicDenominator
+    when a factor is not cyclotomic), and defaults to 1.  The value is
+    stored as ``scale``, ``rows`` and ``mults`` (see the module docstring);
+    ``num`` and ``den`` are rendered.
     Every value the arithmetic builds passes here, as a _Canonical.
     """
 
     __slots__ = ("scale", "rows", "mults")
 
-    def __init__(self, num, den=None, mults=()):
+    def __init__(self, num, den=None):
         if isinstance(num, (RationalQT, _Canonical)):
-            if den is not None or mults:
-                raise TypeError("den and mults not allowed when copying a RationalQT")
+            if den is not None:
+                raise TypeError("den not allowed when copying a RationalQT")
         else:
             if isinstance(num, (int, Fraction)):
                 num = {(0, 0): num}
             part = _product_term(((num, {0: 1} if den is None else den),), 1)
-            if part is not None:
-                for d, m in dict(mults).items():
-                    part[3][d] = part[3].get(d, 0) + m
             num = _sum([part] if part else [])
         self.scale, self.rows, self.mults = num.scale, num.rows, num.mults
 

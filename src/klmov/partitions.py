@@ -242,7 +242,11 @@ def lemma72_sum(dvec):
 
     Each multiset {v_1, ..., v_r} of nonzero vectors summing to dvec
     contributes (-1)^(r-1) (r-1)! / (|Aut| * prod_j prod_a v_j[a]!).
+    dvec must be a nonzero vector of nonnegative ints.
     """
+    if not all(isinstance(d, int) and d >= 0 for d in dvec) or not any(dvec):
+        raise ValueError(f"cannot sum over the weight vector {tuple(dvec)}: "
+                         "it needs nonnegative int entries, not all zero")
     numerators = {}  # denominator -> summed numerators
     for parts in _multiset_partitions(dvec):
         sign, denom = _sign_and_aut(parts)

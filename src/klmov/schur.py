@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import factorial
 
 from . import laurent
-from .characters import brauer_column, brauer_labels, brauer_table, sn_character
+from .characters import brauer_column, brauer_labels, sn_character
 from .errors import NonIntegerCoefficient
 from .partitions import partitions_of, transpose, z_stat
 
@@ -142,13 +142,12 @@ def sb_in_pb_scaled(a):
     integers."""
     n = sum(a)
     nfact = factorial(n)
-    table = brauer_table(n)
-    out, mult = {}, dict.fromkeys((b for b in brauer_labels(n) if sum(b) < n), 0)
+    top = len(partitions_of(n))  # the smaller labels follow the partitions of n
+    out, mult = {}, [0] * (len(brauer_labels(n)) - top)
     for mu in partitions_of(n):
         out[mu] = chi = sn_character(a, mu) * (nfact // z_stat(mu))
-        for b in mult:
-            mult[b] += chi * table[(b, mu)]
-    for b, m in mult.items():
+        mult = [m + chi * x for m, x in zip(mult, brauer_column(mu)[top:])]
+    for b, m in zip(brauer_labels(n)[top:], mult):
         if m % nfact:
             raise NonIntegerCoefficient(f"sb{b} has multiplicity {Fraction(m, nfact)} in sb{a}")
         for nu, c in sb_in_pb_scaled(b).items():

@@ -89,6 +89,14 @@ def _reference_brauer_table(n):
     return table
 
 
+def _pairs(n, table):
+    """The label-major ((label, class), value) items of a table of class
+    columns, after checking its shape."""
+    labels, classes = brauer_labels(n), partitions_of(n)
+    assert len(table) == len(classes) and all(len(col) == len(labels) for col in table)
+    return [((a, mu), table[j][i]) for i, a in enumerate(labels) for j, mu in enumerate(classes)]
+
+
 def test_sn_examples():
     assert sn_character((2, 2), (3, 1)) == -1
     assert sn_character((1, 1, 1), (2, 1)) == -1
@@ -191,7 +199,7 @@ def test_brauer_examples():
 
 def test_brauer_tables_match_reference():
     for n in (2, 3, 4):
-        table = brauer_table(n)
+        table = dict(_pairs(n, brauer_table(n)))
         for (a, mu), val in {**SN_TABLES[n], **BRAUER_EXTRA_ROWS[n]}.items():
             assert table[(a, mu)] == val
 
@@ -220,22 +228,25 @@ def _restriction_formula_table(n):
 
 def test_brauer_closed_form_matches_restriction_formula():
     for n in range(10):
-        assert list(brauer_table(n).items()) == list(
-            _restriction_formula_table(n).items()
-        )
+        assert _pairs(n, brauer_table(n)) == list(_restriction_formula_table(n).items())
 
 
 def test_brauer_tables_match_beta_set_recursion():
-    # values and order: the table is label-major, classes inner
+    # values and order: columns in class order, each in label order
     for n in range(13):
-        assert list(brauer_table(n).items()) == list(_reference_brauer_table(n).items())
+        assert _pairs(n, brauer_table(n)) == list(_reference_brauer_table(n).items())
 
 
 def test_brauer_table_is_a_read_only_view():
     table = brauer_table(3)
     with pytest.raises(TypeError):
-        table[((3,), (3,))] = 0
-    assert table == brauer_table(3) and table[((3,), (3,))] == 1
+        table[0] = (0, 0, 0, 0)
+    with pytest.raises(TypeError):
+        table[0][0] = 0
+    assert table == brauer_table(3) and table[0][0] == 1  # chi_(3) at gamma_(3)
+    # the table holds no copy: its columns are the memoised class columns
+    for n in range(7):
+        assert all(col is brauer_column(mu) for col, mu in zip(brauer_table(n), partitions_of(n)))
 
 
 def test_brauer_parity():
@@ -256,8 +267,9 @@ def test_brauer_character_wants_a_label_and_a_class(a, mu):
 
 def test_brauer_column_is_aligned_with_the_labels():
     for n in range(9):
+        reference = _reference_brauer_table(n)
         for mu in partitions_of(n):
-            want = tuple(brauer_table(n)[(a, mu)] for a in brauer_labels(n))
+            want = tuple(reference[(a, mu)] for a in brauer_labels(n))
             assert brauer_column(mu) == want
             assert brauer_column(mu[::-1]) == want
 
@@ -273,30 +285,47 @@ def test_brauer_character_rejects_a_larger_label():
         brauer_character((4,), (2,))
 
 
+_WITHOUT_A_TABLE = """\
+import json
+from klmov import characters, lmov, schur, torus, verify
+def refuse(n):
+    raise AssertionError(f'rank-{n} table built or read')
+characters._compute_brauer_table = characters._load_brauer_table = refuse
+print(json.dumps([[a, mu, characters.brauer_character(a, mu)]
+                  for n in range(11)
+                  for a in characters.brauer_labels(n)
+                  for mu in characters.partitions_of(n)]))
+print(json.dumps([[a, str(schur.sb_in_pb_scaled(a))]
+                  for n in range(7) for a in characters.partitions_of(n)]))
+print(sorted(torus.ctilde(((3,), (3,)), 2).entries.items()))
+print(lmov.z_coefficient(torus.TorusLinkSpec(2, 5, 1), ((3, 1),)))
+print(verify.run_suite("all", only="brauer-characters"))
+"""
+
+
 def test_brauer_characters_without_a_table():
-    # in a fresh process whose tables cannot be built, every single character
-    # comes from the class columns
-    code = (
-        "import json\n"
-        "from klmov import characters\n"
-        "def refuse(n):\n"
-        "    raise AssertionError(f'rank-{n} table built')\n"
-        "characters._compute_brauer_table = refuse\n"
-        "print(json.dumps([[a, mu, characters.brauer_character(a, mu)]\n"
-        "                  for n in range(11)\n"
-        "                  for a in characters.brauer_labels(n)\n"
-        "                  for mu in characters.partitions_of(n)]))\n"
-    )
+    # in a fresh process whose tables can be neither built nor read, every
+    # single character, sb_in_pb_scaled, ctilde, z_coefficient and the
+    # brauer-characters check come from the class columns
+    from klmov import lmov, schur, torus, verify
+
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {k: v for k, v in os.environ.items() if not k.startswith("KLMOV_")}
     env["PYTHONPATH"] = src
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, timeout=120, check=True).stdout
-    got = {(tuple(a), tuple(mu)): v for a, mu, v in json.loads(out)}
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_A_TABLE], capture_output=True,
+                         text=True, env=env, timeout=120, check=True).stdout
+    chars, sb, ct, z, checks = out.splitlines()
+    got = {(tuple(a), tuple(mu)): v for a, mu, v in json.loads(chars)}
     want = {}
     for n in range(11):
         want.update(_reference_brauer_table(n))
     assert got == want
+    assert json.loads(sb) == [[list(a), str(schur.sb_in_pb_scaled(a))]
+                              for n in range(7) for a in partitions_of(n)]
+    assert ct == str(sorted(torus.ctilde(((3,), (3,)), 2).entries.items()))
+    assert z == str(lmov.z_coefficient(torus.TorusLinkSpec(2, 5, 1), ((3, 1),)))
+    assert checks == str([("brauer-characters", True, "58 table entries match")])
+    assert checks == str(verify.run_suite("all", only="brauer-characters"))
 
 
 def test_brauer_labels():
@@ -329,9 +358,56 @@ def test_disk_cache_corruption_falls_back(tmp_path):
     try:
         (tmp_path / "brauer_2.json").write_text("{not json")
         table = brauer_table(2)
-        assert table[((), (2,))] == 1
+        assert dict(_pairs(2, table))[((), (2,))] == 1
         # the rewritten file is valid again
         data = json.loads((tmp_path / "brauer_2.json").read_text())
         assert data["schema"] == "brauer-chars-v1"
     finally:
         characters.set_cache_dir(None)
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    json.dumps({"schema": "brauer-chars-v1", "n": 2, "labels": [[2], [1, 1], []],
+                "classes": [[2], [1, 1]], "values": [[1, 1], [-1, 1]]}),
+    json.dumps({"schema": "brauer-chars-v1", "n": 2, "labels": [[2], [1, 1], []],
+                "classes": [[2], [1, 1]], "values": [[1, 1], [-1, 1], [1, 1.0]]}),
+])
+def test_disk_cache_rejects_a_file_that_is_not_the_table(text, tmp_path):
+    # not an object, a missing row, a non-int entry: each is recomputed and
+    # the file rewritten
+    characters.set_cache_dir(str(tmp_path))
+    try:
+        (tmp_path / "brauer_2.json").write_text(text)
+        assert brauer_table(2) == ((1, -1, 1), (1, 1, 1))
+        data = json.loads((tmp_path / "brauer_2.json").read_text())
+        assert data["values"] == [[1, 1], [-1, 1], [1, 1]]
+    finally:
+        characters.set_cache_dir(None)
+
+
+def test_disk_cache_is_label_major(tmp_path):
+    # values[i][j] is the character of labels[i] at classes[j], both ways: a
+    # transposition that round-trips would fail one of the two checks
+    labels, classes = brauer_labels(3), partitions_of(3)
+    rows = [[brauer_character(a, mu) for mu in classes] for a in labels]
+    i, j = labels.index((1,)), classes.index((2, 1))
+    rows[i][j] += 7
+    (tmp_path / "brauer_3.json").write_text(json.dumps({
+        "schema": "brauer-chars-v1", "n": 3,
+        "labels": [list(a) for a in labels], "classes": [list(mu) for mu in classes],
+        "values": rows,
+    }))
+    characters.set_cache_dir(str(tmp_path))
+    try:
+        table = brauer_table(3)
+        assert table[j][i] == brauer_character((1,), (2, 1)) + 7
+        assert [list(col) for col in table] == [list(c) for c in zip(*rows)]
+        (tmp_path / "brauer_3.json").unlink()
+        brauer_table(3)
+    finally:
+        characters.set_cache_dir(None)
+    data = json.loads((tmp_path / "brauer_3.json").read_text())
+    assert data["labels"] == [list(a) for a in labels]
+    assert data["classes"] == [list(mu) for mu in classes]
+    assert data["values"] == [[brauer_character(a, mu) for mu in classes] for a in labels]

@@ -248,13 +248,22 @@ def test_canonical_denominator_is_monic_with_constant_term():
     assert x.den[max(x.den)] == 1
 
 
+def test_constructor_takes_a_numerator_and_a_denominator():
+    x = RationalQT({(0, 0): 1}, {2: 1, -2: -1})
+    assert RationalQT(x) == x
+    with pytest.raises(TypeError, match="^den not allowed when copying a RationalQT$"):
+        RationalQT(x, {0: 1})
+    with pytest.raises(TypeError):
+        RationalQT({(2, 0): 1}, None, {1: 1, 2: 1, 4: 1})
+
+
 def test_denominator_is_stored_as_cyclotomic_multiplicities():
     # q^2 / (q^4 - 1) = q^2 / (Phi_1 Phi_2 Phi_4)
     x = RationalQT({(0, 0): 1}, {2: 1, -2: -1})
     assert x.mults == ((1, 1), (2, 1), (4, 1))
     assert x.num == {(2, 0): 1}
     assert x.den == {4: 1, 0: -1}
-    assert x == RationalQT({(2, 0): 1}, None, {1: 1, 2: 1, 4: 1})
+    assert x == RationalQT({(2, 0): 1}, {4: 1, 0: -1})
     # Phi_2(q^3) = Phi_2 Phi_6, Phi_4(q^3) = Phi_4 Phi_12, and so on
     assert x.substitute(qpow=3).mults == ((1, 1), (2, 1), (3, 1), (4, 1), (6, 1), (12, 1))
 

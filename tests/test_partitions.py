@@ -244,6 +244,12 @@ def test_lemma72():
     assert lemma72_sum((3, 2)) == 0
 
 
+@pytest.mark.parametrize("dvec", [(), (0, 0), (2, -1), (-1,), (1.0,)])
+def test_lemma72_wants_a_nonzero_vector_of_nonnegative_ints(dvec):
+    with pytest.raises(ValueError, match=r"^cannot sum over the weight vector "):
+        lemma72_sum(dvec)
+
+
 def test_lemma72_matches_reference():
     dvecs = [lam for n in range(1, 9) for lam in partitions_of(n)]
     for dvec in dvecs + [(1, 0, 2), (0, 1), (2, 2, 2)]:

@@ -59,6 +59,38 @@ def test_bmw_relations():
         assert bmw_relations_check(n)
 
 
+def test_each_check_runs_the_braid_relation_once(monkeypatch, capsys):
+    # rmatrix --check all prints braid and bmw lines; bmw_relations_check
+    # leaves the braid relation to its caller
+    from klmov import rmatrix, verify
+    from klmov.cli import main
+
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return braid_relation_check(n)
+
+    monkeypatch.setattr(rmatrix, "braid_relation_check", counted)
+    monkeypatch.setattr(verify, "braid_relation_check", counted)
+    assert main(["rmatrix", "--N", "1", "--check", "all"]) == 0
+    assert capsys.readouterr().out == "PASS  ribbon (N=1)\nPASS  braid (N=1)\nPASS  bmw (N=1)\n"
+    assert calls == [1]
+    calls.clear()
+    assert rmatrix.bmw_relations_check(2)
+    assert calls == []
+    assert verify.check_rmatrix() == (
+        True, "ribbon, cubic, idempotent, and braid identities hold for N=1..3")
+    assert calls == [1, 2, 3]
+
+
+def test_check_rmatrix_fails_on_a_braid_failure(monkeypatch):
+    from klmov import verify
+
+    monkeypatch.setattr(verify, "braid_relation_check", lambda n: n != 2)
+    assert verify.check_rmatrix() == (False, "braiding relations fail at N=2")
+
+
 def test_trace_is_quantum_dimension():
     for n in range(1, 5):
         assert k2rho_trace(n) == sb_closed_form((1,)).specialize_t(2 * n)
