@@ -61,10 +61,10 @@ _CACHE_SCHEMA = "brauer-chars-v1"
 
 
 def set_cache_dir(path):
-    """Enable (path) or disable (None) the on-disk character table cache."""
+    """Enable (path) or disable (None) the on-disk character table cache.
+    Only the path is recorded: the directory is made when a table is
+    stored."""
     global _CACHE_DIR
-    if path:
-        os.makedirs(path, exist_ok=True)
     _CACHE_DIR = path
 
 
@@ -264,6 +264,7 @@ def _store_brauer_table(n, table):
         "values": list(zip(*table)),  # label-major rows
     }
     # atomic publication: write then rename
+    os.makedirs(_CACHE_DIR, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=_CACHE_DIR, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

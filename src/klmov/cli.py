@@ -144,12 +144,9 @@ def _emit_lines(args, lines):
 
 
 def _configure_cache(args):
-    if args.no_cache:
-        characters.set_cache_dir(None)
-        return
-    cache_dir = args.cache_dir or os.environ.get("KLMOV_CACHE")
-    if cache_dir:
-        characters.set_cache_dir(cache_dir)
+    # every call sets it, so that no in-process call inherits the last one's
+    cache_dir = None if args.no_cache else args.cache_dir or os.environ.get("KLMOV_CACHE")
+    characters.set_cache_dir(cache_dir)
 
 
 def _check_size(args, size):

@@ -48,7 +48,3 @@ class NonIntegerExponent(KlmovError):
 
 class NonIntegerCoefficient(KlmovError):
     """An integrality check failed; carries the offending coefficient."""
-
-
-class HalfIntegerExponent(KlmovError):
-    """An R-matrix exponent failed to reduce to an integer."""

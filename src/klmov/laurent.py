@@ -41,17 +41,20 @@ down; the rest must divide exactly, else ``NotDivisible``.  Kronecker
 substitution (Knuth, TAOCP Vol. 2 4.6) flattens it: t^b q^a -> X^(b w + a),
 w the q-span of the dividend x plus 1, is one to one below that span, and
 q-degrees add, so an exact quotient by y has its q-exponents in the window
-[lo_x - lo_y, hi_x - hi_y] and one univariate division finds it.  Every
+[lo_x - lo_y, hi_x - hi_y] and one univariate division finds it: each
+row is placed in one dense int list, where no two rows overlap.  Every
 univariate division runs through ``_div_monic``, the long division of dense
 coefficient lists by a monic divisor.
 
-The arithmetic runs on ints: ``RationalQT`` operations read only ``scale``,
-``rows`` and ``mults`` and end in one canonical triple of them, which the
-constructor stores as it is.  ``.num`` and ``.den`` are rendered for
-readers, and ``fractions.Fraction`` appears only there, in raw inputs (term
-dicts and multipliers given to the constructor or ``rational_sum``), in a
-division by a flattened divisor whose leading coefficient is not 1, and in
-the output of ``specialize_t``.  Nothing here touches floating point.
+The arithmetic runs on int rows: ``RationalQT`` operations read only
+``scale``, ``rows`` and ``mults`` and end in one canonical triple of them,
+which the constructor stores as it is.  Term dicts are only the input and
+rendering format: raw factors and multipliers given to the constructor or
+``rational_sum``, ``.num``, ``.den`` and the output of ``specialize_t``.
+``fractions.Fraction`` appears in the coefficients of these and of
+``ZTPoly``, in rendered findings, and in one computation: the division of
+``/`` by a flattened divisor whose leading coefficient is not 1.  Nothing
+here touches floating point.
 """
 
 from __future__ import annotations
@@ -71,54 +74,22 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
-# polynomial kernels on raw term dicts {(qexp, texp) or exp: coefficient},
-# for rmatrix, ZTPoly.expand and the raw q-only factors of schur and lmov
+# term dicts, the input format: raw factors of schur and lmov, parsed values
 # ---------------------------------------------------------------------------
-
-
-def qt_iadd(acc, d, c=1):
-    """In-place acc += c * d for term dicts of either kind; returns acc."""
-    if not c:
-        return acc
-    for k, v in d.items():
-        if c != 1:
-            v = c * v
-        old = acc.get(k)
-        if old is not None:
-            v = old + v
-        if v:
-            acc[k] = v
-        else:
-            del acc[k]
-    return acc
-
-
-def qp_mul(p1, p2):
-    """Convolution product of two univariate term dicts."""
-    if not p1 or not p2:
-        return {}
-    if len(p1) > len(p2):
-        p1, p2 = p2, p1
-    out = {}
-    items2 = list(p2.items())
-    for a1, c1 in p1.items():
-        for a2, c2 in items2:
-            k = a1 + a2
-            v = out.get(k)
-            if v is None:
-                out[k] = c1 * c2
-            else:
-                v = v + c1 * c2
-                if v:
-                    out[k] = v
-                else:
-                    del out[k]
-    return out
 
 
 def q_minus_qinv(n):
     """q^n - q^-n as a raw q-only dict."""
     return {n: 1, -n: -1}
+
+
+def _dense(p):
+    """A univariate term dict as (least exponent, dense coefficients)."""
+    lo = min(p)
+    out = [0] * (max(p) - lo + 1)
+    for a, c in p.items():
+        out[a - lo] = c
+    return lo, out
 
 
 # ---------------------------------------------------------------------------
@@ -140,39 +111,6 @@ def _div_monic(p, m):
             for j, mj in taps:
                 r[i + j] -= c * mj
     return r[n:], r[:n]
-
-
-def _dense(p):
-    """A univariate term dict as (least exponent, dense coefficients)."""
-    lo = min(p)
-    out = [0] * (max(p) - lo + 1)
-    for a, c in p.items():
-        out[a - lo] = c
-    return lo, out
-
-
-def p1_div_exact(num, den):
-    """Exact division of univariate Laurent polynomials.
-
-    Divides by the monic den / lc and scales the quotient by 1 / lc, in ints
-    when lc is 1.  Raises NotDivisible, rendering the remainder, when the
-    quotient is not a Laurent polynomial.
-    """
-    if not den:
-        raise ZeroInput("division by zero polynomial")
-    if not num:
-        return {}
-    (sn, p), (sd, m) = _dense(num), _dense(den)
-    lc = m[-1]
-    if lc != 1:
-        m = [Fraction(c, lc) for c in m]
-    quo, rem = _div_monic(p, m)
-    if any(rem):
-        rest = render_qt({(a, 0): c for a, c in enumerate(rem) if c})
-        raise NotDivisible(f"remainder {rest} in univariate division")
-    if lc != 1:
-        quo = [Fraction(c, lc) for c in quo]
-    return {a + sn - sd: c for a, c in enumerate(quo) if c}
 
 
 @lru_cache(maxsize=None)
@@ -336,30 +274,50 @@ def _span(rows):
     return min(lo for _, lo, _ in rows), max(lo + len(p) - 1 for _, lo, p in rows)
 
 
+def _flat(rows, w):
+    """(least exponent, dense ints) of trimmed rows of q-span at most w
+    under t^b q^a -> X^(b w + a): each row lands in its own slice."""
+    first = min(b * w + lo for b, lo, _ in rows)
+    out = [0] * (max(b * w + lo + len(p) for b, lo, p in rows) - first)
+    for b, lo, p in rows:
+        i = b * w + lo - first
+        out[i:i + len(p)] = p
+    return first, out
+
+
 def _div_flat(x, y):
-    """The term dict of x / y for nonzero rows x and y, flattened to one
-    p1_div_exact (see the module docstring): each quotient exponent e maps
-    back to the q-exponent of the window congruent to e mod w.  A remainder
-    or an exponent outside the window raises NotDivisible."""
+    """(s, rows) with rows / s == x / y for nonzero rows x and y, by one
+    _div_monic of the flattened rows (see the module docstring).  A divisor
+    whose leading coefficient lc is not 1 is made monic in Fractions and the
+    quotient divided by lc; s clears their denominators.  Each quotient
+    exponent e is the q-exponent of the window [lo, hi] congruent to e mod
+    w; a remainder or a quotient term outside the window raises
+    NotDivisible."""
     lo_x, hi_x = _span(x)
     lo_y, hi_y = _span(y)
     lo, hi, w = lo_x - lo_y, hi_x - hi_y, hi_x - lo_x + 1
     fail = NotDivisible("the divisor does not divide exactly")
     if hi < lo:
         raise fail
-    flat_x = {b * w + a + i: c for b, a, p in x for i, c in enumerate(p) if c}
-    flat_y = {b * w + a + i: c for b, a, p in y for i, c in enumerate(p) if c}
-    try:
-        quo = p1_div_exact(flat_x, flat_y)
-    except NotDivisible:
-        raise fail from None
-    out = {}
-    for e, c in quo.items():
-        a = lo + (e - lo) % w
-        if a > hi:
-            raise fail
-        out[(a, (e - a) // w)] = c
-    return out
+    (ex, p), (ey, m) = _flat(x, w), _flat(y, w)
+    lc, s = m[-1], 1
+    if lc == 1:
+        quo, rem = _div_monic(p, m)
+    else:
+        quo, rem = _div_monic(p, [Fraction(c, lc) for c in m])
+        quo = [Fraction(c, lc) for c in quo]
+        s = lcm(*(c.denominator for c in quo))
+        quo = [c.numerator * (s // c.denominator) for c in quo]
+    if any(rem):
+        raise fail
+    # padded, each slice of w starts at q^lo of one t-exponent
+    pad = (ex - ey - lo) % w
+    quo = [0] * pad + quo
+    starts = range(0, len(quo), w)
+    if any(any(quo[k + hi - lo + 1:k + w]) for k in starts):
+        raise fail
+    b0 = (ex - ey - lo - pad) // w
+    return s, _trimmed({b0 + k // w: [lo, quo[k:k + hi - lo + 1]] for k in starts})
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +560,7 @@ class RationalQT:
         for d, m in self.mults:
             mults[d] = mults.get(d, 0) + m
         prim = [(b, lo, p) for (b, lo, _), p in zip(other.rows, polys)]
-        s, rows = _int_rows(_div_flat(_trimmed(acc), prim))
+        s, rows = _div_flat(_trimmed(acc), prim)
         return RationalQT(_sum([(rows, s * self.scale, other.scale, mults)]))
 
     def substitute(self, qpow=1, tsign=1, tpow=1):
@@ -627,9 +585,13 @@ class RationalQT:
         NotDivisible); the quotient is divided by scale at the end."""
         acc = {}
         _mul_into(acc, [(0, lo + m * b, p) for b, lo, p in self.rows], ((0, 0, (1,)),))
-        merged, s = _trimmed(acc), self.scale
-        quo = _div_flat(merged, ((0, 0, _cyclotomic_product(self.mults)),)) if merged else {}
-        return {a: Fraction(c, s) if c % s else c // s for (a, _), c in quo.items()}
+        merged = _trimmed(acc)
+        if not merged:
+            return {}
+        k, rows = _div_flat(merged, ((0, 0, _cyclotomic_product(self.mults)),))
+        s = k * self.scale
+        return {lo + i: Fraction(c, s) if c % s else c // s
+                for _, lo, p in rows for i, c in enumerate(p) if c}
 
     def __str__(self):
         num = render_qt(self.num)
@@ -702,7 +664,8 @@ class ZTPoly:
         """Re-expand with z := q - 1/q, returning a RationalQT."""
         acc = {}
         for (zp, b), c in self.terms.items():
-            qt_iadd(acc, {(a, b): bc for a, bc in _z_power_q(zp)}, c)
+            for a, bc in _z_power_q(zp):
+                acc[(a, b)] = acc.get((a, b), 0) + c * bc
         return RationalQT(acc)
 
     def __eq__(self, other):
@@ -745,11 +708,12 @@ def to_z_basis(x):
     """
     x = _coerce_strict(x)
     if x.mults:
-        for _, lo, p in x.rows:
-            try:
-                p1_div_exact({lo + i: Fraction(c, x.scale) for i, c in enumerate(p) if c}, x.den)
-            except NotDivisible as exc:
-                raise NotPolynomial(str(exc)) from None
+        den = _cyclotomic_product(x.mults)
+        for _, _, p in x.rows:
+            rem = _div_monic(p, den)[1]
+            if any(rem):
+                rest = render_qt({(a, 0): Fraction(c, x.scale) for a, c in enumerate(rem) if c})
+                raise NotPolynomial(f"remainder {rest} in univariate division")
     # each row dense from -hi to hi, where peeling z^d for d <= hi can reach
     rows = []
     for b, lo, p in reversed(x.rows):

@@ -8,10 +8,18 @@ from pathlib import Path
 
 import pytest
 
+from klmov import characters
 from klmov.cli import main, rationalqt_from_json, rationalqt_to_json
 from klmov.laurent import RationalQT
 from klmov.schur import sb_closed_form
 from klmov.torus import TorusLinkSpec, torus_invariant
+
+
+@pytest.fixture(autouse=True)
+def no_cache_dir_after():
+    # a --cache-dir given in-process stays set until the next main call
+    yield
+    characters.set_cache_dir(None)
 
 
 def run(capsys, *argv):
@@ -624,6 +632,24 @@ def test_unusable_cache_dir_is_an_error_line(tmp_path, capsys):
                             "--cache-dir", str(blocker / "x"))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_commands_without_a_table_leave_the_cache_dir_alone(tmp_path, capsys):
+    # only char-table makes, reads or writes the cache directory
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ("lmov", "--torus", "2,3,1", "--mu", "1")
+    assert run(capsys, *argv, "--cache-dir", str(blocker / "x")) == run(capsys, *argv)
+    new = tmp_path / "new"
+    code, _ = run(capsys, "ctilde", "--colors", "1", "--r", "2", "--cache-dir", str(new))
+    assert code == 0 and not new.exists()
+
+
+def test_char_table_makes_a_nested_cache_dir(tmp_path, capsys):
+    target = tmp_path / "a" / "b"
+    code, _ = run(capsys, "char-table", "--n", "3", "--cache-dir", str(target))
+    assert code == 0
+    assert [p.name for p in target.iterdir()] == ["brauer_3.json"]
 
 
 def test_verify_only_matches_names_exactly(capsys):

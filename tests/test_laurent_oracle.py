@@ -33,7 +33,6 @@ from klmov.errors import (  # noqa: E402
 from klmov import laurent  # noqa: E402
 from klmov.laurent import (  # noqa: E402
     RationalQT,
-    p1_div_exact,
     rational_sum,
     render_qt,
     to_z_basis,
@@ -507,11 +506,14 @@ def random_q_laurent(rng, lead):
     return p
 
 
-def test_p1_div_exact_matches_sympy():
+def test_q_only_division_matches_sympy():
     # divisors that are not monic, with int or Fraction coefficients; half
-    # the dividends are perturbed so the division mostly fails
+    # the dividends are perturbed so the division mostly fails.  / agrees
+    # with sympy's quotient when it divides, with sympy's cancelled fraction
+    # when only a cyclotomic factor is left over, and refuses the rest; over
+    # a cyclotomic denominator, to_z_basis renders sympy's remainder
     rng = random.Random("p1-div-exact")
-    fails = 0
+    fails, monic, seen = 0, set(), set()
     for i in range(60):
         den = random_q_laurent(rng, rng.choice((1, -1, 3, -2, Fraction(3, 4), Fraction(-5, 2))))
         num = multiply(random_q_laurent(rng, rng.choice((1, -3, Fraction(2, 7)))), den)
@@ -519,19 +521,37 @@ def test_p1_div_exact_matches_sympy():
             e = rng.randint(min(num) - 2, max(num))
             num[e] = num.get(e, 0) + rng.choice((1, -2, Fraction(1, 3)))
             num = {a: c for a, c in num.items() if c}
+        terms = {(a, 0): c for a, c in num.items()}
+        x, y = RationalQT(terms), RationalQT({(a, 0): c for a, c in den.items()})
+        monic.add(y.rows[-1][2][-1] == 1)
         quo, rem = q_poly(num).div(q_poly(den))
         if rem.is_zero:
-            got = p1_div_exact(num, den)
+            got = x / y
             shift = min(num) - min(den)
-            assert got == {a + shift: as_fraction(c) for (a,), c in quo.terms()}
-            assert all(type(c) in (int, Fraction) for c in got.values())
-            continue
-        fails += 1
-        rest = render_qt({(a, 0): as_fraction(c) for (a,), c in rem.terms()})
-        with pytest.raises(NotDivisible) as exc:
-            p1_div_exact(num, den)
-        assert str(exc.value) == f"remainder {rest} in univariate division"
-    assert 10 < fails < 50
+            want = {(a + shift, 0): as_fraction(c) for (a,), c in quo.terms()}
+            assert (got.num, got.mults) == (want, ())
+            assert all(type(c) in (int, Fraction) for c in got.num.values())
+        else:
+            fails += 1
+            _, left = q_poly(num).cancel(q_poly(den), include=True)
+            pole_only = all(f.is_cyclotomic for f, _ in left.factor_list()[1])
+            seen.add(pole_only)
+            if pole_only:
+                assert canonical(x / y) == Frac.of(terms, den).canonical()
+            else:
+                with pytest.raises(NotDivisible) as exc:
+                    x / y
+                assert str(exc.value) == "the divisor does not divide exactly"
+        cyclotomic_den = reduce(multiply, map(cyclotomic, rng.sample(range(1, 13), 2)), {0: 1})
+        pole = RationalQT(terms, cyclotomic_den)
+        if pole.mults:
+            seen.add("pole")
+            rest = q_poly({a: c for (a, _), c in pole.num.items()}).rem(q_poly(pole.den))
+            rest = render_qt({(a, 0): as_fraction(c) for (a,), c in rest.terms()})
+            with pytest.raises(NotPolynomial) as exc:
+                to_z_basis(pole)
+            assert str(exc.value) == f"remainder {rest} in univariate division"
+    assert 10 < fails < 50 and monic == {False, True} and seen == {False, True, "pole"}
 
 
 @pytest.mark.parametrize("m", (-3, -1, 2, 5))

@@ -386,7 +386,8 @@ def test_free_energy_sums_build_no_fraction():
 def test_library_arithmetic_renders_no_num_or_den(monkeypatch):
     # .num and .den render the stored rows and mults for readers; every
     # operation reads the rows: one table job of each benchmark pool, the
-    # bracket division and the parser's q-only quotient, memos cleared
+    # bracket division, the parser's q-only quotient and the finding of a
+    # value with a pole, memos cleared
     _clear_memos()
 
     def rendered(self):
@@ -402,3 +403,5 @@ def test_library_arithmetic_renders_no_num_or_den(monkeypatch):
         assert kauffman_bracket(spec) and bracket_coefficients(spec)
     assert sb_closed_form((1,)).specialize_t(4) == {3: 1, 1: 1, 0: 1, -1: 1, -3: 1}
     assert laurent.parse_qt("(q^2-q^-2)/(q-q^-1)") == RationalQT({(1, 0): 1, (-1, 0): 1})
+    with pytest.raises(NotPolynomial, match="^remainder 2 in univariate division$"):
+        conjecture_lhs(TorusLinkSpec(2, 3, 1), ((2,),), antisymmetrize=False)

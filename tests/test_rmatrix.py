@@ -1,7 +1,17 @@
 """Braiding matrix identities for the vector representation."""
 
+import random
+
+import pytest
+
+from klmov.errors import NotDivisible
+from klmov.laurent import RationalQT
 from klmov.rmatrix import (
     QMatrix,
+    _add_into,
+    _div_z,
+    _lift,
+    _product,
     bmw_relations_check,
     braid_relation_check,
     build_k2rho,
@@ -98,10 +108,9 @@ def test_trace_is_quantum_dimension():
 
 def test_quantum_trace_matches_cabling_formula():
     # the invariant computed straight from the definition (quantum trace of
-    # powers of the braiding, weighted by the enhancement on both factors)
-    # agrees with the cabling formula after specializing t = q^(2N); knots
-    # carry the self-writhe framing correction t^-m
-    from klmov.laurent import qt_iadd, qp_mul
+    # powers of the braiding, weighted by the enhancement K (x) K on both
+    # factors) agrees with the cabling formula after specializing t = q^(2N);
+    # knots carry the self-writhe framing correction t^-m
     from klmov.torus import TorusLinkSpec, torus_invariant
 
     def shifted(p, k):
@@ -109,17 +118,15 @@ def test_quantum_trace_matches_cabling_formula():
 
     def quantum_trace_power(n, m):
         dimv = 2 * n + 1
-        r = build_rhat(n)
-        acc = QMatrix.identity(r.dim)
-        for _ in range(m):
-            acc = acc @ r
         k = build_k2rho(n)
-        tr = {}
+        acc = _lift(k, 1, dimv) @ _lift(k, dimv, 1)
+        for _ in range(m):
+            acc = acc @ build_rhat(n)
+        tr = QMatrix(1)
         for i, j, poly in acc.entries():
             if i == j:
-                a, c = divmod(i, dimv)
-                qt_iadd(tr, qp_mul(poly, qp_mul(k.entry(a, a), k.entry(c, c))))
-        return tr
+                tr.add_entry(0, 0, poly)
+        return tr.entry(0, 0)
 
     cases = [
         (2, TorusLinkSpec(1, 1, 2), ((1,), (1,)), 0),
@@ -132,3 +139,49 @@ def test_quantum_trace_matches_cabling_formula():
             got = shifted(quantum_trace_power(n, m), -2 * n * wself)
             want = torus_invariant(spec, colors).specialize_t(2 * n)
             assert got == want, (n, spec)
+
+
+def test_lift_puts_identity_factors_around_the_operator():
+    # I_2 (x) A (x) I_3 for a 2 x 2 A with distinct entries, entry by entry
+    a = QMatrix(2, {0: {0: {0: 1}, 1: {1: 2}}, 1: {0: {-1: 3}, 1: {2: 4}}})
+    lifted = _lift(a, 2, 3)
+    assert lifted.dim == 12
+    for r in range(12):
+        for c in range(12):
+            (x, i, y), (x2, j, y2) = (r // 6, r // 3 % 2, r % 3), (c // 6, c // 3 % 2, c % 3)
+            assert lifted.entry(r, c) == (a.entry(i, j) if (x, y) == (x2, y2) else {})
+    assert _lift(a, 1, 1) == a
+
+
+def test_entry_kernels_match_rational_arithmetic():
+    # the add-into, the product and the division by q - 1/q of QMatrix's
+    # entries agree with RationalQT arithmetic on seeded random entries; a
+    # division that leaves a pole raises NotDivisible
+    rng = random.Random("qmatrix-entry-kernels")
+
+    def entry():
+        exponents = rng.sample(range(-6, 7), rng.randint(1, 5))
+        return {a: rng.choice((-3, -2, -1, 1, 2, 3)) for a in exponents}
+
+    def value(p):
+        return RationalQT({(a, 0): c for a, c in p.items()})
+
+    z = {1: 1, -1: -1}
+    seen = set()
+    for i in range(100):
+        p1, p2 = entry(), entry()
+        if i % 4 == 0:
+            p2 = {a: -c for a, c in p1.items()}
+        total = _add_into(dict(p1), p2)
+        assert value(total) == value(p1) + value(p2) and 0 not in total.values()
+        prod = _product(p1, p2)
+        assert value(prod) == value(p1) * value(p2) and 0 not in prod.values()
+        p = _product(p1, z) if i % 2 else p1
+        want = value(p) / value(z)
+        seen.add(bool(want.mults))
+        if want.mults:
+            with pytest.raises(NotDivisible):
+                _div_z(p)
+        else:
+            assert value(_div_z(p)) == want
+    assert seen == {False, True}
