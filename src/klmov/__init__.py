@@ -29,8 +29,8 @@ _EXPORTS = {
         "multi_character", "sn_character", "sn_column",
     ),
     "schur": (
-        "PbElement", "SbElement", "evaluate_sb_element", "pb_in_sb", "sb_closed_form",
-        "sb_in_pb", "unknot_identity_check",
+        "evaluate_sb_element", "pb_in_sb", "sb_closed_form", "sb_in_pb",
+        "unknot_identity_check",
     ),
     "torus": (
         "TorusLinkSpec", "bracket_coefficients", "ctilde", "kauffman_bracket",

@@ -23,12 +23,11 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .laurent import RationalQT, rational_sum
+from .laurent import RationalQT, Z, rational_sum
 from .torus import TorusLinkSpec, torus_invariant
 
 _R0 = RationalQT(0)
 _R1 = RationalQT(1)
-_Z = RationalQT({(1, 0): 1, (-1, 0): -1})
 _TINV = RationalQT({(0, -1): 1})
 _X = RationalQT({(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1}, {1: 1, -1: -1})
 
@@ -70,13 +69,13 @@ E = C2Element(_R0, _R0, _R1)
 def c2_mul(a, b):
     """Multiply via g^2 = 1 + z(g - e/t), ge = eg = e/t, ee = x*e."""
     c1 = rational_sum((((a.c1, b.c1), 1), ((a.cg, b.cg), 1)))
-    cg = rational_sum((((a.c1, b.cg), 1), ((a.cg, b.c1), 1), ((_Z, a.cg, b.cg), 1)))
+    cg = rational_sum((((a.c1, b.cg), 1), ((a.cg, b.c1), 1), ((Z, a.cg, b.cg), 1)))
     ce = rational_sum((
         ((a.c1, b.ce), 1),
         ((a.ce, b.c1), 1),
         ((_TINV, a.cg, b.ce), 1),
         ((_TINV, a.ce, b.cg), 1),
-        ((_Z, _TINV, a.cg, b.cg), -1),
+        ((Z, _TINV, a.cg, b.cg), -1),
         ((_X, a.ce, b.ce), 1),
     ))
     return C2Element(c1, cg, ce)
@@ -84,7 +83,7 @@ def c2_mul(a, b):
 
 def g_inverse():
     """g - z(1 - e), the inverse forced by the cubic relation."""
-    return C2Element(-_Z, _R1, _Z)
+    return C2Element(-Z, _R1, Z)
 
 
 def x_trace(a):
@@ -146,7 +145,7 @@ def cubic_relation_holds():
 
 def relation_a5_holds():
     """z(1 - e) = g - g^inverse."""
-    return (ONE - E).scale(_Z) == G - g_inverse()
+    return (ONE - E).scale(Z) == G - g_inverse()
 
 
 def inverse_check():

@@ -223,11 +223,6 @@ def cmd_sb(args):
     if args.pb or not args.closed or args.format == "json":
         # the closed form alone needs no character table and has no limit
         _check_size(args, sum(lam))
-    lines = []
-    if args.pb or not args.closed:
-        lines.append(f"pb expansion of {format_partition(lam)}: {schur.pb_in_sb(lam)}")
-    if args.closed or not args.pb:
-        lines.append(f"closed form: {schur.sb_closed_form(lam)}")
     if args.format == "json":
         data = {
             "schema": SCHEMA,
@@ -240,8 +235,14 @@ def cmd_sb(args):
             },
         }
         _emit(args, json.dumps(data, indent=2))
-    else:
-        _emit(args, "\n".join(lines))
+        return 0
+    lines = []
+    if args.pb or not args.closed:
+        expansion = schur.render_basis(schur.pb_in_sb(lam), "sb")
+        lines.append(f"pb expansion of {format_partition(lam)}: {expansion}")
+    if args.closed or not args.pb:
+        lines.append(f"closed form: {schur.sb_closed_form(lam)}")
+    _emit(args, "\n".join(lines))
     return 0
 
 
@@ -249,7 +250,7 @@ def cmd_ctilde(args):
     colors = parse_multipartition(args.colors)
     _check_size(args, args.r * mp_norm(colors))
     table = torus.ctilde(colors, args.r)
-    entries = sorted(table.entries.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
+    entries = sorted(table.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
     if args.format == "json":
         data = {
             "schema": SCHEMA,
@@ -305,7 +306,7 @@ def cmd_lmov(args):
         if args.format == "json":
             _emit(args, json.dumps(finding, indent=2))
         else:
-            _emit(args, f"FINDING for {lmov.describe_source(src)} colored {args.mu}: "
+            _emit(args, f"FINDING for {src.describe()} colored {args.mu}: "
                         f"{finding['finding']}")
         return 1
     if args.format == "json":
@@ -327,7 +328,7 @@ def cmd_lmov(args):
             lines.append(f"{lmov.format_genus(g)},{b},{n}")
         _emit(args, "\n".join(lines))
     else:
-        head = f"{lmov.describe_source(src)} colored {args.mu}"
+        head = f"{src.describe()} colored {args.mu}"
         _emit(args, head + "\n" + table.render_text())
     return 0
 

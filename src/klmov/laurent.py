@@ -620,6 +620,7 @@ def _coerce_strict(x):
 
 
 ONE = RationalQT(1)
+Z = RationalQT({(1, 0): 1, (-1, 0): -1})  # z = q - 1/q
 
 
 # ---------------------------------------------------------------------------

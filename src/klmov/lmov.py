@@ -19,6 +19,7 @@ from .characters import brauer_labels, multi_character
 from .errors import ComponentCountMismatch, NonIntegerCoefficient
 from .laurent import (
     RationalQT,
+    Z,
     ZTPoly,
     q_minus_qinv,
     rational_product,
@@ -44,13 +45,13 @@ from .torus import (
     unlink_invariant,
 )
 
-_Z_R = RationalQT({(1, 0): 1, (-1, 0): -1})
-
-
 class UnlinkSpec(NamedTuple):
     """Disjoint union of L unknots."""
 
     L: int
+
+    def describe(self):
+        return f"unlink^{self.L}"
 
 
 def invariant(src, colors):
@@ -62,12 +63,6 @@ def invariant(src, colors):
             raise ComponentCountMismatch(f"{len(colors)} colors for {src.L} components")
         return unlink_invariant(colors)
     raise TypeError(f"unknown invariant source {src!r}")
-
-
-def describe_source(src):
-    if isinstance(src, TorusLinkSpec):
-        return src.describe()
-    return f"unlink^{src.L}"
 
 
 @lru_cache(maxsize=None)
@@ -144,7 +139,7 @@ def conjecture_lhs(src, mu, antisymmetrize=True):
     findings.
     """
     g = reformulated_g(src, mu)
-    factors = (_Z_R, _Z_R) + tuple(
+    factors = (Z, Z) + tuple(
         ({(0, 0): 1}, q_minus_qinv(row)) for lam in mu for row in lam
     )
     if antisymmetrize:
@@ -233,7 +228,7 @@ def column_integrality_check(src, dvec):
     if d >= 2:
         zs = (({(0, 0): 1}, q_minus_qinv(1)),) * (d - 2)
     else:
-        zs = (_Z_R,)
+        zs = (Z,)
     return to_z_basis(rational_sum((((f,) + zs, dfact),))).is_integral()
 
 

@@ -1,11 +1,12 @@
-"""Power-sum and type-B Schur basis elements, and quantum dimensions.
+"""Power-sum and type-B Schur basis transitions, and quantum dimensions.
 
-``PbElement`` is a finite rational combination of power-sum symbols pb_mu
-indexed by partitions (the empty partition is the constant 1); ``SbElement``
-is the analogous combination of sb_A symbols over Brauer labels.  The two
-bases are exchanged through the Brauer character transition, and sb symbols
-evaluate to exact rational functions of (q, t) through the hook-content
-product formula for quantum dimensions.
+A combination of power-sum symbols pb_mu (the empty partition is the
+constant 1) or of type-B Schur symbols sb_A over Brauer labels is a plain
+mapping {partition: coefficient} with no zero coefficients.  The two bases
+are exchanged through the Brauer character transition; the memoised
+transitions hand out read-only views, so no caller can change the memo.  sb
+symbols evaluate to exact rational functions of (q, t) through the
+hook-content product formula for quantum dimensions.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
+from types import MappingProxyType
 
 from . import laurent
 from .characters import brauer_column, brauer_labels, sn_character
@@ -20,118 +22,35 @@ from .errors import NonIntegerCoefficient
 from .partitions import partitions_of, transpose, z_stat
 
 
-class _BasisElement:
-    """Shared bookkeeping for finite linear combinations over partition keys."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        self.coeffs = {}
-        if coeffs:
-            for key, c in coeffs.items():
-                if c:
-                    self.coeffs[tuple(key)] = c
-
-    @property
-    def is_zero(self):
-        return not self.coeffs
-
-    def items(self):
-        return self.coeffs.items()
-
-    def __eq__(self, other):
-        if isinstance(other, type(self)):
-            return self.coeffs == other.coeffs
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            v = out.get(key, 0) + c
-            if v:
-                out[key] = v
-            else:
-                out.pop(key, None)
-        return type(self)(out)
-
-    def __sub__(self, other):
-        return self + (other * -1)
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        if not scalar:
-            return type(self)()
-        return type(self)({k: scalar * c for k, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def _render(self, symbol):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for key in sorted(self.coeffs, key=lambda k: (sum(k), k), reverse=True):
-            c = self.coeffs[key]
-            name = f"{symbol}({','.join(map(str, key))})" if key else ""
-            mag = abs(c)
-            if not name:
-                body = str(mag)
-            elif mag == 1:
-                body = name
-            else:
-                body = f"{mag}*{name}"
-            if not bits:
-                bits.append(body if c > 0 else f"-{body}")
-            else:
-                bits.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(bits)
-
-
-class PbElement(_BasisElement):
-    """Rational combination of power-sum symbols pb_mu."""
-
-    def pb_mul(self, other):
-        """Bilinear extension of pb_mu * pb_nu = pb_{mu union nu}."""
-        out = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in other.coeffs.items():
-                key = tuple(sorted(k1 + k2, reverse=True))
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return PbElement(out)
-
-    def adams(self, r):
-        """Scale every row by r (evaluation at r-th power variables)."""
-        if r < 1:
-            raise ValueError("adams wants r >= 1")
-        return PbElement({tuple(r * p for p in k): c for k, c in self.coeffs.items()})
-
-    def __str__(self):
-        return self._render("pb")
-
-
-class SbElement(_BasisElement):
-    """Rational combination of type-B Schur symbols sb_A."""
-
-    def __str__(self):
-        return self._render("sb")
-
-
-def pb_one():
-    return PbElement({(): 1})
+def render_basis(coeffs, symbol):
+    """Text of a {partition: coefficient} combination over symbol(...),
+    largest size first."""
+    if not coeffs:
+        return "0"
+    bits = []
+    for key in sorted(coeffs, key=lambda k: (sum(k), k), reverse=True):
+        c = coeffs[key]
+        name = f"{symbol}({','.join(map(str, key))})" if key else ""
+        mag = abs(c)
+        if not name:
+            body = str(mag)
+        elif mag == 1:
+            body = name
+        else:
+            body = f"{mag}*{name}"
+        if not bits:
+            bits.append(body if c > 0 else f"-{body}")
+        else:
+            bits.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(bits)
 
 
 @lru_cache(maxsize=None)
 def pb_in_sb(mu):
     """Expand pb_mu over sb symbols via the Brauer character transition."""
     mu = tuple(mu)
-    return SbElement(dict(zip(brauer_labels(sum(mu)), brauer_column(mu))))
+    column = zip(brauer_labels(sum(mu)), brauer_column(mu))
+    return MappingProxyType({a: c for a, c in column if c})
 
 
 @lru_cache(maxsize=None)
@@ -152,12 +71,14 @@ def sb_in_pb_scaled(a):
             raise NonIntegerCoefficient(f"sb{b} has multiplicity {Fraction(m, nfact)} in sb{a}")
         for nu, c in sb_in_pb_scaled(b).items():
             out[nu] = out.get(nu, 0) - m // factorial(sum(b)) * c
-    return PbElement(out)
+    return MappingProxyType({mu: c for mu, c in out.items() if c})
 
 
 def sb_in_pb(a):
-    """Invert the transition: express sb_a in power sums."""
-    return sb_in_pb_scaled(tuple(a)) * Fraction(1, factorial(sum(a)))
+    """Invert the transition: express sb_a in power sums, as a fresh
+    {mu: Fraction} dict."""
+    nfact = factorial(sum(a))
+    return {mu: Fraction(c, nfact) for mu, c in sb_in_pb_scaled(tuple(a)).items()}
 
 
 @lru_cache(maxsize=None)
@@ -199,9 +120,10 @@ def sb_closed_form(a):
     return laurent.rational_product(cells)
 
 
-def evaluate_sb_element(x):
-    """Evaluate an SbElement to a RationalQT through the closed forms."""
-    return laurent.rational_sum((sb_closed_form(a), c) for a, c in x.items())
+def evaluate_sb_element(coeffs):
+    """Evaluate a mapping {label: coefficient} of sb symbols to a RationalQT
+    through the closed forms."""
+    return laurent.rational_sum((sb_closed_form(a), c) for a, c in coeffs.items())
 
 
 def pb_value(n):
@@ -210,14 +132,11 @@ def pb_value(n):
     return laurent.RationalQT(num, laurent.q_minus_qinv(n))
 
 
-def pb_product_value(mu):
-    return laurent.rational_product(pb_value(part) for part in mu)
-
-
 def unknot_identity_check(mu):
     """Character sum of quantum dimensions against the product formula."""
     mu = tuple(mu)
-    return evaluate_sb_element(pb_in_sb(mu)) == pb_product_value(mu)
+    product = laurent.rational_product(pb_value(part) for part in mu)
+    return evaluate_sb_element(pb_in_sb(mu)) == product
 
 
 def loop_weight():

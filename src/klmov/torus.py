@@ -17,7 +17,7 @@ from typing import NamedTuple
 from . import laurent
 from .errors import ComponentCountMismatch, NonIntegerExponent
 from .partitions import kappa
-from .schur import loop_weight, pb_in_sb, pb_one, sb_closed_form, sb_in_pb_scaled
+from .schur import loop_weight, pb_in_sb, sb_closed_form, sb_in_pb_scaled
 
 
 class TorusLinkSpec(NamedTuple):
@@ -38,29 +38,36 @@ class TorusLinkSpec(NamedTuple):
         return f"T({self.r * self.L},{self.k * self.L})"
 
 
-class CTildeTable(NamedTuple):
-    colors: tuple
-    r: int
-    entries: dict  # partition -> Fraction
-
-
 @lru_cache(maxsize=None)
 def _ctilde_entries(colors, r):
-    prod, scale = pb_one(), 1
+    if r < 1:
+        raise ValueError("cabling constants want r >= 1")
+    prod, scale = {(): 1}, 1
     for a in colors:
-        prod = prod.pb_mul(sb_in_pb_scaled(a))
+        # pb_mu * pb_nu = pb_{mu union nu}, extended bilinearly
+        step, right = {}, sb_in_pb_scaled(a).items()
+        for k1, c1 in prod.items():
+            for k2, c2 in right:
+                key = tuple(sorted(k1 + k2, reverse=True))
+                v = step.get(key, 0) + c1 * c2
+                if v:
+                    step[key] = v
+                else:
+                    del step[key]
+        prod = step
         scale *= factorial(sum(a))
     collected = {}
-    for mu, c in prod.adams(r).items():
-        for lam, ch in pb_in_sb(mu).items():
+    for mu, c in prod.items():
+        # the Adams operation scales every row by r
+        for lam, ch in pb_in_sb(tuple(r * p for p in mu)).items():
             collected[lam] = collected.get(lam, 0) + c * ch
     return {lam: Fraction(c, scale) for lam, c in collected.items() if c}
 
 
 def ctilde(colors, r):
-    """Cabling constants of the color tuple at cable degree r."""
-    colors = tuple(tuple(a) for a in colors)
-    return CTildeTable(colors, r, dict(_ctilde_entries(colors, r)))
+    """Cabling constants of the color tuple at cable degree r, as a fresh
+    {lam: Fraction} dict over the cable labels with nonzero constants."""
+    return dict(_ctilde_entries(tuple(tuple(a) for a in colors), r))
 
 
 @lru_cache(maxsize=None)
@@ -136,8 +143,7 @@ def bracket_coefficients(spec):
     spec = TorusLinkSpec(*spec).validate()
     shift = spec.L - 1
     value = kauffman_bracket(spec)
-    zpoly = laurent.RationalQT({(1, 0): 1, (-1, 0): -1})
-    ztp = laurent.to_z_basis(value * zpoly**shift)
+    ztp = laurent.to_z_basis(value * laurent.Z**shift)
     out = {}
     for zp, row in ztp.rows().items():
         out[zp - shift] = laurent.RationalQT({(0, b): c for b, c in row.items()})

@@ -295,9 +295,9 @@ print(json.dumps([[a, mu, characters.brauer_character(a, mu)]
                   for n in range(11)
                   for a in characters.brauer_labels(n)
                   for mu in characters.partitions_of(n)]))
-print(json.dumps([[a, str(schur.sb_in_pb_scaled(a))]
+print(json.dumps([[a, schur.render_basis(schur.sb_in_pb_scaled(a), 'pb')]
                   for n in range(7) for a in characters.partitions_of(n)]))
-print(sorted(torus.ctilde(((3,), (3,)), 2).entries.items()))
+print(sorted(torus.ctilde(((3,), (3,)), 2).items()))
 print(lmov.z_coefficient(torus.TorusLinkSpec(2, 5, 1), ((3, 1),)))
 print(verify.run_suite("all", only="brauer-characters"))
 """
@@ -320,9 +320,11 @@ def test_brauer_characters_without_a_table():
     for n in range(11):
         want.update(_reference_brauer_table(n))
     assert got == want
-    assert json.loads(sb) == [[list(a), str(schur.sb_in_pb_scaled(a))]
-                              for n in range(7) for a in partitions_of(n)]
-    assert ct == str(sorted(torus.ctilde(((3,), (3,)), 2).entries.items()))
+    assert json.loads(sb) == [
+        [list(a), schur.render_basis(schur.sb_in_pb_scaled(a), "pb")]
+        for n in range(7) for a in partitions_of(n)
+    ]
+    assert ct == str(sorted(torus.ctilde(((3,), (3,)), 2).items()))
     assert z == str(lmov.z_coefficient(torus.TorusLinkSpec(2, 5, 1), ((3, 1),)))
     assert checks == str([("brauer-characters", True, "58 table entries match")])
     assert checks == str(verify.run_suite("all", only="brauer-characters"))

@@ -228,10 +228,45 @@ def test_lazy_layers_keep_an_imported_module():
     assert out == "ok\n"
 
 
+_SB_JSON_3 = {
+    "schema": "klmov-v1",
+    "kind": "sb",
+    "partition": [3],
+    "closed": {
+        "num": [
+            [2, -2, "-1"], [2, 0, "1"], [3, -3, "-1"], [3, -1, "1"], [4, 0, "1"],
+            [4, 2, "-1"], [5, -1, "1"], [5, 1, "-1"], [7, -1, "1"], [7, 1, "-1"],
+            [8, -2, "1"], [8, 0, "-1"], [9, 1, "-1"], [9, 3, "1"], [10, 0, "-1"],
+            [10, 2, "1"],
+        ],
+        "den": [[0, "-1"], [2, "1"], [4, "1"], [8, "-1"], [10, "-1"], [12, "1"]],
+    },
+    "pb_expansion": {"3": "1", "2,1": "-1", "1,1,1": "1"},
+}
+
+
+_SB_STDOUT = (
+    (("--partition", "0"), "pb expansion of 0: 1\nclosed form: 1\n"),
+    (("--partition", "2,1"),
+     "pb expansion of 2,1: sb(3) - sb(1,1,1) + sb(1)\n"
+     "closed form: (-q^10 + q^8*t^2 + q^8*t^-2 - q^7*t + q^7*t^-1 - q^6 + q^5*t^3"
+     " - q^5*t + q^5*t^-1 - q^5*t^-3 + q^4 - q^3*t + q^3*t^-1 - q^2*t^2 - q^2*t^-2"
+     " + 1)/(q^10 - 2*q^8 + q^6 - q^4 + 2*q^2 - 1)\n"),
+    (("--partition", "2,2", "--pb"),
+     "pb expansion of 2,2: sb(4) - sb(3,1) + 2*sb(2,2) - sb(2,1,1) + sb(1,1,1,1)"
+     " + 2*sb(2) - 2*sb(1,1) + 3\n"),
+    (("--partition", "3", "--format", "json"), json.dumps(_SB_JSON_3, indent=2) + "\n"),
+    (("--partition", "1,1,1", "--closed"),
+     "closed form: (-q^10 + q^10*t^-2 + q^9*t^-1 - q^9*t^-3 + q^8*t^2 - q^8 - q^7*t"
+     " + q^7*t^-1 - q^5*t + q^5*t^-1 + q^4 - q^4*t^-2 + q^3*t^3 - q^3*t - q^2*t^2"
+     " + q^2)/(q^12 - q^10 - q^8 + q^4 + q^2 - 1)\n"),
+)
+
+
 def test_sb_command(capsys):
-    code, out = run(capsys, "sb", "--partition", "2")
-    assert code == 0
-    assert "sb(2)" in out or "closed form" in out
+    # the exact stdout of the sb renderer and closed forms
+    for argv, want in _SB_STDOUT:
+        assert run(capsys, "sb", *argv) == (0, want), argv
 
 
 def test_ctilde_command(capsys):

@@ -99,7 +99,7 @@ def cable_sum(r, k, colors, q, t):
     n = sum(sum(a) for a in colors)
     big_k = sum(kappa(a) for a in colors)
     out = 0
-    for lam, c in ctilde(colors, r).entries.items():
+    for lam, c in ctilde(colors, r).items():
         qe, qrem = divmod(k * (kappa(lam) - r * r * big_k), r)
         te, trem = divmod(k * (sum(lam) - r * r * n), r)
         assert qrem == trem == 0, (r, k, colors, lam)
