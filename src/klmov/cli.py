@@ -40,8 +40,9 @@ match it as a shell-style pattern such as ``'ctilde*'``.
 Exit codes: 0 success, 1 a conjecture check produced a finding (a
 non-integral or non-representable value), 2 usage error or a file that
 cannot be read or written (``OSError``, as for ``--out`` or ``--cache-dir``),
-3 a size limit was exceeded (``BoundExceeded``; ``--bound`` raises the
-limit), 4 an internal arithmetic error (a ``NotDivisible`` or
+3 a resource limit was hit: a size limit was exceeded (``BoundExceeded``;
+``--bound`` raises the limit) or memory ran out (``MemoryError``), 4 an
+internal arithmetic error (a ``NotDivisible`` or
 ``NonCyclotomicDenominator`` that is not a finding of ``lmov``), 141
 standard output was closed before everything was written (as by ``klmov ...
 | head``; nothing is printed on standard error, and 141 is what a shell
@@ -123,12 +124,6 @@ def rationalqt_to_json(x):
         "num": [[a, b, str(Fraction(c))] for (a, b), c in sorted(x.num.items())],
         "den": [[a, str(Fraction(c))] for a, c in sorted(x.den.items())],
     }
-
-
-def rationalqt_from_json(data):
-    num = {(a, b): Fraction(c) for a, b, c in data["num"]}
-    den = {a: Fraction(c) for a, c in data["den"]}
-    return laurent.RationalQT(num, den)
 
 
 def _emit(args, text):
@@ -496,6 +491,9 @@ def main(argv=None):
         return code
     except BoundExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 3
     except (NotDivisible, NonCyclotomicDenominator) as exc:
         print(f"error: {exc}", file=sys.stderr)

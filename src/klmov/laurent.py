@@ -24,9 +24,9 @@ In canonical form no ``Phi_d`` of ``mults`` divides every row.  Each
 gcd of the rows is the number of successive derivatives p, p', ... of every
 row it divides; the rows are then divided once by the product of the
 ``Phi_d`` to those multiplicities.  Only a dense denominator from outside is
-factored, by trial division: the ``den`` of the constructor (as from
-``parse_qt``) or of a raw ``(num, den)`` factor of ``rational_sum``; a
-factor that is not cyclotomic raises ``NonCyclotomicDenominator``.
+factored, by trial division: the ``den`` of the constructor or of a raw
+``(num, den)`` factor of ``rational_sum``; a factor that is not cyclotomic
+raises ``NonCyclotomicDenominator``.
 
 A term of ``rational_sum`` is a tuple of factors standing for their product:
 their rows are multiplied slice by slice and their multiplicities added.
@@ -619,7 +619,6 @@ def _coerce_strict(x):
     return out
 
 
-ONE = RationalQT(1)
 Z = RationalQT({(1, 0): 1, (-1, 0): -1})  # z = q - 1/q
 
 
@@ -792,120 +791,3 @@ def render_qt(terms):
         else:
             pieces.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(pieces)
-
-
-def _quotient(value, divisor):
-    """value / divisor for parsed input: a q-only polynomial divisor is a
-    dense denominator from outside, factored by the constructor."""
-    if not divisor.mults and len(divisor.rows) == 1 and divisor.rows[0][0] == 0:
-        ((_, lo, p),) = divisor.rows
-        return value * RationalQT(divisor.scale, {lo + i: c for i, c in enumerate(p) if c})
-    return value / divisor
-
-
-class _Parser:
-    """Recursive-descent parser for the rendered grammar (plus parentheses).
-
-    Accepts q, t, integers, + - * / ^ and implicit exactness: every "/" is an
-    exact division, so "(q^2-q^-2)/(q-q^-1)" parses to q + q^-1.
-    """
-
-    def __init__(self, text):
-        self.toks = self._lex(text)
-        self.pos = 0
-
-    @staticmethod
-    def _lex(text):
-        toks = []
-        i = 0
-        while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                toks.append(("num", int(text[i:j])))
-                i = j
-            elif ch in "qt+-*/^()":
-                toks.append((ch, ch))
-                i += 1
-            else:
-                raise ValueError(f"unexpected character {ch!r}")
-        toks.append(("end", None))
-        return toks
-
-    def _peek(self):
-        return self.toks[self.pos][0]
-
-    def _next(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        value = self._expr()
-        if self._peek() != "end":
-            raise ValueError("trailing input")
-        return value
-
-    def _expr(self):
-        sign = 1
-        while self._peek() in "+-":
-            if self._next()[0] == "-":
-                sign = -sign
-        value = self._term() * sign
-        while self._peek() in "+-":
-            op = self._next()[0]
-            rhs = self._term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def _term(self):
-        value = self._factor()
-        while self._peek() in "*/":
-            op = self._next()[0]
-            rhs = self._factor()
-            value = value * rhs if op == "*" else _quotient(value, rhs)
-        return value
-
-    def _factor(self):
-        base = self._atom()
-        if self._peek() == "^":
-            self._next()
-            sign = 1
-            while self._peek() == "-":
-                self._next()
-                sign = -sign
-            kind, val = self._next()
-            if kind != "num":
-                raise ValueError("exponent must be an integer")
-            n = sign * val
-            if n >= 0:
-                return base ** n
-            inv = _quotient(ONE, base)
-            return inv ** (-n)
-        return base
-
-    def _atom(self):
-        kind, val = self._next()
-        if kind == "num":
-            return RationalQT(val)
-        if kind == "q":
-            return RationalQT({(1, 0): 1})
-        if kind == "t":
-            return RationalQT({(0, 1): 1})
-        if kind == "(":
-            value = self._expr()
-            if self._next()[0] != ")":
-                raise ValueError("missing closing parenthesis")
-            return value
-        if kind == "-":
-            return -self._atom()
-        raise ValueError(f"unexpected token {kind!r}")
-
-
-def parse_qt(text):
-    """Parse the textual grammar into a RationalQT."""
-    return _Parser(text).parse()

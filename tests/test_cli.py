@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from klmov import characters
-from klmov.cli import main, rationalqt_from_json, rationalqt_to_json
+from klmov.cli import main, rationalqt_to_json
 from klmov.laurent import RationalQT
 from klmov.schur import sb_closed_form
 from klmov.torus import TorusLinkSpec, torus_invariant
@@ -47,13 +48,17 @@ def test_invariant_json_roundtrip(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["schema"] == "klmov-v1"
-    value = rationalqt_from_json(data["value"])
-    assert value == torus_invariant(TorusLinkSpec(2, 3, 1), ((1,),))
+    num = {(a, b): Fraction(c) for a, b, c in data["value"]["num"]}
+    den = {a: Fraction(c) for a, c in data["value"]["den"]}
+    assert RationalQT(num, den) == torus_invariant(TorusLinkSpec(2, 3, 1), ((1,),))
 
 
 def test_json_helpers_roundtrip():
     x = RationalQT({(2, 1): 3, (-1, -2): -1}, {1: 1, -1: -1})
-    assert rationalqt_from_json(rationalqt_to_json(x)) == x
+    data = rationalqt_to_json(x)
+    num = {(a, b): Fraction(c) for a, b, c in data["num"]}
+    den = {a: Fraction(c) for a, c in data["den"]}
+    assert RationalQT(num, den) == x
 
 
 def test_lmov_table_text(capsys):
@@ -503,6 +508,21 @@ def test_lmov_finding_exit_code(monkeypatch, capsys):
     code, out = run(capsys, "lmov", "--torus", "1,1,2", "--mu", "1|1")
     assert code == 1
     assert "FINDING" in out and "NotZRepresentable" in out
+
+
+def test_out_of_memory_exits_3(monkeypatch, capsys):
+    # running out of memory is a resource limit, reported without a traceback
+    from klmov import lmov
+
+    def boom(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(lmov, "conjecture_lhs", boom)
+    code = main(["lmov", "--torus", "1,1,2", "--mu", "1|1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
 
 
 def test_lmov_finding_json(monkeypatch, capsys):

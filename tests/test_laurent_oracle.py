@@ -10,10 +10,11 @@ order 100 to 250, non-cyclotomic ones, ones with fractional coefficients,
 and mixtures of these.  Where a denominator has a non-cyclotomic factor
 (sympy checks the division), building the value must raise
 ``NonCyclotomicDenominator``.  ``to_z_basis`` is compared with sympy's
-substitution z = q - 1/q.  The multiplicity of Phi_d found by derivative
-tests is compared with sympy's, and ``rational_sum`` with the earlier route
-kept here as a reference: dict products with each cofactor, then one Phi_d
-cancelled per round while every t-slice allows it.
+substitution z = q - 1/q, and the rendered text of a value with sympy's
+reading of it.  The multiplicity of Phi_d found by derivative tests is
+compared with sympy's, and ``rational_sum`` with the earlier route kept here
+as a reference: dict products with each cofactor, then one Phi_d cancelled
+per round while every t-slice allows it.
 """
 
 import random
@@ -85,6 +86,9 @@ class Frac:
     def __mul__(self, other):
         shift = (self.shift[0] + other.shift[0], self.shift[1] + other.shift[1])
         return Frac(self.num * other.num, self.den * other.den, shift)
+
+    def expr(self):
+        return self.num.as_expr() * q ** self.shift[0] * t ** self.shift[1] / self.den.as_expr()
 
     def divided_by(self, terms):
         poly, (i, j) = to_poly(terms)
@@ -218,6 +222,24 @@ def test_canonical_form_matches_sympy(family):
         x = built(num, den)
         if x is not None:
             assert canonical(x) == Frac.of(num, den).canonical()
+
+
+def test_rendering_parses_back_in_sympy():
+    # str(x) is read by sympy's parser, an independent reading of the grammar
+    rng = random.Random(11)
+    cases = []
+    for _ in range(25):
+        num = {
+            (rng.randint(-3, 3), rng.randint(-2, 2)): rng.randint(-5, 5)
+            for _ in range(rng.randint(1, 4))
+        }
+        cases.append((num, rng.choice([{0: 1}, {1: 1, -1: -1}, {2: 1, 0: 1}])))
+    fractional = {(1, 1): Fraction(3, 2), (-2, 0): Fraction(-5, 4), (0, -1): 7}
+    cases += [(fractional, cyclotomic(d)) for d in (3, 4, 6)]
+    for num, den in cases:
+        x = RationalQT(num, den)
+        parsed = sympy.sympify(str(x).replace("^", "**"), locals={"q": q, "t": t})
+        assert sympy.cancel(parsed - Frac.of(num, den).expr()) == 0, str(x)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
