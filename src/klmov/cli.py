@@ -9,10 +9,14 @@ request once, before computing anything, against ``LIMITS`` raised by
     ctilde               cable size r * |colors|                 12
     invariant            cable size min(r, k) * |colors| (torus) 12
     lmov, degree         color size |mu|                          6
+    invariant, lmov,     framing degree max(r, k) * |colors|    100
+      degree             (torus; |mu| for lmov and degree)
     rmatrix              N                                        4
 
 Only these commands take ``--bound``.  A torus link T(rL, kL) equals
-T(kL, rL) and is cabled through min(r, k).
+T(kL, rL) and is cabled through min(r, k).  The framing degree is the
+t-span of the Rosso-Jones framing monomials, and the exponent spans of the
+invariant grow with it, so a small color on a large r or k is refused.
 
 ``invariant``, ``lmov`` and ``degree`` take exactly one of ``--torus r,k,L``
 and ``--unlink L``.  Each command takes ``--format`` for the formats it
@@ -107,15 +111,15 @@ SCHEMA = "klmov-v1"
 
 _FINDINGS = (NotDivisible, NotPolynomial, NotZRepresentable, NonIntegerCoefficient)
 
-# command -> (what is measured, default limit)
+# command -> {what is measured: default limit}
 LIMITS = {
-    "char-table": ("rank", 20),
-    "sb": ("partition size", 12),
-    "ctilde": ("cable size", 12),
-    "invariant": ("cable size", 12),
-    "lmov": ("color size", 6),
-    "degree": ("color size", 6),
-    "rmatrix": ("N =", 4),
+    "char-table": {"rank": 20},
+    "sb": {"partition size": 12},
+    "ctilde": {"cable size": 12},
+    "invariant": {"cable size": 12, "framing degree": 100},
+    "lmov": {"color size": 6, "framing degree": 100},
+    "degree": {"color size": 6, "framing degree": 100},
+    "rmatrix": {"N =": 4},
 }
 
 
@@ -144,20 +148,29 @@ def _configure_cache(args):
     characters.set_cache_dir(cache_dir)
 
 
-def _check_size(args, size):
-    """Refuse a request above its command's limit, before any computation."""
-    what, default = LIMITS[args.command]
-    bound = max(args.bound, default)
+def _check_size(args, what, size):
+    """Refuse a request above its command's limit on what, before any
+    computation."""
+    bound = max(args.bound, LIMITS[args.command][what])
     if size > bound:
         raise BoundExceeded(f"{what} {size} exceeds bound {bound}")
 
 
-def _parse_mu(args):
-    """The --mu multi-partition, refused before any computation when zero."""
+def _check_framing(args, src, colors):
+    """Refuse a torus link whose framing degree max(r, k) * |colors|, the
+    t-span of its framing monomials, is above the limit."""
+    if isinstance(src, torus.TorusLinkSpec):
+        _check_size(args, "framing degree", max(src.r, src.k) * mp_norm(colors))
+
+
+def _parse_mu(args, src):
+    """The --mu multi-partition, refused before any computation when zero
+    or too large for the link src."""
     mu = parse_multipartition(args.mu)
     if mp_is_zero(mu):
         raise ValueError("needs a nonzero multi-partition")
-    _check_size(args, mp_norm(mu))
+    _check_size(args, "color size", mp_norm(mu))
+    _check_framing(args, src, mu)
     return mu
 
 
@@ -178,7 +191,7 @@ def _source_json(src):
 
 
 def cmd_char_table(args):
-    _check_size(args, args.n)
+    _check_size(args, "rank", args.n)
     table = characters.brauer_table(args.n)
     labels = characters.brauer_labels(args.n)
     classes = partitions_of(args.n)
@@ -217,7 +230,7 @@ def cmd_sb(args):
     lam = parse_partition(args.partition)
     if args.pb or not args.closed or args.format == "json":
         # the closed form alone needs no character table and has no limit
-        _check_size(args, sum(lam))
+        _check_size(args, "partition size", sum(lam))
     if args.format == "json":
         data = {
             "schema": SCHEMA,
@@ -243,7 +256,7 @@ def cmd_sb(args):
 
 def cmd_ctilde(args):
     colors = parse_multipartition(args.colors)
-    _check_size(args, args.r * mp_norm(colors))
+    _check_size(args, "cable size", args.r * mp_norm(colors))
     table = torus.ctilde(colors, args.r)
     entries = sorted(table.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
     if args.format == "json":
@@ -267,7 +280,8 @@ def cmd_invariant(args):
     src = _parse_source(args)
     colors = parse_multipartition(args.colors)
     if isinstance(src, torus.TorusLinkSpec):
-        _check_size(args, min(src.r, src.k) * mp_norm(colors))
+        _check_size(args, "cable size", min(src.r, src.k) * mp_norm(colors))
+    _check_framing(args, src, colors)
     value = lmov.invariant(src, colors)
     if args.format == "json":
         data = {
@@ -285,7 +299,7 @@ def cmd_invariant(args):
 
 def cmd_lmov(args):
     src = _parse_source(args)
-    mu = _parse_mu(args)
+    mu = _parse_mu(args, src)
     try:
         poly = lmov.conjecture_lhs(src, mu, antisymmetrize=not args.no_antisym)
         table = lmov.extract_n_table(poly, mu)
@@ -330,7 +344,7 @@ def cmd_lmov(args):
 
 def cmd_degree(args):
     src = _parse_source(args)
-    mu = _parse_mu(args)
+    mu = _parse_mu(args, src)
     res = lmov.degree_check(src, mu)
     if args.format == "json":
         data = {
@@ -370,7 +384,7 @@ def cmd_bmw(args):
 
 def cmd_rmatrix(args):
     n = args.N
-    _check_size(args, n)
+    _check_size(args, "N =", n)
     results = []
     if args.check in ("all", "ribbon"):
         results.append(("ribbon", rmatrix.ribbon_check(n)))

@@ -33,7 +33,17 @@ their rows are multiplied slice by slice and their multiplicities added.
 The lcm of the term denominators takes the per-d maximum; each term's rows,
 over one common scale and times its cofactor lcm / den, are accumulated into
 one dense int row per t-exponent, so a sum is canonicalized once.  ``+``,
-``*`` and ``rational_product`` are special cases.
+``*`` and ``rational_product`` are special cases.  A one-coefficient factor
+c q^a t^b (a monomial, or a term-dict multiplier over 1) shifts the rows and
+scales them by c; a sum of one part is its rows times its coefficient, with
+no cofactor pass.
+
+A quantum dimension is built from its hook data by ``hook_product``, with
+no factoring: each cell's numerator t q^d - t^-1 q^-d (plus q^h - q^-h on
+the diagonal) is multiplied in as shifted +-1 copies of dense int t-slices,
+q^(sum h) moves up and the multiplicities are read off the hook lengths h.
+Its value is canonical as built: the top t-slice is a monomial, which no
+Phi_d divides, so the gcd of the rows is 1 and no content test runs.
 
 There is one division, ``/``: the divisor's denominator moves up and its
 cyclotomic q-content (the Phi_d dividing every row of its numerator) moves
@@ -64,6 +74,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import comb, gcd, inf, lcm
+from operator import add, sub
 
 from .errors import (
     NonCyclotomicDenominator,
@@ -74,7 +85,7 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
-# term dicts, the input format: raw factors of schur and lmov, parsed values
+# term dicts, the input format: raw factors and multipliers of schur and lmov
 # ---------------------------------------------------------------------------
 
 
@@ -260,12 +271,18 @@ def _mul_into(acc, x, y):
 
 
 def _trimmed(acc):
-    """The nonzero rows of an accumulator of _mul_into, zero ends cut."""
+    """The nonzero rows of an accumulator of _mul_into, zero ends cut: each
+    row is scanned in from both ends, and kept as it is when nothing is cut."""
     rows = []
     for b, (lo, p) in acc.items():
-        nonzero = [i for i, c in enumerate(p) if c]
-        if nonzero:
-            rows.append((b, lo + nonzero[0], p[nonzero[0]:nonzero[-1] + 1]))
+        i, j = 0, len(p)
+        while i < j and not p[i]:
+            i += 1
+        if i == j:
+            continue
+        while not p[j - 1]:
+            j -= 1
+        rows.append((b, lo + i, p if j - i == len(p) else p[i:j]))
     return rows
 
 
@@ -349,9 +366,17 @@ def _product_term(factors, m):
     denominators by adding their multiplicities.
     """
     rows, s, k, mults = None, m.denominator, m.numerator, {}
+    qa = tb = 0
     for f in factors:
         if isinstance(f, RationalQT):
             frows, fs, fk, fm = f.rows, f.scale, 1, f.mults
+        elif len(f[0]) == 1 and f[1] == {0: 1}:
+            # c q^a t^b: a shift of the rows and a scale
+            (((a, b), c),) = f[0].items()
+            if not c:
+                return None
+            qa, tb, s, k = qa + a, tb + b, s * c.denominator, k * c.numerator
+            continue
         else:
             frows, fs, fk, fm = _raw(*f)
         if not frows:
@@ -365,23 +390,33 @@ def _product_term(factors, m):
         s, k = s * fs, k * fk
         for d, e in fm:
             mults[d] = mults.get(d, 0) + e
-    return [(0, 0, (1,))] if rows is None else rows, s, k, mults
+    if rows is None:
+        rows = ((0, 0, (1,)),)
+    if qa or tb:
+        rows = [(b + tb, lo + qa, p) for b, lo, p in rows]
+    return rows, s, k, mults
 
 
 def _sum(parts):
-    """The _Canonical sum of parts of _product_term, over one lcm."""
-    # the lcm takes the largest multiplicity of each Phi_d
-    top = {}
-    for _, _, _, f in parts:
-        for d, e in f.items():
-            top[d] = max(e, top.get(d, 0))
-    scale = lcm(*(s for _, s, _, _ in parts))
-    # each part adds k * scale / s * rows * cofactor into dense rows
-    acc = {}
-    for rows, s, k, f in parts:
-        w = k * (scale // s)
-        _mul_into(acc, rows, ((0, 0, [w * c for c in _cofactor(top, f)]),))
-    rows = _trimmed(acc)
+    """The _Canonical sum of parts of _product_term, over one lcm; one part
+    is its rows times k over its own denominator."""
+    if len(parts) == 1:
+        ((rows, scale, k, top),) = parts
+        if k != 1:
+            rows = [(b, lo, [k * c for c in p]) for b, lo, p in rows]
+    else:
+        # the lcm takes the largest multiplicity of each Phi_d
+        top = {}
+        for _, _, _, f in parts:
+            for d, e in f.items():
+                top[d] = max(e, top.get(d, 0))
+        scale = lcm(*(s for _, s, _, _ in parts))
+        # each part adds k * scale / s * rows * cofactor into dense rows
+        acc = {}
+        for rows, s, k, f in parts:
+            w = k * (scale // s)
+            _mul_into(acc, rows, ((0, 0, [w * c for c in _cofactor(top, f)]),))
+        rows = _trimmed(acc)
     if not rows:
         return _reduced(1, (), ())
     # the gcd of the rows with the lcm is divided out at once
@@ -439,6 +474,49 @@ def rational_product(factors):
     """The canonical product of RationalQT values or raw (num, den) pairs of
     term dicts: the one-term case of rational_sum."""
     return rational_sum(((tuple(factors), 1),))
+
+
+@lru_cache(maxsize=None)
+def _divisors(n):
+    """The positive divisors of n, increasing."""
+    return tuple(d for d in range(1, n + 1) if n % d == 0)
+
+
+def hook_product(cells):
+    """The canonical product over (d, h, diagonal) triples of
+
+        (t q^d - t^-1 q^-d + [diagonal] (q^h - q^-h)) / (q^h - q^-h),
+
+    a quantum dimension read off the hook lengths h of a label's cells.
+
+    The numerators are multiplied as dense int t-slices over one q-window:
+    each cell adds two (on a diagonal, four) shifted +-1 copies of every
+    slice.  q^h - q^-h is q^-h times the Phi_d with d | 2h, so q^(sum h)
+    moves into the numerator and each cell adds one to those multiplicities.
+    The value is canonical as built: the top t-slice is the monomial t^n
+    q^(sum d) of the n cells, so no Phi_d divides every row and the gcd of
+    the coefficients is 1; no factoring, content test or gcd runs.
+    """
+    lo, width, slices, mults = sum(h for _, h, _ in cells), 1, {0: [1]}, {}
+    for d, h, diagonal in cells:
+        moves = ((1, d, add), (-1, -d, sub))
+        if diagonal:
+            moves += ((0, h, add), (0, -h, sub))
+        w = max(abs(shift) for _, shift, _ in moves)
+        grown = {}
+        for b, p in slices.items():
+            for tb, shift, op in moves:
+                row = grown.get(b + tb)
+                if row is None:
+                    row = grown[b + tb] = [0] * (width + 2 * w)
+                i = w + shift
+                row[i:i + width] = map(op, row[i:i + width], p)
+        lo, width, slices = lo - w, width + 2 * w, grown
+        for e in _divisors(2 * h):
+            mults[e] = mults.get(e, 0) + 1
+    rows = sorted(_trimmed({b: (lo, p) for b, p in slices.items()}))
+    return RationalQT(_Canonical(1, tuple((b, a, tuple(p)) for b, a, p in rows),
+                                 tuple(sorted(mults.items()))))
 
 
 class RationalQT:

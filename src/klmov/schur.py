@@ -89,7 +89,8 @@ def sb_closed_form(a):
     1 + (t q^{a_j - a'_j} - t^-1 q^{a'_j - a_j}) / (q^h - q^-h) and every
     other cell (i, j) contributes (t q^d - t^-1 q^-d) / (q^h - q^-h), where
     h is the hook length and d the arm/leg displacement (with the transposed
-    form when the cell sits below the diagonal).
+    form when the cell sits below the diagonal).  laurent.hook_product
+    multiplies them from the (d, h, diagonal) triples.
     """
     a = tuple(a)
     at = transpose(a)
@@ -104,20 +105,14 @@ def sb_closed_form(a):
     for i in range(1, len(a) + 1):
         for j in range(1, a[i - 1] + 1):
             h = row(i) + col(j) - i - j + 1
-            den = laurent.q_minus_qinv(h)
             if i == j:
-                e = row(j) - col(j)
-                num = {(e, 1): 1, (-e, -1): -1}
-                num[(h, 0)] = num.get((h, 0), 0) + 1
-                num[(-h, 0)] = num.get((-h, 0), 0) - 1
-                cells.append((num, den))
+                d = row(j) - col(j)
+            elif i < j:
+                d = row(i) + row(j) - i - j + 1
             else:
-                if i <= j:
-                    d = row(i) + row(j) - i - j + 1
-                else:
-                    d = -col(i) - col(j) + i + j - 1
-                cells.append(({(d, 1): 1, (-d, -1): -1}, den))
-    return laurent.rational_product(cells)
+                d = -col(i) - col(j) + i + j - 1
+            cells.append((d, h, i == j))
+    return laurent.hook_product(cells)
 
 
 def evaluate_sb_element(coeffs):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -201,7 +202,9 @@ def executed_modules(*argv):
      {"laurent", "lmov", "verify", "bmw", "rmatrix"}),
     (("ctilde", "--colors", "2", "--r", "2", "--no-cache"), {"schur", "torus"},
      {"laurent", "lmov", "verify", "bmw", "rmatrix"}),
-], ids=["char-table", "ctilde"])
+    (("lmov", "--torus", "2,3,1", "--mu", "2", "--no-cache"),
+     {"laurent", "lmov", "schur", "torus"}, {"verify", "golden", "bmw", "rmatrix"}),
+], ids=["char-table", "ctilde", "lmov"])
 def test_command_executes_only_the_modules_it_runs(argv, used, unused):
     executed = executed_modules(*argv)
     assert used <= executed
@@ -384,6 +387,40 @@ def test_size_limit_at_entry(capsys, argv):
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, measure", [
+    (("lmov", "--torus", "1,1001,2", "--mu", "1|1"), "framing degree 2002"),
+    (("lmov", "--torus", "1,3001,2", "--mu", "1|1"), "framing degree 6002"),
+    (("degree", "--torus", "3001,1,2", "--mu", "1|1"), "framing degree 6002"),
+    (("invariant", "--torus", "1,100001,2", "--colors", "1|1"), "framing degree 200002"),
+], ids=["lmov-1001", "lmov-3001", "degree", "invariant"])
+def test_framing_degree_limit_refuses_a_large_torus_parameter(capsys, argv, measure):
+    # a small color on a large r or k passes the color and cable limits, so
+    # max(r, k) * |colors| is checked at entry: refused within a second
+    start = time.perf_counter()
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: {measure} exceeds bound 100\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("lmov", "--torus", "1,50,2", "--mu", "1|1", "--format", "csv"),
+    ("invariant", "--torus", "1,50,2", "--colors", "1|1"),
+    ("degree", "--torus", "50,1,2", "--mu", "1|1"),
+])
+def test_framing_degree_limit_admits_its_default_and_bound_raises_it(capsys, argv):
+    # framing degree exactly 100 passes; one more needs --bound
+    assert run(capsys, *argv)[0] == 0
+    bigger = tuple({"1,50,2": "1,51,2", "50,1,2": "51,1,2"}.get(a, a) for a in argv)
+    code = main(list(bigger))
+    assert code == 3
+    assert capsys.readouterr().err == "error: framing degree 102 exceeds bound 100\n"
+    code, out = run(capsys, *bigger, "--bound", "102")
+    assert code == 0 and out
 
 
 @pytest.mark.parametrize("argv", [

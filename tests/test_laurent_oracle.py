@@ -34,6 +34,7 @@ from klmov.errors import (  # noqa: E402
 from klmov import laurent  # noqa: E402
 from klmov.laurent import (  # noqa: E402
     RationalQT,
+    rational_product,
     rational_sum,
     render_qt,
     to_z_basis,
@@ -768,3 +769,82 @@ def test_multiplicity_matches_sympy(d):
     assert laurent._multiplicity([[5]], d, 3) == 0
     assert laurent._multiplicity([[0]], d, 3) == 3
     assert laurent._cyclotomic_content([[7]]) == ([[7]], {})
+
+
+def product_frac(factors):
+    return reduce(Frac.__mul__, (Frac.of(*num_den(f)) for f in factors))
+
+
+@pytest.mark.parametrize("place", ("first", "middle", "last"))
+def test_one_coefficient_factor_matches_sympy(place):
+    # a monomial c q^a t^b with a negative Fraction c and b != 0 is applied
+    # as a shift and a scale of the rows, wherever it stands in the product
+    rng = random.Random(f"one-coefficient-{place}")
+    for _ in range(8):
+        factors, previous = [], None
+        for _ in range(rng.randint(2, 3)):
+            f = random_factor(rng, previous)
+            previous = f if isinstance(f, RationalQT) else previous
+            factors.append(f)
+        c = -Fraction(rng.randint(1, 9), rng.randint(2, 7))
+        mono = {(rng.randint(-4, 4), rng.choice((-2, -1, 1, 3))): c}
+        at = {"first": 0, "middle": 1, "last": len(factors)}[place]
+        factors.insert(at, (mono, {0: 1}))
+        want = product_frac(factors).canonical()
+        assert canonical(rational_product(factors)) == want
+        # the same monomial as the multiplier of a one-term sum
+        rest = factors[:at] + factors[at + 1:]
+        assert canonical(rational_sum([(tuple(rest), mono)])) == want
+        # and in a sum of two terms, next to a term without it
+        other = RationalQT(*random_rational(rng, "cyclotomic"))
+        got = rational_sum([(tuple(factors), 1), (other, Fraction(2, 3))])
+        want2 = (product_frac(factors) + Frac.of(other.num, other.den)
+                 * Frac.of({(0, 0): Fraction(2, 3)}, {0: 1})).canonical()
+        assert canonical(got) == want2
+    # a zero coefficient makes the product zero
+    assert not rational_product([RationalQT(*random_rational(rng, "cyclotomic")),
+                                 ({(2, 1): 0}, {0: 1})])
+
+
+@pytest.mark.parametrize("m", (1, -1, Fraction(3, 2)))
+def test_one_part_sum_matches_sympy(m):
+    # a sum of one part takes its rows times its coefficient, with no
+    # cofactor pass; the product's content test still cancels shared Phi_d
+    rng = random.Random(f"one-part-{m}")
+    for _ in range(10):
+        num, den = random_rational(rng, "cyclotomic")
+        x = RationalQT(num, den)
+        scale = Frac.of({(0, 0): m}, {0: 1})
+        assert canonical(rational_sum([(x, m)])) == (Frac.of(num, den) * scale).canonical()
+        raw = random_rational(rng, "cyclotomic")
+        got = rational_sum([((x, raw), m)])
+        assert canonical(got) == (Frac.of(num, den) * Frac.of(*raw) * scale).canonical()
+        assert canonical(rational_sum([((raw,), m)])) == (Frac.of(*raw) * scale).canonical()
+
+
+@pytest.mark.parametrize("case", ("leading", "trailing", "zero-slice", "no-cut"))
+def test_sums_that_cut_slices_match_sympy(case):
+    # x + y over one denominator, where the accumulated t-slice loses its
+    # low end, its high end, all of it, or nothing
+    x, y = {
+        "leading": ({(0, 1): 2, (3, 1): 1, (1, 0): 1}, {(0, 1): -2}),
+        "trailing": ({(0, 1): 1, (3, 1): 4, (1, 0): 1}, {(3, 1): -4, (2, 1): 1}),
+        "zero-slice": ({(0, 1): 1, (2, 2): 3, (4, 2): -1}, {(2, 2): -3, (4, 2): 1}),
+        "no-cut": ({(0, 1): 1, (-2, -1): 5}, {(1, 1): 1}),
+    }[case]
+    rng = random.Random(f"cut-{case}")
+    for den in ({0: 1}, cyclotomic(3), multiply(cyclotomic(1), cyclotomic(6))):
+        shift = rng.randint(-3, 3)
+        x = {(a + shift, b): c for (a, b), c in x.items()}
+        y = {(a + shift, b): c for (a, b), c in y.items()}
+        got = rational_sum([(RationalQT(x, den), 1), (RationalQT(y, den), 1)])
+        assert canonical(got) == (Frac.of(x, den) + Frac.of(y, den)).canonical()
+
+
+def test_trimmed_cuts_zero_ends_and_keeps_an_uncut_row():
+    row = [3, 0, -1]
+    acc = {0: [2, [0, 0, 5, 0]], 1: [-1, [0, 0, 0]], 2: [0, [1, 0, 2, 0, 0]], 3: [4, row]}
+    got = laurent._trimmed(acc)
+    assert got == [(0, 4, [5]), (2, 0, [1, 0, 2]), (3, 4, [3, 0, -1])]
+    assert got[-1][2] is row
+    assert laurent._trimmed({5: [0, [0]]}) == []

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from klmov.golden import PB_IN_SB, SB_IN_PB, sb_closed_reference
-from klmov.laurent import RationalQT
-from klmov.partitions import partitions_of
+from klmov.laurent import RationalQT, q_minus_qinv, rational_product
+from klmov.partitions import partitions_of, transpose
 from klmov.schur import (
     evaluate_sb_element,
     pb_in_sb,
@@ -64,6 +64,44 @@ def test_round_trip_is_identity():
 def test_closed_forms_match_reference():
     for a, want in sb_closed_reference().items():
         assert sb_closed_form(a) == want
+
+
+def per_cell_product(a):
+    """The quantum dimension of a as the product of one raw (num, den)
+    factor per cell, canonicalized by the generic route: trial division of
+    each q^h - q^-h, row products and one content test."""
+    at = transpose(a)
+
+    def row(i):
+        return a[i - 1] if i <= len(a) else 0
+
+    def col(j):
+        return at[j - 1] if j <= len(at) else 0
+
+    cells = []
+    for i in range(1, len(a) + 1):
+        for j in range(1, a[i - 1] + 1):
+            h = row(i) + col(j) - i - j + 1
+            if i == j:
+                e = row(j) - col(j)
+                num = {(e, 1): 1, (-e, -1): -1}
+                num[(h, 0)] = num.get((h, 0), 0) + 1
+                num[(-h, 0)] = num.get((-h, 0), 0) - 1
+            else:
+                d = row(i) + row(j) - i - j + 1 if i < j else -col(i) - col(j) + i + j - 1
+                num = {(d, 1): 1, (-d, -1): -1}
+            cells.append((num, q_minus_qinv(h)))
+    return rational_product(cells)
+
+
+def test_hook_product_matches_the_per_cell_route():
+    # every Brauer label of size <= 10 (all partitions of 0..10)
+    labels = [a for n in range(11) for a in partitions_of(n)]
+    assert len(labels) == 139
+    for a in labels:
+        got, want = sb_closed_form(a), per_cell_product(a)
+        assert got == want, a
+        assert (got.scale, got.rows, got.mults) == (want.scale, want.rows, want.mults), a
 
 
 def test_closed_form_vs_linear_algebra_route():
