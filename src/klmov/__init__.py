@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 # module -> the public names it defines
 _EXPORTS = {
-    "laurent": ("RationalQT", "ZTPoly", "to_z_basis", "valuation_at_q1"),
+    "laurent": ("RationalQT", "to_z_basis", "valuation_at_q1"),
     "lmov": (
         "NTable", "UnlinkSpec", "column_integrality_check", "conjecture_lhs",
         "degree_check", "extract_n_table", "free_energy", "lickorish_millett_check",

@@ -23,13 +23,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .laurent import RationalQT, Z, rational_sum
+from .laurent import RationalQT, Z, qdiff_inverse, rational_product, rational_sum
 from .torus import TorusLinkSpec, torus_invariant
 
 _R0 = RationalQT(0)
 _R1 = RationalQT(1)
 _TINV = RationalQT({(0, -1): 1})
-_X = RationalQT({(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1}, {1: 1, -1: -1})
+_X = rational_product(({(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1}, qdiff_inverse(1)))
 
 
 class C2Element(NamedTuple):
@@ -98,7 +98,7 @@ def minimal_idempotents():
     x p_anti = ((q - g)/(q + 1/q))   (x - e)
     x p_loop = e
     """
-    inv_qplus = RationalQT(1, {1: 1, -1: 1})
+    inv_qplus = Z * qdiff_inverse(2)  # (q - 1/q) / (q^2 - q^-2)
     x_minus_e = ONE.scale(_X) - E
     qinv = RationalQT({(-1, 0): 1})
     qpos = RationalQT({(1, 0): 1})

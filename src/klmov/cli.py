@@ -7,7 +7,8 @@ request once, before computing anything, against ``LIMITS`` raised by
     char-table           rank n                                  20
     sb                   |lambda| (power-sum expansion)          12
     ctilde               cable size r * |colors|                 12
-    invariant            cable size min(r, k) * |colors| (torus) 12
+    invariant            cable size min(r, k) * |colors|         12
+                         (|colors| for an unlink)
     lmov, degree         color size |mu|                          6
     invariant, lmov,     framing degree max(r, k) * |colors|    100
       degree             (torus; |mu| for lmov and degree)
@@ -46,12 +47,11 @@ non-integral or non-representable value), 2 usage error or a file that
 cannot be read or written (``OSError``, as for ``--out`` or ``--cache-dir``),
 3 a resource limit was hit: a size limit was exceeded (``BoundExceeded``;
 ``--bound`` raises the limit) or memory ran out (``MemoryError``), 4 an
-internal arithmetic error (a ``NotDivisible`` or
-``NonCyclotomicDenominator`` that is not a finding of ``lmov``), 141
-standard output was closed before everything was written (as by ``klmov ...
-| head``; nothing is printed on standard error, and 141 is what a shell
-reports for a process ended by SIGPIPE).  The error cases print one
-``error:`` line on standard error.
+internal arithmetic error (a ``NotDivisible`` that is not a finding of
+``lmov``), 141 standard output was closed before everything was written (as
+by ``klmov ... | head``; nothing is printed on standard error, and 141 is
+what a shell reports for a process ended by SIGPIPE).  The error cases
+print one ``error:`` line on standard error.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ from . import characters
 from .errors import (
     BoundExceeded,
     KlmovError,
-    NonCyclotomicDenominator,
     NonIntegerCoefficient,
     NotDivisible,
     NotPolynomial,
@@ -79,6 +78,7 @@ from .partitions import (
     format_partition,
     mp_is_zero,
     mp_norm,
+    parse_decimal,
     parse_multipartition,
     parse_partition,
     partitions_of,
@@ -178,7 +178,7 @@ def _parse_source(args):
     if args.torus is None:
         return lmov.UnlinkSpec(args.unlink)
     try:
-        r, k, L = (int(x) for x in args.torus.split(","))
+        r, k, L = map(parse_decimal, args.torus.split(","))
     except ValueError:
         raise KlmovError(f"--torus wants r,k,L, got {args.torus!r}") from None
     return torus.TorusLinkSpec(r, k, L).validate()
@@ -228,9 +228,7 @@ def cmd_char_table(args):
 
 def cmd_sb(args):
     lam = parse_partition(args.partition)
-    if args.pb or not args.closed or args.format == "json":
-        # the closed form alone needs no character table and has no limit
-        _check_size(args, "partition size", sum(lam))
+    _check_size(args, "partition size", sum(lam))
     if args.format == "json":
         data = {
             "schema": SCHEMA,
@@ -279,8 +277,9 @@ def cmd_ctilde(args):
 def cmd_invariant(args):
     src = _parse_source(args)
     colors = parse_multipartition(args.colors)
-    if isinstance(src, torus.TorusLinkSpec):
-        _check_size(args, "cable size", min(src.r, src.k) * mp_norm(colors))
+    # an unlink is cabled as r = k = 1
+    r = min(src.r, src.k) if isinstance(src, torus.TorusLinkSpec) else 1
+    _check_size(args, "cable size", r * mp_norm(colors))
     _check_framing(args, src, colors)
     value = lmov.invariant(src, colors)
     if args.format == "json":
@@ -509,7 +508,7 @@ def main(argv=None):
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 3
-    except (NotDivisible, NonCyclotomicDenominator) as exc:
+    except NotDivisible as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except BrokenPipeError:

@@ -13,11 +13,6 @@ class NotDivisible(KlmovError):
     """An exact division failed; carries the offending divisor/remainder."""
 
 
-class NonCyclotomicDenominator(KlmovError):
-    """A denominator given in dense form has a factor that is not a cyclotomic
-    polynomial Phi_d(q); carries that factor."""
-
-
 class NotPolynomial(KlmovError):
     """A rational value does not reduce to a Laurent polynomial."""
 

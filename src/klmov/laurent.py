@@ -1,40 +1,39 @@
 """Exact bivariate Laurent arithmetic over arbitrary-precision rationals.
 
-Two value types live here:
-
-* ``RationalQT``: a quotient ``num / den`` where ``num`` is a Laurent
-  polynomial in q and t with rational coefficients and ``den`` is a product
-  of cyclotomic polynomials ``Phi_d(q)``, stored as ``mults``, the sorted
-  ``(d, m)`` pairs of its factors ``Phi_d^m``.  Every denominator of the
-  invariant formulas has this shape once monomials move into the numerator:
-  q^h - q^-h is q^-h prod_{d | 2h} Phi_d(q), and q -> q^k maps each Phi_d(q)
-  to the product of the Phi_e(q) with e | dk and e / gcd(e, k) = d.
-  The numerator is stored as int t-slices over one scale (content times
-  primitive part, Knuth, TAOCP Vol. 2 4.6.1): ``rows`` holds one
-  ``(texp, lo, coefficients)`` per nonzero t-slice, by increasing texp, for
-  t^texp q^lo times the dense int coefficients, whose ends are nonzero;
-  ``num`` is their sum over the positive int ``scale``, and gcd(scale, every
-  coefficient) = 1.  ``.num`` renders it as a term dict
-  ``{(qexp, texp): coefficient}`` for readers.
-* ``ZTPoly``: a polynomial in z = q - 1/q and t, the target ring of the
-  integrality checks.
+One value type lives here, ``RationalQT``: a quotient ``num / den`` where
+``num`` is a Laurent polynomial in q and t with rational coefficients and
+``den`` is a product of cyclotomic polynomials ``Phi_d(q)``, stored as
+``mults``, the sorted ``(d, m)`` pairs of its factors ``Phi_d^m``.  Every
+denominator of the invariant formulas has this shape once monomials move
+into the numerator: q^h - q^-h is q^-h prod_{d | 2h} Phi_d(q), and
+q -> q^k maps each Phi_d(q) to the product of the Phi_e(q) with e | dk and
+e / gcd(e, k) = d.  The numerator is stored as int t-slices over one scale
+(content times primitive part, Knuth, TAOCP Vol. 2 4.6.1): ``rows`` holds
+one ``(texp, lo, coefficients)`` per nonzero t-slice, by increasing texp,
+for t^texp q^lo times the dense int coefficients, whose ends are nonzero;
+``num`` is their sum over the positive int ``scale``, and gcd(scale, every
+coefficient) = 1.  ``.num`` renders it as a term dict
+``{(qexp, texp): coefficient}`` for readers.  The target ring of the
+integrality checks, polynomials in z = q - 1/q and t, is a plain term dict
+``{(zpow, texp): coefficient}``: ``to_z_basis`` and ``from_z_basis``.
 
 In canonical form no ``Phi_d`` of ``mults`` divides every row.  Each
 ``Phi_d`` is monic, irreducible and separable, so its multiplicity in the
 gcd of the rows is the number of successive derivatives p, p', ... of every
 row it divides; the rows are then divided once by the product of the
-``Phi_d`` to those multiplicities.  Only a dense denominator from outside is
-factored, by trial division: the ``den`` of the constructor or of a raw
-``(num, den)`` factor of ``rational_sum``; a factor that is not cyclotomic
-raises ``NonCyclotomicDenominator``.
+``Phi_d`` to those multiplicities.  A denominator has one of three sources,
+none of them factored: the hook lengths of ``hook_product``,
+``qdiff_inverse`` for 1 / (q^n - q^-n), and the divisor of ``/``, whose
+cyclotomic content moves down.
 
 A term of ``rational_sum`` is a tuple of factors standing for their product:
 their rows are multiplied slice by slice and their multiplicities added.
 The lcm of the term denominators takes the per-d maximum; each term's rows,
 over one common scale and times its cofactor lcm / den, are accumulated into
 one dense int row per t-exponent, so a sum is canonicalized once.  ``+``,
-``*`` and ``rational_product`` are special cases.  A one-coefficient factor
-c q^a t^b (a monomial, or a term-dict multiplier over 1) shifts the rows and
+``*`` and ``rational_product`` are special cases.  A factor is a
+``RationalQT`` or a term dict, which is a numerator only.  A one-coefficient
+factor c q^a t^b (a monomial, or a term-dict multiplier) shifts the rows and
 scales them by c; a sum of one part is its rows times its coefficient, with
 no cofactor pass.
 
@@ -59,12 +58,12 @@ coefficient lists by a monic divisor.
 The arithmetic runs on int rows: ``RationalQT`` operations read only
 ``scale``, ``rows`` and ``mults`` and end in one canonical triple of them,
 which the constructor stores as it is.  Term dicts are only the input and
-rendering format: raw factors and multipliers given to the constructor or
-``rational_sum``, ``.num``, ``.den`` and the output of ``specialize_t``.
-``fractions.Fraction`` appears in the coefficients of these and of
-``ZTPoly``, in rendered findings, and in one computation: the division of
-``/`` by a flattened divisor whose leading coefficient is not 1.  Nothing
-here touches floating point.
+rendering format: numerators given to the constructor or as factors and
+multipliers to ``rational_sum``, ``.num``, ``.den``, the z-basis dicts and
+the output of ``specialize_t``.  ``fractions.Fraction`` appears in the
+coefficients of these, in rendered findings, and in one computation: the
+division of ``/`` by a flattened divisor whose leading coefficient is not 1.
+Nothing here touches floating point.
 """
 
 from __future__ import annotations
@@ -73,25 +72,10 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
-from math import comb, gcd, inf, lcm
+from math import gcd, inf, lcm
 from operator import add, sub
 
-from .errors import (
-    NonCyclotomicDenominator,
-    NotDivisible,
-    NotPolynomial,
-    NotZRepresentable,
-    ZeroInput,
-)
-
-# ---------------------------------------------------------------------------
-# term dicts, the input format: raw factors and multipliers of schur and lmov
-# ---------------------------------------------------------------------------
-
-
-def q_minus_qinv(n):
-    """q^n - q^-n as a raw q-only dict."""
-    return {n: 1, -n: -1}
+from .errors import NotDivisible, NotPolynomial, NotZRepresentable, ZeroInput
 
 
 def _dense(p):
@@ -137,18 +121,6 @@ def _cyclotomic(d):
     if m % p == 0:
         return tuple(spread)
     return tuple(_div_monic(spread, _cyclotomic(m))[0])
-
-
-@lru_cache(maxsize=None)
-def _factor(den):
-    """The (d, m) pairs of a dense int den that is its leading coefficient
-    times the product of the Phi_d^m; any other factor raises
-    NonCyclotomicDenominator."""
-    (rest,), mults = _cyclotomic_content([den])
-    if len(rest) > 1:
-        factor = render_qt({(a, 0): Fraction(c, den[-1]) for a, c in enumerate(rest) if c})
-        raise NonCyclotomicDenominator(f"denominator factor {factor} is not cyclotomic")
-    return tuple(sorted(mults.items()))
 
 
 @lru_cache(maxsize=None)
@@ -342,43 +314,29 @@ def _div_flat(x, y):
 # ---------------------------------------------------------------------------
 
 
-def _raw(num, den):
-    """A raw factor num / den, for a term dict num and a dense q-only term
-    dict den, as a part (rows, s, k, mults) of a sum: num / den is
-    k * rows / (s * D), D the product of the Phi_d^m over the (d, m) pairs
-    mults."""
-    ds, drows = _int_rows({(a, 0): c for a, c in den.items()})
-    if not drows:
-        raise ZeroInput("zero denominator")
-    ((_, shift, ints),) = drows
-    s, rows = _int_rows(num)
-    lc = ints[-1]
-    return ([(b, lo - shift, p) for b, lo, p in rows], s * abs(lc),
-            ds if lc > 0 else -ds, _factor(tuple(ints)))
-
-
 def _product_term(factors, m):
     """m times the product of factors as a part (rows, s, k, mults), or None
     when it is zero.
 
     The value is k * rows / (s * D) with rows int t-slices, s > 0 and D the
-    product of the Phi_d^mults[d].  Rows are multiplied slice by slice and
-    denominators by adding their multiplicities.
+    product of the Phi_d^mults[d].  A factor is a RationalQT or a term dict,
+    a numerator over 1.  Rows are multiplied slice by slice and denominators
+    by adding their multiplicities.
     """
     rows, s, k, mults = None, m.denominator, m.numerator, {}
     qa = tb = 0
     for f in factors:
         if isinstance(f, RationalQT):
-            frows, fs, fk, fm = f.rows, f.scale, 1, f.mults
-        elif len(f[0]) == 1 and f[1] == {0: 1}:
+            frows, fs, fm = f.rows, f.scale, f.mults
+        elif len(f) == 1:
             # c q^a t^b: a shift of the rows and a scale
-            (((a, b), c),) = f[0].items()
+            (((a, b), c),) = f.items()
             if not c:
                 return None
             qa, tb, s, k = qa + a, tb + b, s * c.denominator, k * c.numerator
             continue
         else:
-            frows, fs, fk, fm = _raw(*f)
+            (fs, frows), fm = _int_rows(f), ()
         if not frows:
             return None
         if rows is None:
@@ -387,7 +345,7 @@ def _product_term(factors, m):
             acc = {}
             _mul_into(acc, rows, frows)
             rows = _trimmed(acc)
-        s, k = s * fs, k * fk
+        s *= fs
         for d, e in fm:
             mults[d] = mults.get(d, 0) + e
     if rows is None:
@@ -449,18 +407,18 @@ def rational_sum(terms):
     """The canonical sum of m * x over (x, m) pairs, canonicalized once.
 
     x is a RationalQT or a tuple of factors standing for their product; a
-    factor is a RationalQT or a raw (num, den) pair of term dicts.  m is an
-    int, a Fraction or a term dict such as the monomial {(a, b): c}; a term
-    dict is one more raw factor, so its zero coefficients drop out.  All
-    terms share one integer scale, each is multiplied by the cofactor
-    lcm / den of its denominator and accumulated into dense t-slices, so a
-    sum of products builds one lcm and canonicalizes once.
+    factor is a RationalQT or a term dict.  m is an int, a Fraction or a
+    term dict such as the monomial {(a, b): c}; a term dict is one more
+    factor, so its zero coefficients drop out.  All terms share one integer
+    scale, each is multiplied by the cofactor lcm / den of its denominator
+    and accumulated into dense t-slices, so a sum of products builds one lcm
+    and canonicalizes once.
     """
     parts = []
     for x, m in terms:
         factors = x if isinstance(x, tuple) else (x,)
         if isinstance(m, dict):
-            factors, m = factors + ((m, {0: 1}),), 1
+            factors, m = factors + (m,), 1
         part = _product_term(factors, m) if m else None
         if part is not None:
             parts.append(part)
@@ -471,8 +429,8 @@ def rational_sum(terms):
 
 
 def rational_product(factors):
-    """The canonical product of RationalQT values or raw (num, den) pairs of
-    term dicts: the one-term case of rational_sum."""
+    """The canonical product of RationalQT values or term dicts: the
+    one-term case of rational_sum."""
     return rational_sum(((tuple(factors), 1),))
 
 
@@ -519,28 +477,31 @@ def hook_product(cells):
                                  tuple(sorted(mults.items()))))
 
 
+@lru_cache(maxsize=None)
+def qdiff_inverse(n):
+    """1 / (q^n - q^-n) for n >= 1, canonical as built: q^n over the Phi_d
+    with d | 2n, read off as hook_product reads a hook length."""
+    return RationalQT(_Canonical(1, ((0, n, (1,)),), tuple((d, 1) for d in _divisors(2 * n))))
+
+
 class RationalQT:
     """Quotient of a bivariate Laurent polynomial by a product of Phi_d(q).
 
-    ``RationalQT(num, den)`` is num / den in canonical form.  num is a term
-    dict, an int or a Fraction, or a RationalQT to copy; den is a dense
-    q-only term dict, factored by trial division (NonCyclotomicDenominator
-    when a factor is not cyclotomic), and defaults to 1.  The value is
-    stored as ``scale``, ``rows`` and ``mults`` (see the module docstring);
-    ``num`` and ``den`` are rendered.
+    ``RationalQT(num)`` is the Laurent polynomial num in canonical form: a
+    term dict, an int or a Fraction, or a RationalQT to copy.  A denominator
+    comes from arithmetic: ``/``, ``hook_product`` or ``qdiff_inverse``.
+    The value is stored as ``scale``, ``rows`` and ``mults`` (see the module
+    docstring); ``num`` and ``den`` are rendered.
     Every value the arithmetic builds passes here, as a _Canonical.
     """
 
     __slots__ = ("scale", "rows", "mults")
 
-    def __init__(self, num, den=None):
-        if isinstance(num, (RationalQT, _Canonical)):
-            if den is not None:
-                raise TypeError("den not allowed when copying a RationalQT")
-        else:
+    def __init__(self, num):
+        if not isinstance(num, (RationalQT, _Canonical)):
             if isinstance(num, (int, Fraction)):
                 num = {(0, 0): num}
-            part = _product_term(((num, {0: 1} if den is None else den),), 1)
+            part = _product_term((num,), 1)
             num = _sum([part] if part else [])
         self.scale, self.rows, self.mults = num.scale, num.rows, num.mults
 
@@ -707,73 +668,28 @@ Z = RationalQT({(1, 0): 1, (-1, 0): -1})  # z = q - 1/q
 
 @lru_cache(maxsize=None)
 def _z_power_q(d):
-    """(q - 1/q)^d as a q-only tuple of (exp, coef)."""
-    return tuple(((d - 2 * i), ((-1) ** i) * comb(d, i)) for i in range(d + 1))
+    """(q - 1/q)^d as a q-only tuple of (exp, coef), each binomial built
+    from the previous one in its row: C(d, i+1) = C(d, i) (d - i) / (i + 1)."""
+    out, c = [], 1
+    for i in range(d + 1):
+        out.append((d - 2 * i, -c if i % 2 else c))
+        c = c * (d - i) // (i + 1)
+    return tuple(out)
 
 
-class ZTPoly:
-    """Polynomial in z = q - 1/q and t: ``{(zpow >= 0, texp): coef}``."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-        if any(z < 0 for z, _ in self.terms):
-            raise ValueError("negative z-power")
-
-    @property
-    def is_zero(self):
-        return not self.terms
-
-    def items(self):
-        return self.terms.items()
-
-    def is_integral(self):
-        return all(Fraction(c).denominator == 1 for c in self.terms.values())
-
-    def rows(self):
-        """{zpow: {texp: coef}} with plain int coefficients where possible."""
-        out = {}
-        for (z, b), c in sorted(self.terms.items()):
-            out.setdefault(z, {})[b] = int(c) if Fraction(c).denominator == 1 else c
-        return out
-
-    def expand(self):
-        """Re-expand with z := q - 1/q, returning a RationalQT."""
-        acc = {}
-        for (zp, b), c in self.terms.items():
-            for a, bc in _z_power_q(zp):
-                acc[(a, b)] = acc.get((a, b), 0) + c * bc
-        return RationalQT(acc)
-
-    def __eq__(self, other):
-        if isinstance(other, ZTPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for z, row in sorted(self.rows().items()):
-            body = render_qt({(0, b): c for b, c in row.items()})
-            if z == 0:
-                parts.append(f"({body})")
-            elif z == 1:
-                parts.append(f"({body})*z")
-            else:
-                parts.append(f"({body})*z^{z}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"ZTPoly({self})"
+def from_z_basis(terms):
+    """The RationalQT of a z-basis dict {(zpow, texp): coefficient}, with
+    z := q - 1/q."""
+    acc = {}
+    for (zp, b), c in terms.items():
+        for a, bc in _z_power_q(zp):
+            acc[(a, b)] = acc.get((a, b), 0) + c * bc
+    return RationalQT(acc)
 
 
 def to_z_basis(x):
-    """Rewrite x as a polynomial in z = q - 1/q with t-Laurent coefficients.
+    """Rewrite x as a polynomial in z = q - 1/q with t-Laurent coefficients:
+    the dict {(zpow, texp): coefficient} of its nonzero terms.
 
     Requires x to be a Laurent polynomial (else NotPolynomial) that is
     invariant under q -> -1/q (else NotZRepresentable).  In canonical form
@@ -782,7 +698,7 @@ def to_z_basis(x):
     The two q-parity classes reduce independently since z^d only contains
     exponents of the parity of d: the even one first, from the top exponent
     down, each exponent on every row by descending t-exponent, which is the
-    order of the terms of the result.
+    order of the keys of the result.
     """
     x = _coerce_strict(x)
     if x.mults:
@@ -813,7 +729,7 @@ def to_z_basis(x):
             raise NotZRepresentable(
                 f"value is not symmetric under q -> -1/q; leftover terms {render_qt(witness)}"
             )
-    return ZTPoly(out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from .errors import ComponentCountMismatch, NonIntegerCoefficient
 from .laurent import (
     RationalQT,
     Z,
-    ZTPoly,
-    q_minus_qinv,
+    qdiff_inverse,
     rational_product,
     rational_sum,
     to_z_basis,
@@ -129,7 +128,8 @@ def reformulated_g(src, mu):
 
 
 def conjecture_lhs(src, mu, antisymmetrize=True):
-    """The candidate integer-coefficient polynomial in z and t.
+    """The candidate integer-coefficient polynomial in z and t, as the
+    z-basis dict {(zpow, texp): coefficient} of to_z_basis.
 
     z_mu z^2 g / prod(q^row - q^-row), with g replaced by its odd t-part when
     antisymmetrize is set.  The value is one rational_sum term: z^2 and each
@@ -139,9 +139,7 @@ def conjecture_lhs(src, mu, antisymmetrize=True):
     findings.
     """
     g = reformulated_g(src, mu)
-    factors = (Z, Z) + tuple(
-        ({(0, 0): 1}, q_minus_qinv(row)) for lam in mu for row in lam
-    )
+    factors = (Z, Z) + tuple(qdiff_inverse(row) for lam in mu for row in lam)
     if antisymmetrize:
         # the denominator is q-only, so (g(t) - g(-t)) / 2 keeps the odd-t terms
         g = rational_sum(((g, Fraction(1, 2)), (g.substitute(tsign=-1), Fraction(-1, 2))))
@@ -184,9 +182,8 @@ def format_genus(g):
 
 
 def extract_n_table(poly, mu):
-    """Read the (z^2g, t^beta) coefficients; they must all be integers."""
-    if not isinstance(poly, ZTPoly):
-        raise TypeError("expected a ZTPoly")
+    """Read the (z^2g, t^beta) coefficients of a z-basis dict; they must all
+    be integers."""
     entries = {}
     for (zp, b), c in poly.items():
         frac = Fraction(c)
@@ -224,12 +221,10 @@ def column_integrality_check(src, dvec):
     dfact = 1
     for di in dvec:
         dfact *= factorial(di)
-    # z^(2-d): d - 2 raw factors 1/z, or one factor z below d = 2
-    if d >= 2:
-        zs = (({(0, 0): 1}, q_minus_qinv(1)),) * (d - 2)
-    else:
-        zs = (Z,)
-    return to_z_basis(rational_sum((((f,) + zs, dfact),))).is_integral()
+    # z^(2-d): d - 2 factors 1/z, or one factor z below d = 2
+    zs = (qdiff_inverse(1),) * (d - 2) if d >= 2 else (Z,)
+    poly = to_z_basis(rational_sum((((f,) + zs, dfact),)))
+    return all(c.denominator == 1 for c in poly.values())
 
 
 def lickorish_millett_check(spec):

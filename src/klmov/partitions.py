@@ -9,6 +9,7 @@ partitions of its rows) and the vanishing sum over vector partitions.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -23,13 +24,22 @@ def is_partition(parts):
     )
 
 
+def parse_decimal(text):
+    """int(text) for ASCII decimal digits, with an optional minus sign and
+    ASCII whitespace around them; any other text int() reads (digits of
+    other scripts, a plus sign, underscores) raises ValueError."""
+    if not re.fullmatch(r"\s*-?[0-9]+\s*", text, re.ASCII):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_partition(text):
     """Parse "2,1" into (2, 1); "0" or "" is the zero partition."""
     text = text.strip()
     if text in ("", "0", "()"):
         return ()
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        parts = tuple(map(parse_decimal, text.split(",")))
     except ValueError:  # a row that is not an integer
         parts = None
     if parts is None or not is_partition(parts):

@@ -124,7 +124,7 @@ def evaluate_sb_element(coeffs):
 def pb_value(n):
     """Value of pb_n under the principal evaluation: 1 + (t^n - t^-n)/(q^n - q^-n)."""
     num = {(n, 0): 1, (-n, 0): -1, (0, n): 1, (0, -n): -1}
-    return laurent.RationalQT(num, laurent.q_minus_qinv(n))
+    return laurent.rational_product((num, laurent.qdiff_inverse(n)))
 
 
 def unknot_identity_check(mu):

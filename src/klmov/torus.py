@@ -143,8 +143,7 @@ def bracket_coefficients(spec):
     spec = TorusLinkSpec(*spec).validate()
     shift = spec.L - 1
     value = kauffman_bracket(spec)
-    ztp = laurent.to_z_basis(value * laurent.Z**shift)
-    out = {}
-    for zp, row in ztp.rows().items():
-        out[zp - shift] = laurent.RationalQT({(0, b): c for b, c in row.items()})
-    return out
+    rows = {}
+    for (zp, b), c in sorted(laurent.to_z_basis(value * laurent.Z**shift).items()):
+        rows.setdefault(zp - shift, {})[(0, b)] = c
+    return {n: laurent.RationalQT(row) for n, row in rows.items()}

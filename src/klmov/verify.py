@@ -26,7 +26,8 @@ from .errors import KlmovError
 from .laurent import (
     RationalQT,
     Z,
-    ZTPoly,
+    from_z_basis,
+    qdiff_inverse,
     rational_product,
     rational_sum,
     to_z_basis,
@@ -232,6 +233,12 @@ def check_n_tables():
     return True, f"{entries} integer coefficients match over {len(cases)} tables"
 
 
+def _z_terms(rows):
+    """The z-basis dict of golden rows {zpow: {texp: coefficient}}, zero
+    coefficients dropped."""
+    return {(zp, b): c for zp, row in rows.items() for b, c in row.items() if c}
+
+
 def check_z_expansions():
     from . import golden
     cases = []
@@ -244,9 +251,7 @@ def check_z_expansions():
         cases.append((_three_component(k), ((2,), (1,), (1,)), rows))
 
     for src, mu, rows in cases:
-        expected = ZTPoly(
-            {(zp, b): c for zp, row in rows.items() for b, c in row.items()}
-        )
+        expected = _z_terms(rows)
         got = conjecture_lhs(src, mu, antisymmetrize=False)
         if got != expected:
             return False, f"z-expansion for {src} colored {mu} disagrees"
@@ -263,10 +268,7 @@ def check_hopf_crosscheck():
     zplus = RationalQT({(1, 0): 1, (-1, 0): -1, (0, 1): 1, (0, -1): -1})
     if f * 2 != qplus * t2 * zplus:
         return False, "doubled free energy of the mixed-colored Hopf link disagrees"
-    expected = ZTPoly(
-        {(zp, b): c for zp, row in golden.Z_EXPANSION_HOPF_MIXED.items() for b, c in row.items()}
-    )
-    if conjecture_lhs(spec, mu, antisymmetrize=False) != expected:
+    if conjecture_lhs(spec, mu, antisymmetrize=False) != _z_terms(golden.Z_EXPANSION_HOPF_MIXED):
         return False, "mixed-colored Hopf link integrality display disagrees"
     return True, "doubled free energy and its integral form both match"
 
@@ -354,7 +356,7 @@ def check_unknot_partition_function():
         if f * n != pb_value(n):
             return False, f"free energy on the single row ({n}) disagrees"
         lhs = conjecture_lhs(UnlinkSpec(1), ((n,),), antisymmetrize=True)
-        if not lhs.is_integral():
+        if any(c.denominator != 1 for c in lhs.values()):
             return False, f"integrality fails for the unknot at row ({n})"
     for n in range(2, 7):
         for mu in partitions_of(n):
@@ -399,13 +401,14 @@ def check_column_integrality():
 
 # -- randomized properties -------------------------------------------------------
 
-_DENOMS = [
-    {0: 1},
-    {1: 1, -1: -1},
-    {1: 1, -1: 1},
-    {2: 1, -2: -1},
-    {2: 1, 0: -2, -2: 1},
-]
+# the reciprocals of 1, q - 1/q, q + 1/q, q^2 - q^-2 and (q - 1/q)^2
+_INVERSES = (
+    RationalQT(1),
+    qdiff_inverse(1),
+    Z * qdiff_inverse(2),
+    qdiff_inverse(2),
+    qdiff_inverse(1) ** 2,
+)
 
 
 def _random_rational(rng):
@@ -413,8 +416,7 @@ def _random_rational(rng):
     for _ in range(rng.randint(1, 4)):
         key = (rng.randint(-3, 3), rng.randint(-2, 2))
         num[key] = num.get(key, 0) + rng.randint(-3, 3)
-    den = dict(rng.choice(_DENOMS))
-    return RationalQT(num, den)
+    return rational_product((num, rng.choice(_INVERSES)))
 
 
 def check_ring_axioms(seed=0):
@@ -452,7 +454,7 @@ def check_z_roundtrip(seed=0):
             if c:
                 terms.append((Z**zp, {(0, tp): c}))
         value = rational_sum(terms)
-        if to_z_basis(value).expand() != value:
+        if from_z_basis(to_z_basis(value)) != value:
             return False, "z-basis round trip fails"
     return True, "z-basis decomposition round-trips on random values"
 

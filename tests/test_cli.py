@@ -50,16 +50,16 @@ def test_invariant_json_roundtrip(capsys):
     data = json.loads(out)
     assert data["schema"] == "klmov-v1"
     num = {(a, b): Fraction(c) for a, b, c in data["value"]["num"]}
-    den = {a: Fraction(c) for a, c in data["value"]["den"]}
-    assert RationalQT(num, den) == torus_invariant(TorusLinkSpec(2, 3, 1), ((1,),))
+    den = {(a, 0): Fraction(c) for a, c in data["value"]["den"]}
+    assert RationalQT(num) / RationalQT(den) == torus_invariant(TorusLinkSpec(2, 3, 1), ((1,),))
 
 
 def test_json_helpers_roundtrip():
-    x = RationalQT({(2, 1): 3, (-1, -2): -1}, {1: 1, -1: -1})
+    x = RationalQT({(2, 1): 3, (-1, -2): -1}) / RationalQT({(1, 0): 1, (-1, 0): -1})
     data = rationalqt_to_json(x)
     num = {(a, b): Fraction(c) for a, b, c in data["num"]}
-    den = {a: Fraction(c) for a, c in data["den"]}
-    assert RationalQT(num, den) == x
+    den = {(a, 0): Fraction(c) for a, c in data["den"]}
+    assert RationalQT(num) / RationalQT(den) == x
 
 
 def test_lmov_table_text(capsys):
@@ -375,15 +375,23 @@ def test_size_limit_exit_code(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("sb", "--partition", "13"),
+    ("sb", "--partition", "13", "--closed"),
+    ("sb", "--partition", "100", "--closed"),
     ("char-table", "--n", "21"),
     ("rmatrix", "--N", "5"),
     ("invariant", "--torus", "2,3,1", "--colors", "7"),
+    ("invariant", "--unlink", "1", "--colors", "13"),
+    ("invariant", "--unlink", "2", "--colors", "50|50"),
     ("lmov", "--unlink", "1", "--mu", "7"),
-], ids=["sb", "char-table", "rmatrix", "invariant", "lmov"])
+], ids=["sb", "sb-closed", "sb-closed-100", "char-table", "rmatrix", "invariant",
+        "unlink", "unlink-100", "lmov"])
 def test_size_limit_at_entry(capsys, argv):
     # each command checks its default limit once, before computing anything
+    # (an unlink is cabled as r = k = 1): refused within a second
+    start = time.perf_counter()
     code = main(list(argv))
     captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1
     assert code == 3
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -425,11 +433,35 @@ def test_framing_degree_limit_admits_its_default_and_bound_raises_it(capsys, arg
 
 @pytest.mark.parametrize("argv", [
     ("sb", "--partition", "13", "--bound", "13"),
+    ("sb", "--partition", "13", "--closed", "--bound", "13"),
     ("rmatrix", "--N", "5", "--bound", "5"),
-], ids=["sb", "rmatrix"])
+    ("invariant", "--unlink", "1", "--colors", "13", "--bound", "13"),
+], ids=["sb", "sb-closed", "rmatrix", "unlink"])
 def test_bound_raises_every_limit(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 0 and out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("lmov", "--torus", "2,3,1", "--mu", "\u0663"), "not a partition: '\u0663'"),
+    (("lmov", "--torus", "2,3,1", "--mu", "+2"), "not a partition: '+2'"),
+    (("degree", "--torus", "2,3,1", "--mu", "1_0"), "not a partition: '1_0'"),
+    (("invariant", "--unlink", "2", "--colors", "1|2,\uff11"), "not a partition: '2,\uff11'"),
+    (("sb", "--partition", "\u0967"), "not a partition: '\u0967'"),
+    (("ctilde", "--colors", "+1", "--r", "2"), "not a partition: '+1'"),
+    (("invariant", "--torus", "\u0662,3,1", "--colors", "1"),
+     "--torus wants r,k,L, got '\u0662,3,1'"),
+    (("lmov", "--torus", "+2,3,1", "--mu", "1"), "--torus wants r,k,L, got '+2,3,1'"),
+    (("degree", "--torus", "2,3,1_0", "--mu", "1"), "--torus wants r,k,L, got '2,3,1_0'"),
+    # a minus sign is read as before, and refused by the check that follows
+    (("lmov", "--torus=-2,3,1", "--mu", "1"), "torus parameters must be positive"),
+    (("lmov", "--torus", "2,3,1", "--mu", "-2"), "not a partition: '-2'"),
+], ids=["arabic-indic", "plus", "underscore", "fullwidth", "devanagari", "plus-colors",
+        "torus-arabic-indic", "torus-plus", "torus-underscore", "torus-minus", "minus"])
+def test_only_ascii_decimal_digits_are_read(capsys, argv, message):
+    code, err = run_failing(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
 
 
 def test_lmov_cable_limit_follows_from_color_size(monkeypatch, capsys):
@@ -654,7 +686,7 @@ def test_bad_color_is_a_usage_error(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("error", ["NotDivisible", "NonCyclotomicDenominator"])
+@pytest.mark.parametrize("error", ["NotDivisible"])
 @pytest.mark.parametrize("target, argv", [
     ("invariant", ("invariant", "--torus", "2,3,1", "--colors", "1")),
     ("degree_check", ("degree", "--torus", "2,3,1", "--mu", "1")),

@@ -11,7 +11,7 @@ import pytest
 from klmov import laurent
 from klmov.characters import brauer_labels, multi_character
 from klmov.errors import ComponentCountMismatch, NonIntegerCoefficient, NotPolynomial
-from klmov.laurent import RationalQT, ZTPoly, rational_sum, to_z_basis
+from klmov.laurent import RationalQT, rational_sum, to_z_basis
 from klmov.lmov import (
     UnlinkSpec,
     column_integrality_check,
@@ -201,21 +201,19 @@ def test_reformulated_g_unknot_rows_vanish():
 
 def test_conjecture_lhs_display_row():
     got = conjecture_lhs(TorusLinkSpec(1, 1, 2), ((2,), (1,)), antisymmetrize=False)
-    want = ZTPoly({(0, -3): 1, (0, -1): -1, (0, 1): -1, (0, 3): 1, (1, -2): -1, (1, 2): 1})
+    want = {(0, -3): 1, (0, -1): -1, (0, 1): -1, (0, 3): 1, (1, -2): -1, (1, 2): 1}
     assert got == want
 
 
 def test_conjecture_lhs_display_column():
     got = conjecture_lhs(TorusLinkSpec(1, 1, 2), ((1, 1), (1,)), antisymmetrize=False)
-    want = ZTPoly(
-        {(0, -3): -1, (0, -1): 3, (0, 1): -3, (0, 3): 1, (1, -2): 1, (1, 0): -2, (1, 2): 1}
-    )
+    want = {(0, -3): -1, (0, -1): 3, (0, 1): -3, (0, 3): 1, (1, -2): 1, (1, 0): -2, (1, 2): 1}
     assert got == want
 
 
 def test_conjecture_lhs_hopf_mixed():
     got = conjecture_lhs(TorusLinkSpec(1, 1, 2), ((1,), (2,)), antisymmetrize=False)
-    want = ZTPoly({(0, 3): 1, (0, 1): -1, (0, -1): -1, (0, -3): 1, (1, 2): 1, (1, -2): -1})
+    want = {(0, 3): 1, (0, 1): -1, (0, -1): -1, (0, -3): 1, (1, 2): 1, (1, -2): -1}
     assert got == want
 
 
@@ -230,19 +228,20 @@ def test_extract_n_table():
     }
     table = extract_n_table(conjecture_lhs(spec, ((3,), (1,))), ((3,), (1,)))
     assert table.entries == {(Fraction(1, 2), -3): -1, (Fraction(1, 2), 3): 1}
-    empty = extract_n_table(ZTPoly({}), ((1,),))
+    empty = extract_n_table({}, ((1,),))
     assert empty.is_empty()
 
 
 def test_extract_n_table_rejects_fractions():
     with pytest.raises(NonIntegerCoefficient):
-        extract_n_table(ZTPoly({(0, 0): Fraction(1, 2)}), ((1,),))
+        extract_n_table({(0, 0): Fraction(1, 2)}, ((1,),))
 
 
 def test_integrality_regression_includes_larger_k():
     # knots at k = 5 are not tabulated but must still land in the ring
     for mu in [((1, 1),), ((2,),)]:
-        assert conjecture_lhs(TorusLinkSpec(2, 5, 1), mu).is_integral()
+        poly = conjecture_lhs(TorusLinkSpec(2, 5, 1), mu)
+        assert poly and all(c.denominator == 1 for c in poly.values())
 
 
 def test_degree_check():
@@ -345,7 +344,7 @@ def test_conjecture_lhs_is_the_row_by_row_quotient(src, mu, antisymmetrize):
     if (src, mu, antisymmetrize) == (TorusLinkSpec(2, 3, 1), ((2,),), False):
         assert got == "NotPolynomial: remainder 2 in univariate division"
     else:
-        assert isinstance(got, ZTPoly)
+        assert isinstance(got, dict)
 
 
 def _clear_memos():

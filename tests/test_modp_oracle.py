@@ -160,7 +160,7 @@ def lhs_mod_p(spec, mu, q, t):
 
 
 def z_basis_value(poly, q, t):
-    """A ZTPoly at z = q - 1/q and t."""
+    """A z-basis dict {(zpow, texp): coefficient} at z = q - 1/q and t."""
     z = q - inv(q)
     return sum(scalar(c) * power(z, zp) * power(t, b) for (zp, b), c in poly.items()) % P
 

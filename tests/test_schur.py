@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from klmov.golden import PB_IN_SB, SB_IN_PB, sb_closed_reference
-from klmov.laurent import RationalQT, q_minus_qinv, rational_product
+from klmov.laurent import RationalQT, rational_product
 from klmov.partitions import partitions_of, transpose
 from klmov.schur import (
     evaluate_sb_element,
@@ -67,9 +67,9 @@ def test_closed_forms_match_reference():
 
 
 def per_cell_product(a):
-    """The quantum dimension of a as the product of one raw (num, den)
-    factor per cell, canonicalized by the generic route: trial division of
-    each q^h - q^-h, row products and one content test."""
+    """The quantum dimension of a as the product of one factor per cell,
+    canonicalized by the generic route: each cell's numerator divided by
+    q^h - q^-h with /, then row products and one content test."""
     at = transpose(a)
 
     def row(i):
@@ -90,7 +90,7 @@ def per_cell_product(a):
             else:
                 d = row(i) + row(j) - i - j + 1 if i < j else -col(i) - col(j) + i + j - 1
                 num = {(d, 1): 1, (-d, -1): -1}
-            cells.append((num, q_minus_qinv(h)))
+            cells.append(RationalQT(num) / RationalQT({(h, 0): 1, (-h, 0): -1}))
     return rational_product(cells)
 
 
