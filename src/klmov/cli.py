@@ -407,8 +407,16 @@ def cmd_verify(args):
     return 0 if passed == len(results) else 1
 
 
+def integer(text):
+    """An argparse type for an int written in ASCII decimal digits."""
+    return parse_decimal(text)
+
+
+integer.__name__ = "int"  # argparse's "invalid int value" message
+
+
 def rank(text):
-    n = int(text)
+    n = parse_decimal(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"rank must be nonnegative, got {n}")
     return n
@@ -418,7 +426,7 @@ def positive(name):
     """An argparse type for a positive int called name in its error message."""
 
     def parse(text):
-        n = int(text)
+        n = parse_decimal(text)
         if n < 1:
             raise argparse.ArgumentTypeError(f"{name} must be positive, got {n}")
         return n
@@ -443,7 +451,7 @@ def build_parser():
         p.add_argument("--cache-dir", help="directory for the character-table cache")
         p.add_argument("--no-cache", action="store_true", help="disable the disk cache")
         if name in LIMITS:
-            p.add_argument("--bound", type=int, default=0,
+            p.add_argument("--bound", type=integer, default=0,
                            help="raise the size limit (never lowers the default)")
         p.set_defaults(func=func)
         return p

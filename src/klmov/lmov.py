@@ -32,7 +32,7 @@ from .partitions import (
     mp_div,
     mp_is_zero,
     mp_len,
-    splittings,
+    sub_multisets,
     z_stat_multi,
 )
 from .schur import sb_closed_form
@@ -103,13 +103,28 @@ def z_coefficient(src, mu):
 def free_energy(src, mu):
     """Coefficient of pb_mu in the logarithm of the partition function.
 
-    The sum over splittings of coeff * prod Z_part is one rational_sum of
-    product terms, canonicalized once.
+    The logarithmic-derivative recursion (Knuth, TAOCP Vol. 2, 4.7): Z =
+    exp F and p_nu p_rho is p of the union of their rows, so the number c
+    of copies of one row of one component is a derivation, and c(mu) Z_mu
+    is the sum of c(rho) F_rho Z_(mu - rho) over the sub-multisets rho of
+    mu's rows with c(rho) > 0.  The row is the largest of the first colored
+    component, as it stays in every such rho.  So F_mu is one rational_sum
+    of Z_mu and the terms -c(rho)/c(mu) F_rho Z_(mu - rho) over proper rho,
+    each of at most two factors; a vanishing F_rho drops its term.  Counting
+    every row instead takes about twice the terms.
     """
-    return rational_sum(
-        (tuple(z_coefficient(src, part) for part in parts), coeff)
-        for parts, coeff in splittings(mu)
-    )
+    if mp_is_zero(mu):
+        raise ValueError("cannot split the zero multi-partition")
+    alpha = next(i for i, lam in enumerate(mu) if lam)
+    row = mu[alpha][0]
+    n, terms = mu[alpha].count(row), [(z_coefficient(src, mu), 1)]
+    for rho, rest in sub_multisets(mu):
+        c = rho[alpha].count(row)
+        if c and not mp_is_zero(rest):
+            f = free_energy(src, rho)
+            if not f.is_zero:
+                terms.append(((f, z_coefficient(src, rest)), Fraction(-c, n)))
+    return rational_sum(terms)
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,8 @@ A partition is a plain tuple of weakly decreasing positive ints; the empty
 tuple is the zero partition.  A multi-partition is a tuple of L partitions,
 one per link component.  One enumerator of multiset partitions, Knuth's
 Algorithm M, feeds both the splittings of a multi-partition (the multiset
-partitions of its rows) and the vanishing sum over vector partitions.
+partitions of its rows) and the vanishing sum over vector partitions; the
+sub-multisets of a multi-partition's rows feed the free-energy recursion.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial, gcd, lcm
 
 from .errors import ParityMismatch
@@ -146,6 +148,21 @@ def mobius(k):
     if k > 1:
         out = -out
     return out
+
+
+def sub_multisets(mu):
+    """Each (rho, rest) with rho a sub-multiset of mu's rows, taken per
+    component, and rest the rows left over: prod (m_i + 1) pairs over the
+    multiplicities m_i of the rows of each component, from rho = zero to
+    rho = mu."""
+    atoms = [(alpha, row, m) for alpha, lam in enumerate(mu)
+             for row, m in sorted(Counter(lam).items(), reverse=True)]
+    for counts in product(*(range(m + 1) for _, _, m in atoms)):
+        rho, rest = [()] * len(mu), [()] * len(mu)
+        for (alpha, row, m), n in zip(atoms, counts):
+            rho[alpha] += (row,) * n
+            rest[alpha] += (row,) * (m - n)
+        yield tuple(rho), tuple(rest)
 
 
 # -- multiset partitions: splittings and the vanishing sum -------------------

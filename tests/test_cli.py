@@ -464,6 +464,32 @@ def test_only_ascii_decimal_digits_are_read(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("char-table", "--n", "\u0663"), "argument --n: invalid rank value: '\u0663'"),
+    (("rmatrix", "--N", "+2", "--check", "ribbon"),
+     "argument --N: invalid positive value: '+2'"),
+    (("ctilde", "--colors", "1", "--r", "1_0"), "argument --r: invalid positive value: '1_0'"),
+    (("sb", "--partition", "2", "--bound", "\u0663\u0663"),
+     "argument --bound: invalid int value: '\u0663\u0663'"),
+    (("lmov", "--unlink", "\uff12", "--mu", "1|1"),
+     "argument --unlink: invalid positive value: '\uff12'"),
+    # ASCII input is refused with the messages it always had
+    (("char-table", "--n", "-1"), "argument --n: rank must be nonnegative, got -1"),
+    (("rmatrix", "--N", "x"), "argument --N: invalid positive value: 'x'"),
+    (("ctilde", "--colors", "1", "--r", "0"), "argument --r: r must be positive, got 0"),
+    (("sb", "--partition", "2", "--bound", "x"), "argument --bound: invalid int value: 'x'"),
+    (("invariant", "--unlink", "0", "--colors", "1"),
+     "argument --unlink: L must be positive, got 0"),
+], ids=["n-arabic-indic", "N-plus", "r-underscore", "bound-arabic-indic",
+        "unlink-fullwidth", "n-negative", "N-letter", "r-zero", "bound-letter",
+        "unlink-zero"])
+def test_flag_numbers_are_ascii_decimal_digits(capsys, argv, message):
+    code, err = run_failing(capsys, *argv)
+    assert code == 2
+    assert err.count("error:") == 1
+    assert err.endswith(f"error: {message}\n")
+
+
 def test_lmov_cable_limit_follows_from_color_size(monkeypatch, capsys):
     # T(7,2) = T(2,7): cabling the 7,2,1 side through r = 7 instead of
     # min(r, k) builds cables of size 14, and gives the bytes of 2,7,1

@@ -24,7 +24,7 @@ from klmov.lmov import (
     reformulated_g,
     z_coefficient,
 )
-from klmov.partitions import splittings, z_stat_multi
+from klmov.partitions import partitions_of, splittings, z_stat_multi
 from klmov.schur import pb_value, sb_closed_form
 from klmov.torus import (
     TorusLinkSpec,
@@ -139,16 +139,47 @@ def _free_energy_by_products(src, mu):
     return total
 
 
-@pytest.mark.parametrize("src, mu", [
-    (TorusLinkSpec(2, 3, 1), ((2, 1),)),
-    (TorusLinkSpec(2, 3, 1), ((1, 1, 1),)),
-    (TorusLinkSpec(1, 1, 2), ((2, 1), (1,))),
-    (TorusLinkSpec(1, 1, 2), ((1, 1), (1, 1))),
-    (UnlinkSpec(2), ((2, 1), (1,))),
-    (UnlinkSpec(2), ((1, 1), (2, 1))),
-])
+def _multipartitions(ncomp, max_norm):
+    """Every nonzero multi-partition of ncomp components and size <= max_norm."""
+    for sizes in product(range(max_norm + 1), repeat=ncomp):
+        if 0 < sum(sizes) <= max_norm:
+            yield from product(*map(partitions_of, sizes))
+
+
+def _free_energy_oracle_pairs():
+    """Six mixed colorings, the degree-bound inputs of verify, then torus
+    links and a 3-unlink colored up to a size each; each pair once."""
+    from klmov.verify import REGRESSION_PAIRS, _unlink_mus
+
+    pairs = [
+        (TorusLinkSpec(2, 3, 1), ((2, 1),)),
+        (TorusLinkSpec(2, 3, 1), ((1, 1, 1),)),
+        (TorusLinkSpec(1, 1, 2), ((2, 1), (1,))),
+        (TorusLinkSpec(1, 1, 2), ((1, 1), (1, 1))),
+        (UnlinkSpec(2), ((2, 1), (1,))),
+        (UnlinkSpec(2), ((1, 1), (2, 1))),
+    ]
+    singles, doubles = _unlink_mus(6)
+    pairs += (list(REGRESSION_PAIRS) + [(UnlinkSpec(1), mu) for mu in singles]
+              + [(UnlinkSpec(2), mu) for mu in doubles])
+    for src, max_norm in [(TorusLinkSpec(2, 3, 1), 5), (TorusLinkSpec(2, 5, 1), 4),
+                          (TorusLinkSpec(1, 1, 2), 4), (TorusLinkSpec(1, 2, 2), 4),
+                          (TorusLinkSpec(1, 2, 3), 3), (TorusLinkSpec(3, 4, 1), 3),
+                          (UnlinkSpec(3), 4)]:
+        pairs += [(src, mu) for mu in _multipartitions(src.L, max_norm)]
+    return list(dict.fromkeys(pairs))
+
+
+@pytest.mark.parametrize("src, mu", _free_energy_oracle_pairs())
 def test_free_energy_is_the_sum_of_splitting_products(src, mu):
     assert free_energy(src, mu) == _free_energy_by_products(src, mu)
+
+
+@pytest.mark.parametrize("src, mu", [(TorusLinkSpec(1, 1, 2), ((), ())),
+                                     (UnlinkSpec(2), ((), ()))])
+def test_free_energy_rejects_the_zero_multipartition(src, mu):
+    with pytest.raises(ValueError, match="^cannot split the zero multi-partition$"):
+        free_energy(src, mu)
 
 
 def test_free_energy_hopf_column():
@@ -380,6 +411,28 @@ def test_free_energy_sums_build_no_fraction():
     finally:
         sys.setprofile(None)
     assert not built, sorted(set(built))
+
+
+def test_free_energy_terms_have_at_most_two_factors(monkeypatch):
+    # each term of the recursion is one F_rho times one Z_(mu - rho); the 31
+    # splittings of this coloring multiply up to six Z values
+    from klmov import lmov
+
+    _clear_memos()
+    widths = []
+
+    def spy(terms):
+        terms = list(terms)
+        if sys._getframe(1).f_code.co_name == "free_energy":
+            widths.extend((len(x) if isinstance(x, tuple) else 1) + isinstance(m, dict)
+                          for x, m in terms)
+        return rational_sum(terms)
+
+    monkeypatch.setattr(lmov, "rational_sum", spy)
+    mu = ((1, 1, 1), (1, 1, 1))
+    assert len(splittings(mu)) == 31
+    free_energy(UnlinkSpec(2), mu)
+    assert widths and max(widths) <= 2
 
 
 def test_library_arithmetic_renders_no_num_or_den(monkeypatch):

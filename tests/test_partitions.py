@@ -12,6 +12,7 @@ from klmov.partitions import (
     common_divisors,
     format_multipartition,
     format_partition,
+    is_partition,
     kappa,
     _multiset_partitions,
     lemma72_sum,
@@ -20,6 +21,7 @@ from klmov.partitions import (
     parse_partition,
     partitions_of,
     splittings,
+    sub_multisets,
     transpose,
     updown_dimension,
     z_stat,
@@ -185,6 +187,27 @@ def test_splittings_match_reference():
     assert len(mus) == 189
     for mu in mus + [((2, 2, 1, 1), (2, 1), (1,))]:
         assert Counter(splittings(mu)) == Counter(_reference_splittings(mu)), mu
+
+
+def test_sub_multisets_split_every_multipartition_once():
+    # every multi-partition of size <= 6 with 1-3 components, the zero ones
+    # included: prod (m_i + 1) distinct (rho, rest) pairs reassembling mu
+    for ncomp in (1, 2, 3):
+        for sizes in product(range(7), repeat=ncomp):
+            if sum(sizes) > 6:
+                continue
+            for mu in product(*map(partitions_of, sizes)):
+                pairs = list(sub_multisets(mu))
+                want = 1
+                for lam in mu:
+                    for m in Counter(lam).values():
+                        want *= m + 1
+                assert len(pairs) == len(set(pairs)) == want, mu
+                for rho, rest in pairs:
+                    assert len(rho) == len(rest) == ncomp
+                    assert all(is_partition(lam) for lam in rho + rest)
+                    assert [sorted(a + b) for a, b in zip(rho, rest)] == [
+                        sorted(lam) for lam in mu]
 
 
 def test_splittings_reject_zero():
