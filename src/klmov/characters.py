@@ -24,18 +24,23 @@ gives
 
 where mu' runs over the sub-multisets of the parts of mu, m_i counts the
 parts equal to i, and z_mu / (z_mu' z_rho) is the binomial product.  Only
-integers appear.  So the Brauer column of mu over the labels of one size is
-an integer combination of the S_n columns of its splits mu', and E(rho) is
-read off the column of rho.  ``lr_coefficient`` keeps the term-by-term
-definition available as an independent route for the tests.
+integers appear.  So the Brauer column of mu is one pass over the
+sub-multisets mu' that ``partitions.sub_multisets`` enumerates, each adding
+an integer multiple of the S_n column of mu' into the labels of size |mu'|,
+and E(rho) is read off the column of rho.  ``lr_coefficient`` keeps the
+term-by-term definition available as an independent route for the tests.
 
 One class's column is the unit of work.  ``sn_column`` memoises the S_n
 column, the characters of all partitions of |mu| at mu.  ``brauer_column``
 memoises the Brauer column, the characters of all labels of its rank at
-gamma_mu; ``brauer_character``, ``schur.pb_in_sb`` and ``schur.sb_in_pb_scaled``
-read it.  A whole table (``brauer_table``, which only ``char-table`` asks for)
-is the tuple of its class columns, those same memoised tuples, and is the one
-thing mirrored to the JSON cache on disk, which stores it label-major.
+gamma_mu, which opens with the S_n column.  The pipeline reads characters
+only there: ``schur.pb_in_sb`` (and through it ``lmov.z_coefficient``) and
+``schur.sb_in_pb_scaled``.  ``sn_character``, ``brauer_character`` and
+``multi_character`` read single entries for ``verify`` and the tests'
+independent routes.  A whole table (``brauer_table``, which only
+``char-table`` asks for) is the tuple of its class columns, those same
+memoised tuples, and is the one thing mirrored to the JSON cache on disk,
+which stores it label-major.
 """
 
 from __future__ import annotations
@@ -53,6 +58,7 @@ from .partitions import (
     brauer_label_sizes,
     is_partition,
     partitions_of,
+    sub_multisets,
     z_stat,
 )
 
@@ -168,56 +174,32 @@ def _even_sum(rho):
     return sum(col[index[tuple(2 * p for p in lam)]] for lam in half)
 
 
-def _splits(mu, k):
-    """[(mu', weight)] over the sub-multisets mu' of mu of size k.
-
-    weight = prod_i C(m_i(mu), m_i(mu')) * E(mu - mu'); zero weights are
-    dropped.  Both mu' and its complement come out weakly decreasing.
-    """
-    groups = [(part, mu.count(part)) for part in sorted(set(mu), reverse=True)]
-    tail = [sum(p * m for p, m in groups[i:]) for i in range(len(groups) + 1)]
-    out = []
-
-    def walk(i, size, sub, rest, weight):
-        if size + tail[i] < k:
-            return
-        if i == len(groups):  # size == k: the tail check and the count bound pin it
-            weight *= _even_sum(rest)
-            if weight:
-                out.append((sub, weight))
-            return
-        part, m = groups[i]
-        for c in range(min(m, (k - size) // part), -1, -1):
-            walk(i + 1, size + c * part, sub + (part,) * c,
-                 rest + (part,) * (m - c), weight * comb(m, c))
-
-    walk(0, 0, (), (), 1)
-    return out
-
-
 def _cache_path(n):
     return os.path.join(_CACHE_DIR, f"brauer_{n}.json")
-
-
-def _brauer_segment(mu, k):
-    """[chi_a(gamma_mu) for a in partitions_of(k)]: the combination of the S_n
-    columns of the splits of mu of size k."""
-    col = [0] * len(partitions_of(k))
-    for sub, w in _splits(mu, k):
-        col = [x + w * y for x, y in zip(col, _column(sub))]
-    return col
 
 
 @lru_cache(maxsize=None)
 def brauer_column(mu):
     """(chi_a(gamma_mu) for a in brauer_labels(|mu|)): the characters of one
-    class, memoised.  A class that is not a partition raises KeyError."""
+    class, memoised.  A class that is not a partition raises KeyError.
+    Each sub-multiset mu' adds prod_i C(m_i(mu), m_i(mu')) E(mu - mu') times
+    the S_n column of mu' into the labels of size |mu'|; a rest of odd size
+    has no even-part partition."""
     mu = tuple(sorted(mu, reverse=True))
-    if mu not in _index(sum(mu)):
+    n = sum(mu)
+    if mu not in _index(n):
         raise KeyError(mu)
-    return tuple(chain.from_iterable(
-        _brauer_segment(mu, k) for k in brauer_label_sizes(sum(mu))
-    ))
+    segments = {k: [0] * len(partitions_of(k)) for k in brauer_label_sizes(n)}
+    for (sub,), (rest,) in sub_multisets((mu,)):
+        if sum(rest) % 2:
+            continue
+        w = _even_sum(rest)
+        for part in set(sub):
+            w *= comb(mu.count(part), sub.count(part))
+        if w:
+            k = sum(sub)
+            segments[k] = [x + w * y for x, y in zip(segments[k], _column(sub))]
+    return tuple(chain.from_iterable(segments.values()))
 
 
 @lru_cache(maxsize=None)

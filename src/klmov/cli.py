@@ -497,7 +497,7 @@ def build_parser():
     p.add_argument("--suite", choices=("paper", "properties", "all"), default="paper")
     p.add_argument("--only", help="run the checks with this name, or matching this "
                    "shell-style pattern (as 'ctilde*')")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
 
     return parser
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import NamedTuple
 
-from .characters import brauer_labels, multi_character
 from .errors import ComponentCountMismatch, NonIntegerCoefficient
 from .laurent import (
     RationalQT,
@@ -35,7 +34,7 @@ from .partitions import (
     sub_multisets,
     z_stat_multi,
 )
-from .schur import sb_closed_form
+from .schur import pb_in_sb, sb_closed_form
 from .torus import (
     TorusLinkSpec,
     bracket_coefficients,
@@ -68,9 +67,12 @@ def invariant(src, colors):
 def z_coefficient(src, mu):
     """Coefficient of pb_mu in the partition function.
 
-    sum_A multi_character(A, mu) / z_mu * invariant(A) in the Rosso-Jones
-    form: one rational_sum of sb_closed_form(lam) * P_lam over cable labels,
-    P_lam collecting the weighted cable_terms of every A.  Empty labels drop
+    sum_A chi_A(gamma_mu) / z_mu * invariant(A) over the sb-expansion of
+    pb_mu: the label tuples A with each a_i in pb_in_sb(mu_i), weighted by
+    the product of those coefficients, the nonzero Brauer character values
+    chi_(a_i)(gamma_(mu_i)).  It is taken in the Rosso-Jones form: one
+    rational_sum of sb_closed_form(lam) * P_lam over cable labels, P_lam
+    collecting the weighted cable_terms of every A.  Empty labels drop
     their component (the all-empty A gives lam = () with monomial 1); an
     unlink is the product of one-component sums whose only label is A.
     """
@@ -82,10 +84,9 @@ def z_coefficient(src, mu):
     if not torus and src.L > 1:
         return rational_product(z_coefficient(UnlinkSpec(1), (lam,)) for lam in mu)
     z, collected = z_stat_multi(mu), {}
-    for avec in product(*(brauer_labels(sum(lam)) for lam in mu)):
-        ch = multi_character(avec, mu)
-        if not ch:
-            continue
+    for pairs in product(*(pb_in_sb(lam).items() for lam in mu)):
+        avec = tuple(a for a, _ in pairs)
+        ch = prod(c for _, c in pairs)
         active = tuple(a for a in avec if a)
         if torus and active:
             terms = cable_terms(r, k, active)

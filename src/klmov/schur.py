@@ -17,9 +17,9 @@ from math import factorial
 from types import MappingProxyType
 
 from . import laurent
-from .characters import brauer_column, brauer_labels, sn_character
+from .characters import brauer_column, brauer_labels
 from .errors import NonIntegerCoefficient
-from .partitions import partitions_of, transpose, z_stat
+from .partitions import is_partition, partitions_of, transpose, z_stat
 
 
 def render_basis(coeffs, symbol):
@@ -58,14 +58,19 @@ def sb_in_pb_scaled(a):
     """|a|! sb_a in power sums, with int coefficients: by orthogonality of the
     S_n block, sb_a = sum_mu chi_a(mu) / z_mu pb_mu - sum_b <chi_a, chi_b> sb_b
     over the smaller labels b, and n!/z_mu, <chi_a, chi_b> and n!/|b|! are
-    integers."""
+    integers.  chi_a(mu) is read off the S_n block that opens each Brauer
+    column."""
+    if not is_partition(a):
+        raise ValueError(f"not a partition: {a}")
     n = sum(a)
     nfact = factorial(n)
+    i = partitions_of(n).index(a)
     top = len(partitions_of(n))  # the smaller labels follow the partitions of n
     out, mult = {}, [0] * (len(brauer_labels(n)) - top)
     for mu in partitions_of(n):
-        out[mu] = chi = sn_character(a, mu) * (nfact // z_stat(mu))
-        mult = [m + chi * x for m, x in zip(mult, brauer_column(mu)[top:])]
+        column = brauer_column(mu)
+        out[mu] = chi = column[i] * (nfact // z_stat(mu))
+        mult = [m + chi * x for m, x in zip(mult, column[top:])]
     for b, m in zip(brauer_labels(n)[top:], mult):
         if m % nfact:
             raise NonIntegerCoefficient(f"sb{b} has multiplicity {Fraction(m, nfact)} in sb{a}")

@@ -473,21 +473,37 @@ def test_only_ascii_decimal_digits_are_read(capsys, argv, message):
      "argument --bound: invalid int value: '\u0663\u0663'"),
     (("lmov", "--unlink", "\uff12", "--mu", "1|1"),
      "argument --unlink: invalid positive value: '\uff12'"),
+    (("verify", "--suite", "properties", "--seed", "\u0663"),
+     "argument --seed: invalid int value: '\u0663'"),
+    (("verify", "--suite", "properties", "--seed", "+3"),
+     "argument --seed: invalid int value: '+3'"),
+    (("verify", "--suite", "properties", "--seed", "3_0"),
+     "argument --seed: invalid int value: '3_0'"),
     # ASCII input is refused with the messages it always had
     (("char-table", "--n", "-1"), "argument --n: rank must be nonnegative, got -1"),
     (("rmatrix", "--N", "x"), "argument --N: invalid positive value: 'x'"),
     (("ctilde", "--colors", "1", "--r", "0"), "argument --r: r must be positive, got 0"),
     (("sb", "--partition", "2", "--bound", "x"), "argument --bound: invalid int value: 'x'"),
+    (("verify", "--suite", "properties", "--seed", "x"),
+     "argument --seed: invalid int value: 'x'"),
     (("invariant", "--unlink", "0", "--colors", "1"),
      "argument --unlink: L must be positive, got 0"),
 ], ids=["n-arabic-indic", "N-plus", "r-underscore", "bound-arabic-indic",
-        "unlink-fullwidth", "n-negative", "N-letter", "r-zero", "bound-letter",
+        "unlink-fullwidth", "seed-arabic-indic", "seed-plus", "seed-underscore",
+        "n-negative", "N-letter", "r-zero", "bound-letter", "seed-letter",
         "unlink-zero"])
 def test_flag_numbers_are_ascii_decimal_digits(capsys, argv, message):
     code, err = run_failing(capsys, *argv)
     assert code == 2
     assert err.count("error:") == 1
     assert err.endswith(f"error: {message}\n")
+
+
+def test_verify_seed_may_be_negative(capsys):
+    code, out = run(capsys, "verify", "--suite", "properties", "--only", "ring*",
+                    "--seed", "-5")
+    assert code == 0
+    assert out.endswith("1/1 checks passed\n")
 
 
 def test_lmov_cable_limit_follows_from_color_size(monkeypatch, capsys):

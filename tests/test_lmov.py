@@ -2,6 +2,8 @@
 and the integrality / degree machinery."""
 
 import fractions
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import product
@@ -119,6 +121,39 @@ def test_z_coefficient_is_the_label_tuple_sum(spec, mu):
     # the Rosso-Jones sum over cable labels against the per-tuple route;
     # the links reach tuples with empty labels, down to the all-empty one
     assert z_coefficient(spec, mu) == _z_coefficient_by_tuples(spec, mu)
+
+
+_WITHOUT_SINGLE_CHARACTERS = """\
+from klmov import characters
+def refuse(*args):
+    raise AssertionError(f'single character read at {args}')
+characters.sn_character = characters.brauer_character = refuse
+characters.multi_character = refuse
+from klmov import lmov, torus
+print(lmov.z_coefficient(torus.TorusLinkSpec(2, 3, 1), ((2, 1),)))
+print(lmov.z_coefficient(torus.TorusLinkSpec(1, 2, 3), ((2,), (2,), (1, 1))))
+print(lmov.z_coefficient(lmov.UnlinkSpec(2), ((2, 1), (1,))))
+print(sorted(torus.ctilde(((2, 1), (1,)), 2).items()))
+"""
+
+
+def test_z_coefficient_reads_only_the_memoised_columns():
+    # in a fresh process whose single-character readers raise, Z_mu and
+    # ctilde come from the Brauer columns alone
+    from klmov import torus
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if not k.startswith("KLMOV_")}
+    env["PYTHONPATH"] = src
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SINGLE_CHARACTERS],
+                         capture_output=True, text=True, env=env, timeout=120,
+                         check=True).stdout
+    assert out.splitlines() == [
+        str(z_coefficient(TorusLinkSpec(2, 3, 1), ((2, 1),))),
+        str(z_coefficient(TorusLinkSpec(1, 2, 3), ((2,), (2,), (1, 1)))),
+        str(z_coefficient(UnlinkSpec(2), ((2, 1), (1,)))),
+        str(sorted(torus.ctilde(((2, 1), (1,)), 2).items())),
+    ]
 
 
 def test_torus_z_coefficient_checks_the_component_count():

@@ -1,5 +1,6 @@
 """Power-sum / type-B Schur transitions and quantum dimensions."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,12 @@ def test_sb_in_pb_is_a_fresh_dict():
 def test_pb_in_sb_wants_a_class(mu):
     with pytest.raises(KeyError):
         pb_in_sb(mu)
+
+
+@pytest.mark.parametrize("a", [(2, 3), (2, 0), (3, -1)])
+def test_sb_in_pb_wants_a_partition(a):
+    with pytest.raises(ValueError, match=rf"^not a partition: {re.escape(str(a))}$"):
+        sb_in_pb(a)
 
 
 def test_sb_in_pb_reference_lines():
