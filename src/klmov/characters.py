@@ -45,9 +45,7 @@ which stores it label-major.
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
@@ -214,6 +212,8 @@ def _compute_brauer_table(n):
 def _load_brauer_table(n):
     """The class columns of the stored table, or None if the file is missing
     or does not hold exactly the rank-n table; the file is label-major."""
+    import json  # only the disk cache loads it
+
     path = _cache_path(n)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -238,6 +238,9 @@ def _load_brauer_table(n):
 
 
 def _store_brauer_table(n, table):
+    import json
+    import tempfile
+
     data = {
         "schema": _CACHE_SCHEMA,
         "n": n,

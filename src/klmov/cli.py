@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
-import json
 import os
 import sys
 from contextlib import nullcontext
@@ -134,6 +133,12 @@ def _emit(args, text):
     _emit_lines(args, (text,))
 
 
+def _emit_json(args, data):
+    import json  # only JSON output loads it
+
+    _emit(args, json.dumps(data, indent=2))
+
+
 def _emit_lines(args, lines):
     """Write each line as it is made, and a newline, to --out or standard output."""
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
@@ -196,6 +201,8 @@ def cmd_char_table(args):
     labels = characters.brauer_labels(args.n)
     classes = partitions_of(args.n)
     if args.format == "json":
+        import json
+
         # the bytes of json.dumps(..., indent=2) with "values" filled in, one
         # row per label, written as each row is made
         head = json.dumps({
@@ -240,7 +247,7 @@ def cmd_sb(args):
                 for mu, c in schur.pb_in_sb(lam).items()
             },
         }
-        _emit(args, json.dumps(data, indent=2))
+        _emit_json(args, data)
         return 0
     lines = []
     if args.pb or not args.closed:
@@ -265,7 +272,7 @@ def cmd_ctilde(args):
             "r": args.r,
             "entries": [[list(lam), str(Fraction(c))] for lam, c in entries],
         }
-        _emit(args, json.dumps(data, indent=2))
+        _emit_json(args, data)
         return 0
     lines = [f"cabling constants for colors {args.colors} at r={args.r}:"]
     for lam, c in entries:
@@ -290,7 +297,7 @@ def cmd_invariant(args):
             "colors": [list(a) for a in colors],
             "value": rationalqt_to_json(value),
         }
-        _emit(args, json.dumps(data, indent=2))
+        _emit_json(args, data)
     else:
         _emit(args, str(value))
     return 0
@@ -312,7 +319,7 @@ def cmd_lmov(args):
             "finding": f"{type(exc).__name__}: {exc}",
         }
         if args.format == "json":
-            _emit(args, json.dumps(finding, indent=2))
+            _emit_json(args, finding)
         else:
             _emit(args, f"FINDING for {src.describe()} colored {args.mu}: "
                         f"{finding['finding']}")
@@ -329,7 +336,7 @@ def cmd_lmov(args):
                 for (g, b), n in sorted(table.entries.items())
             ],
         }
-        _emit(args, json.dumps(data, indent=2))
+        _emit_json(args, data)
     elif args.format == "csv":
         lines = ["g,beta,N"]
         for (g, b), n in sorted(table.entries.items()):
@@ -355,7 +362,7 @@ def cmd_degree(args):
             "bound": res.bound,
             "pass": res.passed,
         }
-        _emit(args, json.dumps(data, indent=2))
+        _emit_json(args, data)
     else:
         val = "vacuous (zero)" if res.valuation is None else str(res.valuation)
         _emit(args, f"valuation {val}, bound {res.bound}: "

@@ -30,7 +30,12 @@ A term of ``rational_sum`` is a tuple of factors standing for their product:
 their rows are multiplied slice by slice and their multiplicities added.
 The lcm of the term denominators takes the per-d maximum; each term's rows,
 over one common scale and times its cofactor lcm / den, are accumulated into
-one dense int row per t-exponent, so a sum is canonicalized once.  ``+``,
+one dense int row per t-exponent, so a sum is canonicalized once.  A sum whose
+denominator is known in advance takes it as ``expect``: each row is divided
+once, by ``_div_monic``, by C = lcm / gcd(lcm, expect), and the content
+search runs only on the ``Phi_d`` of that gcd.  A remainder sends the
+sum back to the search over the whole lcm on the undivided rows, so the
+prediction need not be a theorem.  ``+``,
 ``*`` and ``rational_product`` are special cases.  A factor is a
 ``RationalQT`` or a term dict, which is a numerator only.  A one-coefficient
 factor c q^a t^b (a monomial, or a term-dict multiplier) shifts the rows and
@@ -355,9 +360,27 @@ def _product_term(factors, m):
     return rows, s, k, mults
 
 
-def _sum(parts):
+def _predicted(polys, top, expect):
+    """(quotients, min(top, expect)) of the dense rows over prod Phi_d^top_d
+    divided once by C = prod Phi_d^(top_d - expect_d) over top_d > expect_d,
+    or None when C leaves a remainder in some row."""
+    c = _cofactor(top, expect)
+    if len(c) > 1:
+        out = []
+        for p in polys:
+            quo, rem = _div_monic(p, c)
+            if any(rem):
+                return None
+            out.append(quo)
+        polys = out
+    return polys, {d: min(m, expect[d]) for d, m in top.items() if expect.get(d)}
+
+
+def _sum(parts, expect=None):
     """The _Canonical sum of parts of _product_term, over one lcm; one part
-    is its rows times k over its own denominator."""
+    is its rows times k over its own denominator.  With expect, a predicted
+    denominator {d: m}, _predicted divides the rows first (see
+    rational_sum)."""
     if len(parts) == 1:
         ((rows, scale, k, top),) = parts
         if k != 1:
@@ -377,8 +400,11 @@ def _sum(parts):
         rows = _trimmed(acc)
     if not rows:
         return _reduced(1, (), ())
+    polys = [p for _, _, p in rows]
+    if expect is not None:
+        polys, top = _predicted(polys, top, expect) or (polys, top)
     # the gcd of the rows with the lcm is divided out at once
-    polys, cut = _cyclotomic_content([p for _, _, p in rows], top)
+    polys, cut = _cyclotomic_content(polys, top)
     left = ((d, m - cut.get(d, 0)) for d, m in sorted(top.items()))
     return _reduced(scale, sorted((b, lo, p) for (b, lo, _), p in zip(rows, polys)),
                     tuple((d, m) for d, m in left if m))
@@ -403,7 +429,7 @@ def _reduced(scale, rows, mults):
     return _Canonical(scale // g, tuple((b, lo, tuple(p)) for b, lo, p in rows), mults)
 
 
-def rational_sum(terms):
+def rational_sum(terms, expect=None):
     """The canonical sum of m * x over (x, m) pairs, canonicalized once.
 
     x is a RationalQT or a tuple of factors standing for their product; a
@@ -413,6 +439,13 @@ def rational_sum(terms):
     scale, each is multiplied by the cofactor lcm / den of its denominator
     and accumulated into dense t-slices, so a sum of products builds one lcm
     and canonicalizes once.
+
+    expect, a {d: m} map, is a predicted denominator prod Phi_d^m.  Each
+    accumulated row is then divided once by C = lcm / gcd(lcm, expect), and
+    the content search runs only on the Phi_d of gcd(lcm, expect).  If C
+    leaves a remainder in any row, the search runs on the undivided rows
+    over the whole lcm, as without expect: the value is exact and canonical
+    whether or not the prediction holds.
     """
     parts = []
     for x, m in terms:
@@ -425,7 +458,7 @@ def rational_sum(terms):
             same = factors[0] if m == 1 and len(factors) == 1 else None
     if len(parts) == 1 and isinstance(same, RationalQT):
         return same
-    return RationalQT(_sum(parts))
+    return RationalQT(_sum(parts, expect))
 
 
 def rational_product(factors):

@@ -97,7 +97,20 @@ def z_coefficient(src, mu):
             p = collected.setdefault(lam, {})
             for e, c in monomial.items():
                 p[e] = p.get(e, 0) + w * c
-    return rational_sum((sb_closed_form(lam), p) for lam, p in collected.items())
+    return rational_sum(((sb_closed_form(lam), p) for lam, p in collected.items()),
+                        expect=_row_poles(mu))
+
+
+def _row_poles(mu):
+    """The {d: m} of prod (q^row - q^-row) over every row of mu, each row
+    adding one to the Phi_d with d | 2 row: the denominator that Z_mu has in
+    every case tried (see rational_sum for what a miss costs)."""
+    out = {}
+    for lam in mu:
+        for row in lam:
+            for d, m in qdiff_inverse(row).mults:
+                out[d] = out.get(d, 0) + m
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -113,6 +126,9 @@ def free_energy(src, mu):
     of Z_mu and the terms -c(rho)/c(mu) F_rho Z_(mu - rho) over proper rho,
     each of at most two factors; a vanishing F_rho drops its term.  Counting
     every row instead takes about twice the terms.
+
+    F_mu is predicted to be a Laurent polynomial when mu has two or more rows
+    in all, and to be Z_mu, with its denominator, for one row.
     """
     if mp_is_zero(mu):
         raise ValueError("cannot split the zero multi-partition")
@@ -125,12 +141,16 @@ def free_energy(src, mu):
             f = free_energy(src, rho)
             if not f.is_zero:
                 terms.append(((f, z_coefficient(src, rest)), Fraction(-c, n)))
-    return rational_sum(terms)
+    return rational_sum(terms, expect={} if mp_len(mu) > 1 else _row_poles(mu))
 
 
 @lru_cache(maxsize=None)
 def reformulated_g(src, mu):
-    """Moebius-inverted free energy over simultaneous row divisors."""
+    """Moebius-inverted free energy over simultaneous row divisors.
+
+    Predicted to have the simple pole Phi_1 Phi_2 for one row and to be a
+    Laurent polynomial otherwise, as F is.
+    """
     if mp_is_zero(mu):
         raise ValueError("needs a nonzero multi-partition")
     terms = []
@@ -140,7 +160,7 @@ def reformulated_g(src, mu):
             continue
         f = free_energy(src, mp_div(mu, k))
         terms.append((f.substitute(qpow=k, tpow=k), Fraction(mk, k)))
-    return rational_sum(terms)
+    return rational_sum(terms, expect={1: 1, 2: 1} if mp_len(mu) == 1 else {})
 
 
 def conjecture_lhs(src, mu, antisymmetrize=True):
@@ -150,16 +170,16 @@ def conjecture_lhs(src, mu, antisymmetrize=True):
     z_mu z^2 g / prod(q^row - q^-row), with g replaced by its odd t-part when
     antisymmetrize is set.  The value is one rational_sum term: z^2 and each
     1 / (q^row - q^-row) are its factors, so nothing is divided and it is
-    canonicalized once.  Raises NotPolynomial / NotZRepresentable when
-    the value fails to land in the polynomial ring; callers treat those as
-    findings.
+    canonicalized once, over the predicted denominator 1.  Raises
+    NotPolynomial / NotZRepresentable when the value fails to land in the
+    polynomial ring; callers treat those as findings.
     """
     g = reformulated_g(src, mu)
     factors = (Z, Z) + tuple(qdiff_inverse(row) for lam in mu for row in lam)
     if antisymmetrize:
         # the denominator is q-only, so (g(t) - g(-t)) / 2 keeps the odd-t terms
         g = rational_sum(((g, Fraction(1, 2)), (g.substitute(tsign=-1), Fraction(-1, 2))))
-    return to_z_basis(rational_sum([((g,) + factors, z_stat_multi(mu))]))
+    return to_z_basis(rational_sum([((g,) + factors, z_stat_multi(mu))], expect={}))
 
 
 class NTable(NamedTuple):
@@ -239,7 +259,7 @@ def column_integrality_check(src, dvec):
         dfact *= factorial(di)
     # z^(2-d): d - 2 factors 1/z, or one factor z below d = 2
     zs = (qdiff_inverse(1),) * (d - 2) if d >= 2 else (Z,)
-    poly = to_z_basis(rational_sum((((f,) + zs, dfact),)))
+    poly = to_z_basis(rational_sum((((f,) + zs, dfact),), expect={}))
     return all(c.denominator == 1 for c in poly.values())
 
 

@@ -93,8 +93,14 @@ def cable_terms(r, k, colors):
 
 @lru_cache(maxsize=None)
 def _torus_invariant_active(r, k, colors):
+    # predicted: the denominator of the product of the colors' quantum dimensions
+    expect = {}
+    for a in colors:
+        for d, m in sb_closed_form(a).mults:
+            expect[d] = expect.get(d, 0) + m
     terms = cable_terms(r, k, colors)
-    return laurent.rational_sum((sb_closed_form(lam), m) for lam, m in terms.items())
+    return laurent.rational_sum(((sb_closed_form(lam), m) for lam, m in terms.items()),
+                                expect=expect)
 
 
 def torus_invariant(spec, colors):

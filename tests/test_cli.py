@@ -176,6 +176,33 @@ def test_cli_import_leaves_golden_and_dataclasses_unloaded():
     assert not {"klmov.golden", "dataclasses"} & added
 
 
+def loads_json(*argv):
+    """Whether a fresh process running the command imports json; None when
+    the bare interpreter has it already."""
+    out = run_python(
+        "import sys\n"
+        "before = 'json' in sys.modules\n"
+        "from klmov.cli import main\n"
+        f"main({list(argv)!r})\n"
+        "print(None if before else 'json' in sys.modules)\n"
+    )
+    return {"None": None, "True": True, "False": False}[out.split("\n")[-2]]
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (("char-table", "--n", "3", "--no-cache"), False),
+    (("lmov", "--torus", "1,1,2", "--mu", "1|1", "--format", "csv"), False),
+    (("char-table", "--n", "3", "--no-cache", "--format", "json"), True),
+    (("lmov", "--torus", "1,1,2", "--mu", "1|1", "--format", "json"), True),
+], ids=["char-table-text", "lmov-csv", "char-table-json", "lmov-json"])
+def test_json_loads_only_for_json_output(argv, loads):
+    # start-up: json is imported by JSON output and the character cache only
+    got = loads_json(*argv)
+    if got is None:
+        pytest.skip("the interpreter imports json at start-up")
+    assert got is loads
+
+
 def executed_modules(*argv):
     """The klmov modules whose code runs in a fresh process running the command.
 

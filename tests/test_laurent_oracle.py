@@ -15,7 +15,10 @@ factor that is not cyclotomic.  ``qdiff_inverse`` is compared with sympy's
 with sympy's reading of it.  The multiplicity of Phi_d found by derivative tests is
 compared with sympy's, and ``rational_sum`` with the earlier route kept here
 as a reference: dict products with each cofactor, then one Phi_d cancelled
-per round while every t-slice allows it.
+per round while every t-slice allows it.  A sum over a predicted denominator
+must equal sympy's value whether the prediction is right, one Phi_d short
+(it falls back to the search over the whole lcm), one Phi_d long, names a
+Phi_d outside the lcm, or the sum is zero.
 """
 
 import random
@@ -860,3 +863,107 @@ def test_trimmed_cuts_zero_ends_and_keeps_an_uncut_row():
     assert got == [(0, 4, [5]), (2, 0, [1, 0, 2]), (3, 4, [3, 0, -1])]
     assert got[-1][2] is row
     assert laurent._trimmed({5: [0, [0]]}) == []
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """One entry per predicted division of rational_sum: True where C left
+    a remainder and the sum fell back to the search over the whole lcm."""
+    seen = []
+    predicted = laurent._predicted
+
+    def spy(polys, top, expect):
+        out = predicted(polys, top, expect)
+        seen.append(out is None)
+        return out
+
+    monkeypatch.setattr(laurent, "_predicted", spy)
+    return seen
+
+
+def cancelling_sum(rng):
+    """(terms, mults, lcm) of m y as the sum of (y + w) m and -m w: y and w
+    are cyclotomic values, so the lcm of the terms holds w's denominator
+    while the value keeps only y's, the mults of its canonical form."""
+    while True:
+        y, w = (over(*random_rational(rng, "cyclotomic")) for _ in range(2))
+        m = rng.choice((1, -3, Fraction(2, 5), {(1, -1): Fraction(-5, 4)}))
+        neg = {k: -c for k, c in m.items()} if isinstance(m, dict) else -m
+        terms = [(y + w, m), (w, neg)]
+        top = {}
+        for x, _ in terms:
+            for d, e in x.mults:
+                top[d] = max(e, top.get(d, 0))
+        mults = dict(y.mults)
+        if mults and top != mults:
+            return terms, mults, top
+
+
+def sympy_sum(terms):
+    fracs = [Frac.of(x.num, x.den) * Frac.of(as_terms(m), {0: 1}) for x, m in terms if x]
+    return reduce(Frac.__add__, fracs).canonical()
+
+
+@pytest.mark.parametrize("case", ("right", "one-phi-too-small", "one-phi-too-large",
+                                  "outside-the-lcm"))
+def test_predicted_denominator_matches_sympy(case, fallbacks):
+    # the rows are divided once by lcm / gcd(lcm, expect); a prediction
+    # short of one Phi_d leaves a remainder and falls back to the search
+    # over the whole lcm, one Phi_d too many (or a Phi_d outside the lcm)
+    # divides exactly and the search on min(lcm, expect) finds the rest
+    rng = random.Random(f"predicted-{case}")
+    for _ in range(8):
+        terms, mults, top = cancelling_sum(rng)
+        expect = dict(mults)
+        if case == "one-phi-too-small":
+            d = rng.choice(sorted(mults))
+            expect[d] -= 1
+        elif case == "one-phi-too-large":
+            d = rng.choice(sorted(top))
+            expect[d] = mults.get(d, 0) + 1
+        elif case == "outside-the-lcm":
+            expect[max(top) + rng.randint(1, 30)] = 2
+        fallbacks.clear()
+        got = rational_sum(terms, expect)
+        assert canonical(got) == sympy_sum(terms)
+        assert got == rational_sum(terms)
+        assert fallbacks == [case == "one-phi-too-small"]
+
+
+@pytest.mark.parametrize("expect", ({}, {1: 1, 2: 1}, {3: 2, 101: 1}))
+def test_predicted_sum_that_cancels_to_zero(expect, fallbacks):
+    rng = random.Random(f"predicted-zero-{sorted(expect)}")
+    for _ in range(5):
+        (x, m), (w, neg) = cancelling_sum(rng)[0]
+        y = x - w
+        terms = [(x, m), (w, neg), (y, neg)]
+        got = rational_sum(terms, expect)
+        assert got == RationalQT(0) and not got.mults
+        fracs = (Frac.of(x.num, x.den) * Frac.of(as_terms(m), {0: 1}) for x, m in terms)
+        assert reduce(Frac.__add__, fracs).num.is_zero
+    assert fallbacks == []
+
+
+def test_one_part_sum_keeping_a_pole_falls_back(fallbacks):
+    # a Laurent polynomial predicted for a value with a pole: the division
+    # by the whole denominator fails, and the finding of to_z_basis keeps
+    # its text
+    rng = random.Random("predicted-one-part")
+    for _ in range(8):
+        num, den = random_rational(rng, "cyclotomic")
+        x = over(num, den)
+        if not x.mults:
+            continue
+        raw, _ = random_rational(rng, "cyclotomic")
+        fallbacks.clear()
+        got = rational_sum([((x, raw), 2)], expect={})
+        assert fallbacks == [True] and got.mults
+        want = Frac.of(num, den) * Frac.of(raw, {0: 1}) * Frac.of({(0, 0): 2}, {0: 1})
+        assert canonical(got) == want.canonical()
+        plain = rational_sum([((x, raw), 2)])
+        assert got == plain
+        with pytest.raises(NotPolynomial) as predicted:
+            to_z_basis(got)
+        with pytest.raises(NotPolynomial) as unpredicted:
+            to_z_basis(plain)
+        assert str(predicted.value) == str(unpredicted.value)

@@ -456,12 +456,12 @@ def test_free_energy_terms_have_at_most_two_factors(monkeypatch):
     _clear_memos()
     widths = []
 
-    def spy(terms):
+    def spy(terms, expect=None):
         terms = list(terms)
         if sys._getframe(1).f_code.co_name == "free_energy":
             widths.extend((len(x) if isinstance(x, tuple) else 1) + isinstance(m, dict)
                           for x, m in terms)
-        return rational_sum(terms)
+        return rational_sum(terms, expect)
 
     monkeypatch.setattr(lmov, "rational_sum", spy)
     mu = ((1, 1, 1), (1, 1, 1))
@@ -493,3 +493,54 @@ def test_library_arithmetic_renders_no_num_or_den(monkeypatch):
     assert dividend / RationalQT({(1, 0): 1, (-1, 0): -1}) == RationalQT({(1, 0): 1, (-1, 0): 1})
     with pytest.raises(NotPolynomial, match="^remainder 2 in univariate division$"):
         conjecture_lhs(TorusLinkSpec(2, 3, 1), ((2,),), antisymmetrize=False)
+
+
+# the nine table jobs of the benchmark: T(2,2), T(2,5) and T(3,6)
+BENCHMARK_TABLES = (
+    [(TorusLinkSpec(1, 1, 2), mu) for mu in (((4, 2), (2,)), ((2, 2), (4,)), ((3, 1), (2, 2)))]
+    + [(TorusLinkSpec(2, 5, 1), mu) for mu in (((4,),), ((3, 1),), ((2, 2),))]
+    + [(TorusLinkSpec(1, 2, 3), mu) for mu in (((2,), (2,), (2,)), ((2,), (2,), (1, 1)),
+                                               ((1, 1), (2,), (2,)))]
+)
+
+
+def _row_prediction(mu):
+    """The Phi_d multiplicities of prod (q^row - q^-row) over mu's rows."""
+    out = {}
+    for row in (row for lam in mu for row in lam):
+        for d in range(1, 2 * row + 1):
+            if 2 * row % d == 0:
+                out[d] = out.get(d, 0) + 1
+    return tuple(sorted(out.items()))
+
+
+def test_predicted_denominators_hold(monkeypatch):
+    # the Rosso-Jones sums of Z_mu and of the torus invariants and the sums
+    # of F, g and the integrality display each divide once by a predicted
+    # denominator; a wrong cabling constant breaks the prediction, which
+    # would show here as a fallback to the content search
+    from klmov import golden
+    from klmov.partitions import mp_is_zero, sub_multisets
+    from klmov.verify import REGRESSION_PAIRS, _knot, _three_component, _two_component
+
+    _clear_memos()
+    held, predicted = [], laurent._predicted
+
+    def spy(polys, top, expect):
+        out = predicted(polys, top, expect)
+        held.append(out is not None)
+        return out
+
+    monkeypatch.setattr(laurent, "_predicted", spy)
+    for src, mu in list(REGRESSION_PAIRS) + BENCHMARK_TABLES:
+        for rho, _ in sub_multisets(mu):
+            if not mp_is_zero(rho):
+                assert z_coefficient(src, rho).mults == _row_prediction(rho), (src, rho)
+        conjecture_lhs(src, mu)
+    for table, make_spec, ks in [(golden.TORUS_SB_EXPANSIONS_2COMP, _two_component, (1, 2, 3)),
+                                 (golden.TORUS_SB_EXPANSIONS_KNOT, _knot, (1, 3, 5)),
+                                 (golden.TORUS_SB_EXPANSIONS_3COMP, _three_component, (1, 2, 3))]:
+        for colors in table:
+            for k in ks:
+                torus_invariant(make_spec(k), colors)
+    assert len(held) > 200 and all(held)
