@@ -34,7 +34,7 @@ from .partitions import (
     sub_multisets,
     z_stat_multi,
 )
-from .schur import pb_in_sb, sb_closed_form
+from .schur import evaluate_sb_element, pb_in_sb
 from .torus import (
     TorusLinkSpec,
     bracket_coefficients,
@@ -67,38 +67,46 @@ def invariant(src, colors):
 def z_coefficient(src, mu):
     """Coefficient of pb_mu in the partition function.
 
-    sum_A chi_A(gamma_mu) / z_mu * invariant(A) over the sb-expansion of
-    pb_mu: the label tuples A with each a_i in pb_in_sb(mu_i), weighted by
-    the product of those coefficients, the nonzero Brauer character values
-    chi_(a_i)(gamma_(mu_i)).  It is taken in the Rosso-Jones form: one
-    rational_sum of sb_closed_form(lam) * P_lam over cable labels, P_lam
-    collecting the weighted cable_terms of every A.  Empty labels drop
-    their component (the all-empty A gives lam = () with monomial 1); an
-    unlink is the product of one-component sums whose only label is A.
+    For a torus link or an unknot it is the Rosso-Jones sum: the label
+    weights P_lam of _label_weights evaluated by schur.evaluate_sb_element,
+    over the predicted denominator _row_poles(mu).  An unlink is the product
+    of its one-component coefficients.
+    """
+    if len(mu) != src.L:
+        raise ComponentCountMismatch(f"{len(mu)} colors for {src.L} components")
+    if not isinstance(src, TorusLinkSpec) and src.L > 1:
+        return rational_product(z_coefficient(UnlinkSpec(1), (lam,)) for lam in mu)
+    return evaluate_sb_element(_label_weights(src, mu), expect=_row_poles(mu))
+
+
+def _label_weights(src, mu):
+    """The label weights {lam: P_lam} of Z_mu, each P_lam a {(a, b): c} term
+    dict for the sum of c q^a t^b.
+
+    sum_A chi_A(gamma_mu) / z_mu times the cable_terms of A, collected by
+    cable label lam.  A runs over the label tuples of the sb-expansion of
+    pb_mu, each a_i in pb_in_sb(mu_i), and chi_A is the product of those
+    coefficients, the nonzero Brauer character values chi_(a_i)(gamma_(mu_i)).
+    Empty labels drop their component, so the all-empty A gives lam = () with
+    monomial 1; on an unknot the one label is A's color.  Coefficients that
+    cancel stay in P_lam as zeros.
     """
     torus = isinstance(src, TorusLinkSpec)
     if torus:
         r, k = sorted(src.validate()[:2])
-    if len(mu) != src.L:
-        raise ComponentCountMismatch(f"{len(mu)} colors for {src.L} components")
-    if not torus and src.L > 1:
-        return rational_product(z_coefficient(UnlinkSpec(1), (lam,)) for lam in mu)
     z, collected = z_stat_multi(mu), {}
     for pairs in product(*(pb_in_sb(lam).items() for lam in mu)):
-        avec = tuple(a for a, _ in pairs)
-        ch = prod(c for _, c in pairs)
-        active = tuple(a for a in avec if a)
+        active = tuple(a for a, _ in pairs if a)
         if torus and active:
             terms = cable_terms(r, k, active)
         else:
-            terms = {avec[0] if active else (): {(0, 0): 1}}
-        w = Fraction(ch, z)
+            terms = {active[0] if active else (): {(0, 0): 1}}
+        w = Fraction(prod(c for _, c in pairs), z)
         for lam, monomial in terms.items():
             p = collected.setdefault(lam, {})
             for e, c in monomial.items():
                 p[e] = p.get(e, 0) + w * c
-    return rational_sum(((sb_closed_form(lam), p) for lam, p in collected.items()),
-                        expect=_row_poles(mu))
+    return collected
 
 
 def _row_poles(mu):

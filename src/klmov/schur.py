@@ -6,7 +6,8 @@ mapping {partition: coefficient} with no zero coefficients.  The two bases
 are exchanged through the Brauer character transition; the memoised
 transitions hand out read-only views, so no caller can change the memo.  sb
 symbols evaluate to exact rational functions of (q, t) through the
-hook-content product formula for quantum dimensions.
+hook-content product formula for quantum dimensions, and evaluate_sb_element
+is the one evaluator of their combinations.
 """
 
 from __future__ import annotations
@@ -120,10 +121,13 @@ def sb_closed_form(a):
     return laurent.hook_product(cells)
 
 
-def evaluate_sb_element(coeffs):
-    """Evaluate a mapping {label: coefficient} of sb symbols to a RationalQT
-    through the closed forms."""
-    return laurent.rational_sum((sb_closed_form(a), c) for a, c in coeffs.items())
+def evaluate_sb_element(coeffs, expect=None):
+    """The RationalQT value of {label: coefficient}, the one evaluator of sb
+    combinations: one laurent.rational_sum of sb_closed_form(label) times each
+    coefficient, an int, a Fraction or a term dict {(a, b): c} for c q^a t^b.
+    expect, a predicted denominator {d: m}, is passed on to the sum."""
+    terms = ((sb_closed_form(a), c) for a, c in coeffs.items())
+    return laurent.rational_sum(terms, expect=expect)
 
 
 def pb_value(n):

@@ -3,8 +3,9 @@
 ``TorusLinkSpec(r, k, L)`` denotes the torus link T(rL, kL) with L components
 and gcd(r, k) = 1.  Its colored invariant is the Rosso-Jones sum over cable
 labels of quantum dimensions times ``cable_terms``: cabling constants times
-framing monomials.  The cabling constants transport products of int-scaled
-Adams-transformed sb expansions back to the sb basis, divided once at the end.
+framing monomials, evaluated by ``schur.evaluate_sb_element``.  The cabling
+constants transport products of int-scaled Adams-transformed sb expansions
+back to the sb basis, divided once at the end.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import NamedTuple
 from . import laurent
 from .errors import ComponentCountMismatch, NonIntegerExponent
 from .partitions import kappa
-from .schur import loop_weight, pb_in_sb, sb_closed_form, sb_in_pb_scaled
+from .schur import (evaluate_sb_element, loop_weight, pb_in_sb, sb_closed_form,
+                    sb_in_pb_scaled)
 
 
 class TorusLinkSpec(NamedTuple):
@@ -73,7 +75,7 @@ def ctilde(colors, r):
 @lru_cache(maxsize=None)
 def cable_terms(r, k, colors):
     """Rosso-Jones terms {lam: ctilde_lam q^a t^b} of T(r, k) on a nonempty
-    color tuple; the invariant is the sum of sb_closed_form(lam) * terms."""
+    color tuple; the invariant is their schur.evaluate_sb_element."""
     n = sum(sum(a) for a in colors)
     # the framing prefactor q^pq t^pt joins every term's monomial
     pq = -k * r * sum(kappa(a) for a in colors)
@@ -98,9 +100,7 @@ def _torus_invariant_active(r, k, colors):
     for a in colors:
         for d, m in sb_closed_form(a).mults:
             expect[d] = expect.get(d, 0) + m
-    terms = cable_terms(r, k, colors)
-    return laurent.rational_sum(((sb_closed_form(lam), m) for lam, m in terms.items()),
-                                expect=expect)
+    return evaluate_sb_element(cable_terms(r, k, colors), expect=expect)
 
 
 def torus_invariant(spec, colors):

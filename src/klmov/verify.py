@@ -54,6 +54,7 @@ from .partitions import (
 )
 from .rmatrix import bmw_relations_check, braid_relation_check, k2rho_trace, ribbon_check
 from .schur import (
+    evaluate_sb_element,
     pb_in_sb,
     pb_value,
     sb_closed_form,
@@ -496,9 +497,7 @@ def check_ctilde_identity():
         if mp_norm(colors) > 3:
             continue
         for r in (1, 2):
-            lhs = rational_sum(
-                (sb_closed_form(lam), c) for lam, c in ctilde(colors, r).items()
-            )
+            lhs = evaluate_sb_element(ctilde(colors, r))
             rhs = rational_product(
                 sb_closed_form(a).substitute(qpow=r, tpow=r) for a in colors
             )

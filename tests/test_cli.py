@@ -231,7 +231,15 @@ def executed_modules(*argv):
      {"laurent", "lmov", "verify", "bmw", "rmatrix"}),
     (("lmov", "--torus", "2,3,1", "--mu", "2", "--no-cache"),
      {"laurent", "lmov", "schur", "torus"}, {"verify", "golden", "bmw", "rmatrix"}),
-], ids=["char-table", "ctilde", "lmov"])
+    (("sb", "--partition", "2,1"), {"laurent", "schur"},
+     {"torus", "lmov", "verify", "golden", "bmw", "rmatrix"}),
+    (("invariant", "--torus", "2,3,1", "--colors", "1"),
+     {"laurent", "lmov", "schur", "torus"}, {"verify", "golden", "bmw", "rmatrix"}),
+    (("degree", "--torus", "2,3,1", "--mu", "2"),
+     {"laurent", "lmov", "schur", "torus"}, {"verify", "golden", "bmw", "rmatrix"}),
+    (("rmatrix", "--N", "1"), {"laurent", "rmatrix"},
+     {"schur", "torus", "lmov", "verify", "golden", "bmw"}),
+], ids=["char-table", "ctilde", "lmov", "sb", "invariant", "degree", "rmatrix"])
 def test_command_executes_only_the_modules_it_runs(argv, used, unused):
     executed = executed_modules(*argv)
     assert used <= executed

@@ -16,6 +16,7 @@ from klmov.errors import ComponentCountMismatch, NonIntegerCoefficient, NotPolyn
 from klmov.laurent import RationalQT, rational_sum, to_z_basis
 from klmov.lmov import (
     UnlinkSpec,
+    _label_weights,
     column_integrality_check,
     conjecture_lhs,
     degree_check,
@@ -26,11 +27,12 @@ from klmov.lmov import (
     reformulated_g,
     z_coefficient,
 )
-from klmov.partitions import partitions_of, splittings, z_stat_multi
+from klmov.partitions import kappa, partitions_of, splittings, z_stat_multi
 from klmov.schur import pb_value, sb_closed_form
 from klmov.torus import (
     TorusLinkSpec,
     bracket_coefficients,
+    ctilde,
     kauffman_bracket,
     torus_invariant,
     unlink_invariant,
@@ -544,3 +546,56 @@ def test_predicted_denominators_hold(monkeypatch):
             for k in ks:
                 torus_invariant(make_spec(k), colors)
     assert len(held) > 200 and all(held)
+
+
+def _nonzero(weights):
+    """The weights with zero coefficients and then empty labels dropped."""
+    out = {lam: {e: c for e, c in p.items() if c} for lam, p in weights.items()}
+    return {lam: p for lam, p in out.items() if p}
+
+
+def _label_weights_by_definition(src, mu):
+    """sum_A chi_A(mu) / z_mu times the cabling terms of A, collected by cable
+    label lam as exact Fraction term dicts.  For T(r, k) with r <= k the
+    terms of the nonempty labels of A are ctilde_lam q^(k (kappa(lam) -
+    r^2 K) / r) t^(k (|lam| - r^2 n) / r), with n their total size and K
+    their total kappa; an all-empty A is the label () and an unknot's A is
+    its own label, each with monomial 1."""
+    out = {}
+    for avec in product(*(brauer_labels(sum(lam)) for lam in mu)):
+        w = Fraction(multi_character(avec, mu), z_stat_multi(mu))
+        active = tuple(a for a in avec if a)
+        if isinstance(src, UnlinkSpec):
+            terms = {avec[0]: ((0, 0), 1)}
+        elif not active:
+            terms = {(): ((0, 0), 1)}
+        else:
+            r, k = min(src.r, src.k), max(src.r, src.k)
+            n, big_k = sum(map(sum, active)), sum(map(kappa, active))
+            terms = {}
+            for lam, c in ctilde(active, r).items():
+                qe, qrem = divmod(k * (kappa(lam) - r * r * big_k), r)
+                te, trem = divmod(k * (sum(lam) - r * r * n), r)
+                assert qrem == trem == 0, (src, avec, lam)
+                terms[lam] = ((qe, te), c)
+        for lam, (e, c) in terms.items():
+            p = out.setdefault(lam, {})
+            p[e] = p.get(e, Fraction(0)) + w * c
+    return _nonzero(out)
+
+
+def _label_weight_pairs():
+    from klmov.verify import REGRESSION_PAIRS
+
+    unknot = [(UnlinkSpec(1), (lam,)) for n in range(5) for lam in partitions_of(n)]
+    return list(REGRESSION_PAIRS) + BENCHMARK_TABLES + unknot
+
+
+@pytest.mark.parametrize("src, mu", _label_weight_pairs())
+def test_label_weights_are_the_weighted_cabling_terms(src, mu):
+    # the seam of the Rosso-Jones sum against its definition, with no
+    # Laurent arithmetic: a wrong cabling constant or framing exponent of
+    # cable_terms shows here as a wrong weight
+    got = _label_weights(src, mu)
+    assert all(isinstance(c, Fraction) for p in got.values() for c in p.values())
+    assert _nonzero(got) == _label_weights_by_definition(src, mu)

@@ -17,6 +17,7 @@ from klmov.schur import (
     sb_in_pb_scaled,
     unknot_identity_check,
 )
+from klmov.torus import TorusLinkSpec, cable_terms, torus_invariant
 
 
 def test_pb_in_sb_reference_lines():
@@ -143,6 +144,14 @@ def test_evaluate_sb_element():
     got = evaluate_sb_element(pb_in_sb((2,)))
     assert got == pb_value(2)
     assert evaluate_sb_element({}) == RationalQT(0)
+    # term-dict coefficients: the Rosso-Jones sum of the trefoil colored (2),
+    # the same under a prediction that is right, short by Phi_4 or has an
+    # extra Phi_3
+    want = torus_invariant(TorusLinkSpec(2, 3, 1), ((2,),))
+    assert dict(want.mults) == {1: 2, 2: 2, 4: 1}
+    terms = cable_terms(2, 3, ((2,),))
+    for expect in (None, {1: 2, 2: 2, 4: 1}, {1: 2, 2: 2, 4: 0}, {1: 2, 2: 2, 3: 1, 4: 1}):
+        assert evaluate_sb_element(terms, expect=expect) == want
 
 
 def test_unknot_identity():

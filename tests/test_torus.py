@@ -16,12 +16,13 @@ from klmov.golden import (
 )
 from klmov.laurent import RationalQT
 from klmov.lmov import z_coefficient
-from klmov.partitions import partitions_of
+from klmov.partitions import partitions_of, transpose
 from klmov.schur import loop_weight, pb_in_sb, sb_closed_form, sb_in_pb
 from klmov.torus import (
     TorusLinkSpec,
     _torus_invariant_active,
     bracket_coefficients,
+    cable_terms,
     ctilde,
     kauffman_bracket,
     torus_invariant,
@@ -88,6 +89,25 @@ def test_hopf_invariant():
 def test_cabling_is_symmetric_in_r_and_k(r, k, colors):
     # T(rL, kL) = T(kL, rL): cabling through either parameter agrees
     assert _torus_invariant_active(r, k, colors) == _torus_invariant_active(k, r, colors)
+
+
+def _signed_mirror(terms):
+    """The terms with every monomial c q^a t^b mapped to (-1)^a c q^-a t^b."""
+    return {lam: {(-a, b): -c if a % 2 else c for (a, b), c in m.items()}
+            for lam, m in terms.items()}
+
+
+@pytest.mark.parametrize("r, k", [(2, 3), (2, 5), (3, 4), (3, 5), (1, 1), (1, 2), (1, 3),
+                                  (2, 1)])
+def test_cable_terms_transpose_duality(r, k):
+    # W_(A^T)(-1/q, t) = W_A(q, t) on the Rosso-Jones weights alone: the
+    # terms of the transposed colors, signed and mirrored in q, are the
+    # terms of the colors on the transposed labels
+    for a in (a for n in (1, 2, 3) for a in partitions_of(n)):
+        for colors in ((a,), (a, (1,))):
+            dual = tuple(transpose(c) for c in colors)
+            want = {transpose(lam): m for lam, m in cable_terms(r, k, colors).items()}
+            assert _signed_mirror(cable_terms(r, k, dual)) == want, colors
 
 
 def test_trefoil_invariant():
