@@ -20,10 +20,14 @@ t-span of the Rosso-Jones framing monomials, and the exponent spans of the
 invariant grow with it, so a small color on a large r or k is refused.
 
 ``invariant``, ``lmov`` and ``degree`` take exactly one of ``--torus r,k,L``
-and ``--unlink L``.  Each command takes ``--format`` for the formats it
-writes: ``lmov`` text, json and csv; ``char-table``, ``sb``, ``ctilde``,
-``invariant`` and ``degree`` text and json; ``bmw``, ``rmatrix`` and
-``verify`` text only.  Any other choice is a usage error.
+and ``--unlink L``.  Each command takes only the options it acts on.
+``--format`` is taken by the commands that write more than one format:
+``lmov`` text, json and csv; ``char-table``, ``sb``, ``ctilde``,
+``invariant`` and ``degree`` text and json.  ``bmw``, ``rmatrix`` and
+``verify`` write text and take no ``--format``.  ``--cache-dir`` and
+``--no-cache`` (and ``KLMOV_CACHE``) belong to ``char-table``, the one
+command that reads or writes the character-table cache.  Any other choice
+or option is a usage error.
 
 Each command executes only the modules it runs: ``characters``,
 ``partitions`` and ``errors`` load with this module and the other layers on
@@ -44,14 +48,14 @@ match it as a shell-style pattern such as ``'ctilde*'``.
 
 Exit codes: 0 success, 1 a conjecture check produced a finding (a
 non-integral or non-representable value), 2 usage error or a file that
-cannot be read or written (``OSError``, as for ``--out`` or ``--cache-dir``),
-3 a resource limit was hit: a size limit was exceeded (``BoundExceeded``;
-``--bound`` raises the limit) or memory ran out (``MemoryError``), 4 an
-internal arithmetic error (a ``NotDivisible`` that is not a finding of
-``lmov``), 141 standard output was closed before everything was written (as
-by ``klmov ... | head``; nothing is printed on standard error, and 141 is
-what a shell reports for a process ended by SIGPIPE).  The error cases
-print one ``error:`` line on standard error.
+cannot be read or written (``OSError``, as for ``--out`` or the
+``--cache-dir`` of ``char-table``), 3 a resource limit was hit: a size limit
+was exceeded (``BoundExceeded``; ``--bound`` raises the limit) or memory ran
+out (``MemoryError``), 4 an internal arithmetic error (a ``NotDivisible``
+that is not a finding of ``lmov``), 141 standard output was closed before
+everything was written (as by ``klmov ... | head``; nothing is printed on
+standard error, and 141 is what a shell reports for a process ended by
+SIGPIPE).  The error cases print one ``error:`` line on standard error.
 """
 
 from __future__ import annotations
@@ -148,7 +152,7 @@ def _emit_lines(args, lines):
 
 
 def _configure_cache(args):
-    # every call sets it, so that no in-process call inherits the last one's
+    # every char-table call sets it, so that none inherits the last one's
     cache_dir = None if args.no_cache else args.cache_dir or os.environ.get("KLMOV_CACHE")
     characters.set_cache_dir(cache_dir)
 
@@ -197,6 +201,7 @@ def _source_json(src):
 
 def cmd_char_table(args):
     _check_size(args, "rank", args.n)
+    _configure_cache(args)
     table = characters.brauer_table(args.n)
     labels = characters.brauer_labels(args.n)
     classes = partitions_of(args.n)
@@ -450,13 +455,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, summary, formats):
-        """A subcommand writing the given formats; --bound where it has a limit."""
+    def command(name, func, summary, formats=("text",)):
+        """A subcommand writing the given formats: --format where there is a
+        choice, --bound where it has a limit."""
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--format", choices=formats, default="text")
+        if len(formats) > 1:
+            p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", help="write output to this file")
-        p.add_argument("--cache-dir", help="directory for the character-table cache")
-        p.add_argument("--no-cache", action="store_true", help="disable the disk cache")
         if name in LIMITS:
             p.add_argument("--bound", type=integer, default=0,
                            help="raise the size limit (never lowers the default)")
@@ -471,6 +476,9 @@ def build_parser():
 
     p = command("char-table", cmd_char_table, "print a character table", ("text", "json"))
     p.add_argument("--n", type=rank, required=True)
+    p.add_argument("--cache-dir", help="directory for the character-table cache "
+                   "(default: $KLMOV_CACHE)")
+    p.add_argument("--no-cache", action="store_true", help="disable the disk cache")
 
     p = command("sb", cmd_sb, "type-B Schur data for a partition", ("text", "json"))
     p.add_argument("--partition", required=True)
@@ -480,6 +488,8 @@ def build_parser():
     p = command("ctilde", cmd_ctilde, "cabling-constant table", ("text", "json"))
     p.add_argument("--colors", required=True)
     p.add_argument("--r", type=positive("r"), required=True)
+    # ignored: perfbench's characters jobs pass it; it goes with the cache
+    p.add_argument("--cache-dir", help=argparse.SUPPRESS)
 
     p = command("invariant", cmd_invariant, "colored link invariant", ("text", "json"))
     link_source(p)
@@ -494,13 +504,13 @@ def build_parser():
     link_source(p)
     p.add_argument("--mu", required=True)
 
-    command("bmw", cmd_bmw, "rank-2 algebra checks", ("text",))
+    command("bmw", cmd_bmw, "rank-2 algebra checks")
 
-    p = command("rmatrix", cmd_rmatrix, "braiding matrix checks", ("text",))
+    p = command("rmatrix", cmd_rmatrix, "braiding matrix checks")
     p.add_argument("--N", type=positive("N"), required=True)
     p.add_argument("--check", choices=("all", "ribbon", "braid", "bmw"), default="all")
 
-    p = command("verify", cmd_verify, "run a verification suite", ("text",))
+    p = command("verify", cmd_verify, "run a verification suite")
     p.add_argument("--suite", choices=("paper", "properties", "all"), default="paper")
     p.add_argument("--only", help="run the checks with this name, or matching this "
                    "shell-style pattern (as 'ctilde*')")
@@ -513,7 +523,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _configure_cache(args)
         code = args.func(args)
         sys.stdout.flush()
         return code

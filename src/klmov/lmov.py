@@ -212,12 +212,18 @@ class NTable(NamedTuple):
         if not self.entries:
             return "all coefficients vanish"
         betas = self.beta_values()
-        lines = ["g\\beta  " + "  ".join(f"{b:>6}" for b in betas)]
-        for g, row in self.rows().items():
-            name = format_genus(g)
-            cells = "  ".join(f"{row.get(b, 0):>6}" for b in betas)
-            lines.append(f"{name:>6}  {cells}")
-        return "\n".join(lines)
+        head = ["g\\beta", *map(str, betas)]
+        rows = [
+            [format_genus(g), *(str(row.get(b, 0)) for b in betas)]
+            for g, row in self.rows().items()
+        ]
+        # each column as wide as its widest entry, and never under 6; the
+        # genus names are right-aligned under a left-aligned header
+        widths = [max(6, *map(len, col)) for col in zip(head, *rows)]
+        head[0] = head[0].ljust(widths[0])
+        return "\n".join(
+            "  ".join(c.rjust(w) for c, w in zip(line, widths)) for line in (head, *rows)
+        )
 
 
 def format_genus(g):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from klmov import characters
-from klmov.cli import main, rationalqt_to_json
+from klmov.cli import build_parser, main, rationalqt_to_json
 from klmov.laurent import RationalQT
 from klmov.schur import sb_closed_form
 from klmov.torus import TorusLinkSpec, torus_invariant
@@ -19,7 +19,7 @@ from klmov.torus import TorusLinkSpec, torus_invariant
 
 @pytest.fixture(autouse=True)
 def no_cache_dir_after():
-    # a --cache-dir given in-process stays set until the next main call
+    # a --cache-dir given in-process stays set until the next char-table call
     yield
     characters.set_cache_dir(None)
 
@@ -63,9 +63,53 @@ def test_json_helpers_roundtrip():
 
 
 def test_lmov_table_text(capsys):
-    code, out = run(capsys, "lmov", "--torus", "1,1,2", "--mu", "2|1")
+    # cells that fit in 6 characters keep 6-character columns
+    for argv, expected in [
+        (("--torus", "1,1,2", "--mu", "2|1"), (
+            "T(2,2) colored 2|1\n"
+            "g\\beta      -3      -1       1       3\n"
+            "     0       1      -1      -1       1\n"
+        )),
+        (("--torus", "2,3,1", "--mu", "2"), (
+            "T(2,3) colored 2\n"
+            "g\\beta     -11      -9      -7      -5      -3\n"
+            "   1/2      -6      26     -42      30      -8\n"
+            "   3/2     -35     125    -161      85     -14\n"
+            "   5/2     -56     210    -238      91      -7\n"
+            "   7/2     -36     165    -174      46      -1\n"
+            "   9/2     -10      66     -67      11       0\n"
+            "  11/2      -1      13     -13       1       0\n"
+            "  13/2       0       1      -1       0       0\n"
+        )),
+    ]:
+        assert run(capsys, "lmov", *argv) == (0, expected)
+
+
+def column_ends(line):
+    """The index one past the end of each run of non-blank characters."""
+    return [i + 1 for i, ch in enumerate(line)
+            if ch != " " and (i + 1 == len(line) or line[i + 1] == " ")]
+
+
+def test_lmov_wide_table_aligns_its_columns(capsys):
+    # cells of up to 25 digits: each column widens to its widest cell
+    code, out = run(capsys, "lmov", "--torus", "2,5,1", "--mu", "3,1")
     assert code == 0
-    assert "g\\beta" in out
+    lines = out.splitlines()[1:]
+    assert max(len(c) for line in lines for c in line.split()) > 6
+    # the header and every data line end their columns at the same places
+    assert all(column_ends(line) == column_ends(lines[0]) for line in lines)
+
+
+def test_lmov_wide_genus_names_widen_their_column():
+    from klmov.lmov import NTable
+
+    table = NTable((1,), {(Fraction(1234567, 2), -3): 5, (Fraction(1, 2), 1): -1234567})
+    assert table.render_text().splitlines() == [
+        "g\\beta         -3         1",
+        "      1/2       0  -1234567",
+        "1234567/2       5         0",
+    ]
 
 
 def test_lmov_json(capsys):
@@ -203,8 +247,9 @@ def test_json_loads_only_for_json_output(argv, loads):
     assert got is loads
 
 
-def executed_modules(*argv):
-    """The klmov modules whose code runs in a fresh process running the command.
+def executed_modules(*argv, code=0):
+    """The klmov modules whose code runs in a fresh process running the command,
+    which exits with code.
 
     Read from the interpreter's ``exec`` audit events: ``-X importtime``
     does not list a module executed by a lazy loader.
@@ -217,19 +262,23 @@ def executed_modules(*argv):
         "        seen.add(getattr(args[0], 'co_filename', ''))\n"
         "sys.addaudithook(hook)\n"
         "from klmov.cli import main\n"
-        f"assert main({list(argv)!r}) == 0\n"
+        f"assert main({list(argv)!r}) == {code}\n"
         "print(*sorted(f.rsplit('/', 1)[-1][:-3] for f in seen\n"
         "              if f.endswith('.py') and '/klmov/' in f))\n"
     )
     return set(out.split("\n")[-2].split())
 
 
+LAYERS = {"cli", "errors", "partitions", "characters", "laurent", "schur", "torus",
+          "lmov", "bmw", "rmatrix", "golden", "verify"}
+
+
 @pytest.mark.parametrize("argv, used, unused", [
     (("char-table", "--n", "1", "--no-cache"), {"cli", "characters", "partitions"},
      {"laurent", "lmov", "verify", "bmw", "rmatrix"}),
-    (("ctilde", "--colors", "2", "--r", "2", "--no-cache"), {"schur", "torus"},
+    (("ctilde", "--colors", "2", "--r", "2"), {"schur", "torus"},
      {"laurent", "lmov", "verify", "bmw", "rmatrix"}),
-    (("lmov", "--torus", "2,3,1", "--mu", "2", "--no-cache"),
+    (("lmov", "--torus", "2,3,1", "--mu", "2"),
      {"laurent", "lmov", "schur", "torus"}, {"verify", "golden", "bmw", "rmatrix"}),
     (("sb", "--partition", "2,1"), {"laurent", "schur"},
      {"torus", "lmov", "verify", "golden", "bmw", "rmatrix"}),
@@ -239,9 +288,14 @@ def executed_modules(*argv):
      {"laurent", "lmov", "schur", "torus"}, {"verify", "golden", "bmw", "rmatrix"}),
     (("rmatrix", "--N", "1"), {"laurent", "rmatrix"},
      {"schur", "torus", "lmov", "verify", "golden", "bmw"}),
-], ids=["char-table", "ctilde", "lmov", "sb", "invariant", "degree", "rmatrix"])
+    (("bmw",), {"laurent", "schur", "torus", "bmw"},
+     {"lmov", "verify", "golden", "rmatrix"}),
+    (("verify", "--suite", "all"), LAYERS, set()),
+], ids=["char-table", "ctilde", "lmov", "sb", "invariant", "degree", "rmatrix", "bmw",
+        "verify-all"])
 def test_command_executes_only_the_modules_it_runs(argv, used, unused):
-    executed = executed_modules(*argv)
+    # verify exits 1 on criterion 6's finding
+    executed = executed_modules(*argv, code=int(argv[0] == "verify"))
     assert used <= executed
     assert not unused & executed
 
@@ -792,9 +846,9 @@ def test_internal_arithmetic_error_exits_4(monkeypatch, capsys, error, target, a
     (("invariant", "--colors", "1"), "one of the arguments --torus --unlink is required"),
     (("lmov", "--mu", "1"), "one of the arguments --torus --unlink is required"),
     (("degree", "--mu", "1"), "one of the arguments --torus --unlink is required"),
-    (("verify", "--format", "json"), "argument --format: invalid choice: 'json'"),
-    (("bmw", "--format", "json"), "argument --format: invalid choice: 'json'"),
-    (("rmatrix", "--N", "1", "--format", "json"), "argument --format: invalid choice: 'json'"),
+    (("verify", "--format", "json"), "unrecognized arguments: --format json"),
+    (("bmw", "--format", "json"), "unrecognized arguments: --format json"),
+    (("rmatrix", "--N", "1", "--format", "json"), "unrecognized arguments: --format json"),
     (("char-table", "--n", "2", "--format", "csv"), "argument --format: invalid choice: 'csv'"),
     (("sb", "--partition", "2", "--format", "csv"), "argument --format: invalid choice: 'csv'"),
     (("ctilde", "--colors", "1", "--r", "2", "--format", "csv"),
@@ -806,10 +860,23 @@ def test_internal_arithmetic_error_exits_4(monkeypatch, capsys, error, target, a
     (("bmw", "--bound", "3"), "unrecognized arguments: --bound 3"),
     (("bmw", "--check"), "unrecognized arguments: --check"),
     (("verify", "--only", "kappa*", "--bound", "3"), "unrecognized arguments: --bound 3"),
+    (("bmw", "--format", "text"), "unrecognized arguments: --format text"),
+    (("verify", "--format", "text"), "unrecognized arguments: --format text"),
+    (("lmov", "--torus", "2,3,1", "--mu", "1", "--no-cache"),
+     "unrecognized arguments: --no-cache"),
+    (("lmov", "--torus", "2,3,1", "--mu", "1", "--cache-dir", "D"),
+     "unrecognized arguments: --cache-dir D"),
+    (("verify", "--cache-dir", "D"), "unrecognized arguments: --cache-dir D"),
+    (("sb", "--partition", "2", "--no-cache"), "unrecognized arguments: --no-cache"),
+    (("ctilde", "--colors", "1", "--r", "2", "--no-cache"),
+     "unrecognized arguments: --no-cache"),
+    (("rmatrix", "--N", "1", "--cache-dir", "D"), "unrecognized arguments: --cache-dir D"),
 ], ids=["invariant-both", "lmov-both", "degree-both", "invariant-neither",
         "lmov-neither", "degree-neither", "verify-json", "bmw-json", "rmatrix-json",
         "char-table-csv", "sb-csv", "ctilde-csv", "invariant-csv", "degree-csv",
-        "bmw-bound", "bmw-check", "verify-bound"])
+        "bmw-bound", "bmw-check", "verify-bound", "bmw-text", "verify-text",
+        "lmov-no-cache", "lmov-cache-dir", "verify-cache-dir", "sb-no-cache",
+        "ctilde-no-cache", "rmatrix-cache-dir"])
 def test_flag_misuse_is_a_usage_error(capsys, argv, message):
     code, err = run_failing(capsys, *argv)
     assert code == 2
@@ -836,11 +903,13 @@ def test_unusable_cache_dir_is_an_error_line(tmp_path, capsys):
 
 
 def test_commands_without_a_table_leave_the_cache_dir_alone(tmp_path, capsys):
-    # only char-table makes, reads or writes the cache directory
+    # only char-table makes, reads or writes the cache directory: lmov takes
+    # no --cache-dir, and ctilde ignores the one it takes
     blocker = tmp_path / "file"
     blocker.write_text("")
-    argv = ("lmov", "--torus", "2,3,1", "--mu", "1")
-    assert run(capsys, *argv, "--cache-dir", str(blocker / "x")) == run(capsys, *argv)
+    argv = ("lmov", "--torus", "2,3,1", "--mu", "1", "--cache-dir", str(blocker / "x"))
+    code, err = run_failing(capsys, *argv)
+    assert code == 2 and "unrecognized arguments: --cache-dir" in err
     new = tmp_path / "new"
     code, _ = run(capsys, "ctilde", "--colors", "1", "--r", "2", "--cache-dir", str(new))
     assert code == 0 and not new.exists()
@@ -931,3 +1000,30 @@ def test_character_jobs_write_the_benchmark_bytes(key, argv, tmp_path):
         assert proc.stdout == expected
     written = ["brauer_12.json"] if key == "char-table-12" else []
     assert [p.name for p in tmp_path.iterdir()] == written
+
+
+def test_parser_accepts_every_benchmark_job(tmp_path):
+    # a CLI change that would fail perfbench's jobs fails here first; the jobs
+    # are read from perfbench/run.py as perfbench/test_perfbench.py reads them
+    here = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, here)
+    try:
+        import run as bench
+    finally:
+        sys.path.remove(here)
+    jobs = [
+        bench.SETUP,
+        *(bench.table_job(pool, i)
+          for pool, (_, _, mus) in enumerate(bench.TABLE_POOLS) for i in range(len(mus))),
+        *map(bench.ctilde_job, range(3)),
+        bench.CHAR_TABLE,
+        *bench.SMOKE,
+        bench.verify_job(1),
+    ]
+    for job in jobs:
+        # as Runner.run appends it
+        argv = [*job.argv, *(("--cache-dir", str(tmp_path)) if job.cached else ())]
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{job.key}: klmov {' '.join(argv)} is a usage error")
