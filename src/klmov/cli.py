@@ -7,11 +7,10 @@ request once, before computing anything, against ``LIMITS`` raised by
     char-table           rank n                                  20
     sb                   |lambda| (power-sum expansion)          12
     ctilde               cable size r * |colors|                 12
-    invariant            cable size min(r, k) * |colors|         12
-                         (|colors| for an unlink)
-    lmov, degree         color size |mu|                          6
-    invariant, lmov,     framing degree max(r, k) * |colors|    100
-      degree             (torus; |mu| for lmov and degree)
+    invariant, lmov,     cable size min(r, k) * |colors|          8
+      degree             framing degree max(r, k) * |colors|    100
+                         (|mu| for lmov and degree; r = k = 1 for
+                         an unlink)
     rmatrix              N                                        4
 
 Only these commands take ``--bound``.  A torus link T(rL, kL) equals
@@ -119,9 +118,9 @@ LIMITS = {
     "char-table": {"rank": 20},
     "sb": {"partition size": 12},
     "ctilde": {"cable size": 12},
-    "invariant": {"cable size": 12, "framing degree": 100},
-    "lmov": {"color size": 6, "framing degree": 100},
-    "degree": {"color size": 6, "framing degree": 100},
+    "invariant": {"cable size": 8, "framing degree": 100},
+    "lmov": {"cable size": 8, "framing degree": 100},
+    "degree": {"cable size": 8, "framing degree": 100},
     "rmatrix": {"N =": 4},
 }
 
@@ -165,11 +164,13 @@ def _check_size(args, what, size):
         raise BoundExceeded(f"{what} {size} exceeds bound {bound}")
 
 
-def _check_framing(args, src, colors):
-    """Refuse a torus link whose framing degree max(r, k) * |colors|, the
-    t-span of its framing monomials, is above the limit."""
-    if isinstance(src, torus.TorusLinkSpec):
-        _check_size(args, "framing degree", max(src.r, src.k) * mp_norm(colors))
+def _check_cable(args, src, colors):
+    """Refuse colors on the link src whose cable size min(r, k) * |colors|
+    (an unlink is cabled as r = k = 1), then whose framing degree
+    max(r, k) * |colors|, is above its limit."""
+    r, k = sorted((src.r, src.k)) if isinstance(src, torus.TorusLinkSpec) else (1, 1)
+    _check_size(args, "cable size", r * mp_norm(colors))
+    _check_size(args, "framing degree", k * mp_norm(colors))
 
 
 def _parse_mu(args, src):
@@ -178,8 +179,7 @@ def _parse_mu(args, src):
     mu = parse_multipartition(args.mu)
     if mp_is_zero(mu):
         raise ValueError("needs a nonzero multi-partition")
-    _check_size(args, "color size", mp_norm(mu))
-    _check_framing(args, src, mu)
+    _check_cable(args, src, mu)
     return mu
 
 
@@ -289,10 +289,7 @@ def cmd_ctilde(args):
 def cmd_invariant(args):
     src = _parse_source(args)
     colors = parse_multipartition(args.colors)
-    # an unlink is cabled as r = k = 1
-    r = min(src.r, src.k) if isinstance(src, torus.TorusLinkSpec) else 1
-    _check_size(args, "cable size", r * mp_norm(colors))
-    _check_framing(args, src, colors)
+    _check_cable(args, src, colors)
     value = lmov.invariant(src, colors)
     if args.format == "json":
         data = {

@@ -2,9 +2,12 @@
 
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -430,7 +433,8 @@ def test_verify_subset(capsys):
 
 
 def test_lmov_bound_reaches_cable_limit(capsys):
-    # T(13,2) = T(2,13); the r = 13 cable of the single box has size 13 > 12
+    # T(13,2) = T(2,13) is cabled through min(r, k) = 2: the same cable size
+    # 2 and framing degree 13 either way, so --bound 13 changes no byte
     code, swapped = run(capsys, "lmov", "--torus", "13,2,1", "--mu", "1",
                         "--bound", "13", "--format", "csv")
     assert code == 0
@@ -441,10 +445,10 @@ def test_lmov_bound_reaches_cable_limit(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    # the default color limit 6 admits mu = 5
-    ("lmov", "--torus", "2,3,1", "--mu", "5", "--format", "csv"),
-    ("degree", "--torus", "2,3,1", "--mu", "5"),
-    # the default cable limit 12 admits the size-4 cables
+    # the default cable limit 8 admits the size-8 cables of mu = 4
+    ("lmov", "--torus", "2,3,1", "--mu", "4", "--format", "csv"),
+    ("degree", "--torus", "2,3,1", "--mu", "4"),
+    # the default cable limits 8 and 12 admit the size-4 cables
     ("invariant", "--torus", "2,3,1", "--colors", "2"),
     ("ctilde", "--colors", "2", "--r", "2"),
 ])
@@ -458,7 +462,7 @@ def test_size_limit_exit_code(capsys):
     code = main(["lmov", "--torus", "2,3,1", "--mu", "7", "--bound", "6"])
     captured = capsys.readouterr()
     assert code == 3
-    assert captured.err == "error: color size 7 exceeds bound 6\n"
+    assert captured.err == "error: cable size 14 exceeds bound 8\n"
     assert captured.out == ""
 
 
@@ -471,7 +475,7 @@ def test_size_limit_exit_code(capsys):
     ("invariant", "--torus", "2,3,1", "--colors", "7"),
     ("invariant", "--unlink", "1", "--colors", "13"),
     ("invariant", "--unlink", "2", "--colors", "50|50"),
-    ("lmov", "--unlink", "1", "--mu", "7"),
+    ("lmov", "--unlink", "1", "--mu", "9"),
 ], ids=["sb", "sb-closed", "sb-closed-100", "char-table", "rmatrix", "invariant",
         "unlink", "unlink-100", "lmov"])
 def test_size_limit_at_entry(capsys, argv):
@@ -493,7 +497,7 @@ def test_size_limit_at_entry(capsys, argv):
     (("invariant", "--torus", "1,100001,2", "--colors", "1|1"), "framing degree 200002"),
 ], ids=["lmov-1001", "lmov-3001", "degree", "invariant"])
 def test_framing_degree_limit_refuses_a_large_torus_parameter(capsys, argv, measure):
-    # a small color on a large r or k passes the color and cable limits, so
+    # a small color on a large r or k passes the cable limit, so
     # max(r, k) * |colors| is checked at entry: refused within a second
     start = time.perf_counter()
     code = main(list(argv))
@@ -595,7 +599,7 @@ def test_verify_seed_may_be_negative(capsys):
     assert out.endswith("1/1 checks passed\n")
 
 
-def test_lmov_cable_limit_follows_from_color_size(monkeypatch, capsys):
+def test_lmov_is_cabled_through_the_smaller_parameter(monkeypatch, capsys):
     # T(7,2) = T(2,7): cabling the 7,2,1 side through r = 7 instead of
     # min(r, k) builds cables of size 14, and gives the bytes of 2,7,1
     from klmov import lmov
@@ -1027,3 +1031,150 @@ def test_parser_accepts_every_benchmark_job(tmp_path):
             build_parser().parse_args(argv)
         except SystemExit:
             pytest.fail(f"{job.key}: klmov {' '.join(argv)} is a usage error")
+
+
+class _Alarm(BaseException):
+    """Raised by SIGALRM: no handler of cli.main catches it."""
+
+
+@contextmanager
+def _alarm(seconds):
+    """Interrupt the block with _Alarm after seconds of wall time."""
+    def ring(signum, frame):
+        raise _Alarm(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, ring)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+# (valid, broken) tokens: the valid ones are small, so that every admitted
+# call is quick; the broken ones are digits of other scripts, signs,
+# separators, huge and empty values
+_BROKEN = ("0", "-1", "+2", "\u0663", "\uff12", "1_0", "", "x", "2.0", " 3", "9" * 30)
+_NUMBERS = (("1", "2", "3"), _BROKEN)
+_BOUNDS = (("0", "3", "12"), ("-1", "+2", "\u0663", "x", ""))  # never huge: it admits all
+_PARTITIONS = (("1", "2", "1,1", "2,1", "3"),
+               ("", ",", "1,,1", "1,2", "0", "-1", "+1", "\u0663", "a", "9" * 30, "2,1,"))
+_COLORS = ((*_PARTITIONS[0], "1|1", "2|0", "1,1|1", "1|1|1", "2|1|1,1"),
+           (*_PARTITIONS[1], "0|0", "|", "1|", "1|\uff11"))
+_TORI = (("2,3,1", "3,2,1", "1,1,2", "1,2,2", "2,3,2", "1,1,3"),
+         ("2,4,1", "0,1,1", "-2,3,1", "1,1", "1,1,1,1", "\u0662,3,1", "+2,3,1",
+          f"1,{'9' * 30},1", f"{'9' * 30},1,2", f"1,1,{'9' * 30}", "", "a,b,c"))
+_STRAY = (("--format", "json"), ("--bound", "3"), ("--no-cache",), ("--torus", "2,3,1"),
+          ("--frobnicate",), ("--mu",))
+
+
+def _draw_argv(rng, tmp_path):
+    """One klmov argument list, drawn from valid and broken tokens."""
+    command = rng.choice(("char-table", "sb", "ctilde", "invariant", "lmov", "degree",
+                          "bmw", "rmatrix", "verify"))
+    argv = [command]
+
+    def maybe(flag, pool=None, p=0.9):
+        if rng.random() < p:
+            argv.append(flag)
+            if pool is not None:
+                argv.append(rng.choice(pool[rng.random() < 0.2]))
+
+    if command in ("invariant", "lmov", "degree"):
+        # one of --torus and --unlink, or both, or neither
+        source = rng.choices(("torus", "unlink", "both", "neither"), (8, 8, 1, 1))[0]
+        if source in ("torus", "both"):
+            argv += ["--torus", rng.choice(_TORI[rng.random() < 0.2])]
+        if source in ("unlink", "both"):
+            argv += ["--unlink", rng.choice(_NUMBERS[rng.random() < 0.2])]
+        # mostly one small color per component of a valid link
+        last = argv[-1].rpartition(",")[2] if source != "neither" else "1"
+        if last in ("1", "2", "3"):
+            rows = _PARTITIONS[0] if last == "1" else ("1", "2", "1,1")
+            fitting = ("|".join(rng.choice(rows) for _ in range(int(last))),)
+        else:
+            fitting = _COLORS[0]
+        maybe("--colors" if command == "invariant" else "--mu", (fitting, _COLORS[1]))
+        maybe("--no-antisym", p=0.2 if command == "lmov" else 0)
+    elif command == "char-table":
+        maybe("--n", _NUMBERS)
+        maybe("--cache-dir", ((str(tmp_path / "cache"),), ("",)), 0.2)
+        maybe("--no-cache", p=0.2)
+    elif command == "sb":
+        maybe("--partition", _PARTITIONS)
+        maybe("--pb", p=0.3)
+        maybe("--closed", p=0.3)
+    elif command == "ctilde":
+        maybe("--colors", _COLORS)
+        maybe("--r", _NUMBERS)
+    elif command == "rmatrix":
+        maybe("--N", _NUMBERS)
+        maybe("--check", (("all", "ribbon", "braid", "bmw"), ("yang",)), 0.5)
+    elif command == "verify":
+        maybe("--suite", (("paper", "properties", "all"), ("none",)), 0.7)
+        maybe("--only", (("ring*", "kappa*", "z-basis*", "bmw*", "hopf*"), ("nothing", "")))
+        maybe("--seed", _NUMBERS, 0.3)
+    formats = ("text", "json", "csv") if command == "lmov" else ("text", "json")
+    if command not in ("bmw", "rmatrix", "verify"):
+        maybe("--format", (formats, ("csv", "xml", "")), 0.3)
+    if command not in ("bmw", "verify"):
+        maybe("--bound", _BOUNDS, 0.2)
+    maybe("--out", ((str(tmp_path / "out.txt"),), (str(tmp_path / "no" / "out.txt"),
+                                                    str(tmp_path))), 0.1)
+    if rng.random() < 0.05:
+        argv += rng.choice((*_STRAY, ("--cache-dir", str(tmp_path / "cache"))))
+    return argv
+
+
+def test_cli_fuzz_ends_with_an_exit_code_and_no_traceback(capsys, monkeypatch, tmp_path):
+    # a fixed-seed set of argument lists over every command, each run in
+    # process under an alarm: each ends with exit code 0-4, never with an
+    # exception, and prints no traceback
+    monkeypatch.delenv("KLMOV_CACHE", raising=False)
+    rng = random.Random(2010)
+    failures, codes = [], set()
+    for _ in range(400):
+        argv = _draw_argv(rng, tmp_path)
+        try:
+            with _alarm(3):
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except (_Alarm, Exception) as exc:
+            code = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        codes.add(code)
+        if code not in range(5) or "Traceback" in err:
+            failures.append((argv, code, err[-300:]))
+    assert failures == []
+    assert {0, 1, 2, 3} <= codes
+
+
+def test_largest_admitted_inputs_end_in_bounded_time(capsys):
+    # the default limits admit cables of 8 boxes at framing degree up to
+    # 100: a knot at the framing limit, and single-box rows on a knot and on
+    # two components end within the alarm, and one more box is refused
+    with _alarm(3):
+        for argv, more, cable in [
+            (("lmov", "--torus", "2,25,1", "--mu", "4"), "5", 10),
+            (("lmov", "--torus", "2,5,1", "--mu", "1,1,1,1"), "1,1,1,1,1", 10),
+            (("degree", "--torus", "1,1,2", "--mu", "1,1,1,1|1,1,1,1"), "1,1,1,1|1,1,1,1,1", 9),
+        ]:
+            code, out = run(capsys, *argv)
+            assert code == 0 and out
+            assert main([*argv[:-1], more]) == 3
+            assert capsys.readouterr().err == f"error: cable size {cable} exceeds bound 8\n"
+
+
+@pytest.mark.parametrize("command", ["lmov", "degree"])
+def test_cable_size_refuses_a_color_that_passes_the_framing_limit(capsys, command):
+    # T(4,5) on mu = 6 has color size 6 and framing degree 30 but builds
+    # cables of 24 boxes: refused at once, where it once ran for minutes
+    start = time.perf_counter()
+    code = main([command, "--torus", "4,5,1", "--mu", "6"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: cable size 24 exceeds bound 8\n"

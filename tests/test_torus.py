@@ -15,8 +15,8 @@ from klmov.golden import (
     TORUS_SB_EXPANSIONS_KNOT,
 )
 from klmov.laurent import RationalQT
-from klmov.lmov import z_coefficient
-from klmov.partitions import partitions_of, transpose
+from klmov.lmov import free_energy, z_coefficient
+from klmov.partitions import mp_len, mp_norm, partitions_of, transpose
 from klmov.schur import loop_weight, pb_in_sb, sb_closed_form, sb_in_pb
 from klmov.torus import (
     TorusLinkSpec,
@@ -108,6 +108,53 @@ def test_cable_terms_transpose_duality(r, k):
             dual = tuple(transpose(c) for c in colors)
             want = {transpose(lam): m for lam, m in cable_terms(r, k, colors).items()}
             assert _signed_mirror(cable_terms(r, k, dual)) == want, colors
+
+
+# two rational points, so that q -> -1/q is checked on exact values
+_POINTS = ((Fraction(3, 7), Fraction(5, 2)), (Fraction(-11, 4), Fraction(2, 9)))
+
+
+def _value(x, q, t):
+    """x at (q, t), as num / den in Fractions."""
+    return (sum(c * q**a * t**b for (a, b), c in x.num.items())
+            / sum(c * q**a for a, c in x.den.items()))
+
+
+def _colors_upto(n, spec):
+    """Every color of size at most n on each component of spec, the empty
+    one included."""
+    parts = [()] + [a for m in range(1, n + 1) for a in partitions_of(m)]
+    return product(parts, repeat=spec.L)
+
+
+@pytest.mark.parametrize("spec", [TorusLinkSpec(2, 3, 1), TorusLinkSpec(2, 5, 1),
+                                  TorusLinkSpec(1, 1, 2), TorusLinkSpec(1, 2, 2)],
+                         ids=["T(2,3)", "T(2,5)", "T(2,2)", "T(2,4)"])
+def test_invariant_transpose_duality(spec):
+    # W_(A^T)(-1/q, t) = W_A(q, t) on the whole invariant: cabling
+    # constants, characters, framing and quantum dimensions together
+    for colors in _colors_upto(2, spec):
+        value = torus_invariant(spec, colors)
+        dual = torus_invariant(spec, tuple(map(transpose, colors)))
+        for q, t in _POINTS:
+            assert _value(dual, -1 / q, t) == _value(value, q, t), colors
+
+
+@pytest.mark.parametrize("spec", [TorusLinkSpec(2, 3, 1), TorusLinkSpec(1, 1, 2)],
+                         ids=["T(2,3)", "T(2,2)"])
+def test_free_energy_transpose_duality(spec):
+    # F_mu(-1/q, t) = eps(mu) F_mu(q, t) + [mu is one row 2m] / m, with
+    # eps(mu) = (-1)^(|mu| - l(mu)): the empty label of pb_(2m) in the
+    # sb basis is not signed, and passes 1/m into F
+    for mu in _colors_upto(3, spec):
+        if not 0 < mp_norm(mu) <= 3:
+            continue
+        f = free_energy(spec, mu)
+        eps = (-1) ** (mp_norm(mu) - mp_len(mu))
+        rows = [row for lam in mu for row in lam]
+        shift = Fraction(2, rows[0]) if len(rows) == 1 and rows[0] % 2 == 0 else 0
+        for q, t in _POINTS:
+            assert _value(f, -1 / q, t) == eps * _value(f, q, t) + shift, mu
 
 
 def test_trefoil_invariant():
