@@ -22,8 +22,8 @@ invariant grow with it, so a small color on a large r or k is refused.
 and ``--unlink L``.  Each command takes only the options it acts on.
 ``--format`` is taken by the commands that write more than one format:
 ``lmov`` text, json and csv; ``char-table``, ``sb``, ``ctilde``,
-``invariant`` and ``degree`` text and json.  ``bmw``, ``rmatrix`` and
-``verify`` write text and take no ``--format``.  ``--cache-dir`` and
+``invariant`` and ``degree`` text and json.  ``rmatrix`` and ``verify``
+write text and take no ``--format``.  ``--cache-dir`` and
 ``--no-cache`` (and ``KLMOV_CACHE``) belong to ``char-table``, the one
 command that reads or writes the character-table cache.  Any other choice
 or option is a usage error.
@@ -37,7 +37,6 @@ process compiles each module it executes from source:
     ctilde                       schur, torus (cabling constants are
                                  integers and fractions: no laurent)
     sb                           laurent, schur
-    bmw                          laurent, schur, torus, bmw
     invariant, lmov, degree      laurent, schur, torus, lmov
     rmatrix                      laurent, rmatrix
     verify                       all
@@ -105,6 +104,7 @@ def _lazy(name):
     return sys.modules[full]
 
 
+# bmw has no command: verify runs it, and perfbench's tracer wraps the layers registered here
 laurent, lmov, schur, torus, verify, bmw, rmatrix = map(
     _lazy, ("laurent", "lmov", "schur", "torus", "verify", "bmw", "rmatrix")
 )
@@ -334,7 +334,7 @@ def cmd_lmov(args):
             "mu": args.mu,
             "integral": True,
             "entries": [
-                {"g": lmov.format_genus(g), "beta": b, "N": n}
+                {"g": str(g), "beta": b, "N": n}
                 for (g, b), n in sorted(table.entries.items())
             ],
         }
@@ -342,7 +342,7 @@ def cmd_lmov(args):
     elif args.format == "csv":
         lines = ["g,beta,N"]
         for (g, b), n in sorted(table.entries.items()):
-            lines.append(f"{lmov.format_genus(g)},{b},{n}")
+            lines.append(f"{g},{b},{n}")
         _emit(args, "\n".join(lines))
     else:
         head = f"{src.describe()} colored {args.mu}"
@@ -370,24 +370,6 @@ def cmd_degree(args):
         _emit(args, f"valuation {val}, bound {res.bound}: "
                     f"{'pass' if res.passed else 'FAIL'}")
     return 0 if res.passed else 1
-
-
-def cmd_bmw(args):
-    checks = [
-        ("cubic-relation", bmw.cubic_relation_holds),
-        ("skein-relation", bmw.relation_a5_holds),
-        ("inverse", bmw.inverse_check),
-        ("idempotents", bmw.idempotent_checks),
-        ("eigenvalues", bmw.eigenvalue_checks),
-    ]
-    results = [(name, fn()) for name, fn in checks]
-    results += [
-        (f"trace-crosscheck-m{m}", bmw.power_trace_crosscheck(m))
-        for m in range(1, 7)
-    ]
-    lines = [f"{'PASS' if ok else 'FAIL'}  {name}" for name, ok in results]
-    _emit(args, "\n".join(lines))
-    return 0 if all(ok for _, ok in results) else 1
 
 
 def cmd_rmatrix(args):
@@ -500,8 +482,6 @@ def build_parser():
     p = command("degree", cmd_degree, "free-energy degree check", ("text", "json"))
     link_source(p)
     p.add_argument("--mu", required=True)
-
-    command("bmw", cmd_bmw, "rank-2 algebra checks")
 
     p = command("rmatrix", cmd_rmatrix, "braiding matrix checks")
     p.add_argument("--N", type=positive("N"), required=True)

@@ -789,11 +789,6 @@ def valuation_at_q1(x):
 # ---------------------------------------------------------------------------
 
 
-def _render_coef(c):
-    f = Fraction(c)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 def render_qt(terms):
     """q-exponents descending, then t-exponents descending."""
     if not terms:
@@ -808,11 +803,11 @@ def render_qt(terms):
             mono.append("t" if b == 1 else f"t^{b}")
         mag = abs(c)
         if not mono:
-            body = _render_coef(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(mono)
         else:
-            body = "*".join([_render_coef(mag)] + mono)
+            body = "*".join([str(mag)] + mono)
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:

@@ -214,7 +214,7 @@ class NTable(NamedTuple):
         betas = self.beta_values()
         head = ["g\\beta", *map(str, betas)]
         rows = [
-            [format_genus(g), *(str(row.get(b, 0)) for b in betas)]
+            [str(g), *(str(row.get(b, 0)) for b in betas)]
             for g, row in self.rows().items()
         ]
         # each column as wide as its widest entry, and never under 6; the
@@ -224,11 +224,6 @@ class NTable(NamedTuple):
         return "\n".join(
             "  ".join(c.rjust(w) for c, w in zip(line, widths)) for line in (head, *rows)
         )
-
-
-def format_genus(g):
-    g = Fraction(g)
-    return str(g.numerator) if g.denominator == 1 else f"{g.numerator}/{g.denominator}"
 
 
 def extract_n_table(poly, mu):

@@ -58,10 +58,6 @@ def parse_multipartition(text):
     return tuple(parse_partition(piece) for piece in text.split("|"))
 
 
-def format_multipartition(mu):
-    return "|".join(format_partition(lam) for lam in mu)
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n):
     """All partitions of n, ordered lexicographically descending."""

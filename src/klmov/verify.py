@@ -586,7 +586,7 @@ def run_suite(suite="paper", only=None, seed=0):
         checks = PAPER_CHECKS + PROPERTY_CHECKS
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    if only:
+    if only is not None:
         checks = [(name, fn) for name, fn in checks if fnmatchcase(name, only)]
         if not checks:
             raise ValueError(f"no check matches {only!r}")

@@ -202,7 +202,10 @@ def test_char_table_closed_pipe_exits_quietly():
     assert err == b""
 
 
-SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+# a fresh process reads this source and no KLMOV_ setting, as perfbench's jobs do
+SRC_ENV = {k: v for k, v in os.environ.items() if not k.startswith("KLMOV_")}
+SRC_ENV["PYTHONPATH"] = str(ROOT / "src")
 
 
 def run_python(code):
@@ -291,10 +294,8 @@ LAYERS = {"cli", "errors", "partitions", "characters", "laurent", "schur", "toru
      {"laurent", "lmov", "schur", "torus"}, {"verify", "golden", "bmw", "rmatrix"}),
     (("rmatrix", "--N", "1"), {"laurent", "rmatrix"},
      {"schur", "torus", "lmov", "verify", "golden", "bmw"}),
-    (("bmw",), {"laurent", "schur", "torus", "bmw"},
-     {"lmov", "verify", "golden", "rmatrix"}),
     (("verify", "--suite", "all"), LAYERS, set()),
-], ids=["char-table", "ctilde", "lmov", "sb", "invariant", "degree", "rmatrix", "bmw",
+], ids=["char-table", "ctilde", "lmov", "sb", "invariant", "degree", "rmatrix",
         "verify-all"])
 def test_command_executes_only_the_modules_it_runs(argv, used, unused):
     # verify exits 1 on criterion 6's finding
@@ -392,30 +393,37 @@ def test_ctilde_writes_no_table_it_does_not_read(tmp_path, capsys):
     assert not (tmp_path / "brauer_12.json").exists()
 
 
-def test_bmw_command(capsys):
-    code, out = run(capsys, "bmw")
-    assert code == 0
-    assert "PASS" in out and "FAIL" not in out
+def test_bmw_rank2_names_the_failing_relation(monkeypatch, capsys):
+    # the rank-2 algebra has no command of its own: verify's bmw-rank2 check
+    # runs its relations and names the first that fails
+    from klmov import verify
+
+    monkeypatch.setattr(verify, "inverse_check", lambda: False)
+    code, out = run(capsys, "verify", "--only", "bmw-rank2")
+    assert (code, out) == (1, f"FAIL  {'bmw-rank2':<28} inverse fails\n0/1 checks passed\n")
 
 
-BMW_CHECK_LINES = [
-    "cubic-relation", "skein-relation", "inverse", "idempotents", "eigenvalues",
-    *(f"trace-crosscheck-m{m}" for m in range(1, 7)),
-]
+def run_klmov(*argv):
+    """klmov run in a fresh process, as perfbench runs it."""
+    return subprocess.run([sys.executable, "-m", "klmov", *argv],
+                          capture_output=True, env=SRC_ENV, timeout=300)
+
+
+def assert_benchmark_job(key, proc):
+    """The exit code, stdout and empty stderr that perfbench expects of job key."""
+    expected = ROOT / "perfbench/expected"
+    code = json.loads((expected / "exit_codes.json").read_text())[key]
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    assert proc.stdout == (expected / f"{key}.stdout").read_bytes()
 
 
 @pytest.mark.parametrize("argv, names", [
-    (("bmw",), BMW_CHECK_LINES),
     (("rmatrix", "--N", "3", "--check", "all"),
      ["ribbon (N=3)", "braid (N=3)", "bmw (N=3)"]),
-], ids=["bmw", "rmatrix"])
+], ids=["rmatrix"])
 def test_crosscheck_bytes(argv, names):
     # every crosscheck line, in order, and nothing else
-    root = Path(__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if not k.startswith("KLMOV_")}
-    env["PYTHONPATH"] = str(root / "src")
-    proc = subprocess.run([sys.executable, "-m", "klmov", *argv],
-                          capture_output=True, env=env, timeout=120)
+    proc = run_klmov(*argv)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == "".join(f"PASS  {name}\n" for name in names).encode()
 
@@ -851,7 +859,6 @@ def test_internal_arithmetic_error_exits_4(monkeypatch, capsys, error, target, a
     (("lmov", "--mu", "1"), "one of the arguments --torus --unlink is required"),
     (("degree", "--mu", "1"), "one of the arguments --torus --unlink is required"),
     (("verify", "--format", "json"), "unrecognized arguments: --format json"),
-    (("bmw", "--format", "json"), "unrecognized arguments: --format json"),
     (("rmatrix", "--N", "1", "--format", "json"), "unrecognized arguments: --format json"),
     (("char-table", "--n", "2", "--format", "csv"), "argument --format: invalid choice: 'csv'"),
     (("sb", "--partition", "2", "--format", "csv"), "argument --format: invalid choice: 'csv'"),
@@ -861,10 +868,7 @@ def test_internal_arithmetic_error_exits_4(monkeypatch, capsys, error, target, a
      "argument --format: invalid choice: 'csv'"),
     (("degree", "--unlink", "1", "--mu", "1", "--format", "csv"),
      "argument --format: invalid choice: 'csv'"),
-    (("bmw", "--bound", "3"), "unrecognized arguments: --bound 3"),
-    (("bmw", "--check"), "unrecognized arguments: --check"),
     (("verify", "--only", "kappa*", "--bound", "3"), "unrecognized arguments: --bound 3"),
-    (("bmw", "--format", "text"), "unrecognized arguments: --format text"),
     (("verify", "--format", "text"), "unrecognized arguments: --format text"),
     (("lmov", "--torus", "2,3,1", "--mu", "1", "--no-cache"),
      "unrecognized arguments: --no-cache"),
@@ -875,12 +879,13 @@ def test_internal_arithmetic_error_exits_4(monkeypatch, capsys, error, target, a
     (("ctilde", "--colors", "1", "--r", "2", "--no-cache"),
      "unrecognized arguments: --no-cache"),
     (("rmatrix", "--N", "1", "--cache-dir", "D"), "unrecognized arguments: --cache-dir D"),
+    (("bmw",), "argument command: invalid choice: 'bmw'"),
 ], ids=["invariant-both", "lmov-both", "degree-both", "invariant-neither",
-        "lmov-neither", "degree-neither", "verify-json", "bmw-json", "rmatrix-json",
+        "lmov-neither", "degree-neither", "verify-json", "rmatrix-json",
         "char-table-csv", "sb-csv", "ctilde-csv", "invariant-csv", "degree-csv",
-        "bmw-bound", "bmw-check", "verify-bound", "bmw-text", "verify-text",
+        "verify-bound", "verify-text",
         "lmov-no-cache", "lmov-cache-dir", "verify-cache-dir", "sb-no-cache",
-        "ctilde-no-cache", "rmatrix-cache-dir"])
+        "ctilde-no-cache", "rmatrix-cache-dir", "bmw"])
 def test_flag_misuse_is_a_usage_error(capsys, argv, message):
     code, err = run_failing(capsys, *argv)
     assert code == 2
@@ -927,8 +932,9 @@ def test_char_table_makes_a_nested_cache_dir(tmp_path, capsys):
 
 
 def test_verify_only_matches_names_exactly(capsys):
-    code, err = run_failing(capsys, "verify", "--suite", "properties", "--only", "kappa")
-    assert (code, err) == (2, "error: no check matches 'kappa'\n")
+    for only in ("kappa", ""):
+        code, err = run_failing(capsys, "verify", "--suite", "properties", "--only", only)
+        assert (code, err) == (2, f"error: no check matches {only!r}\n")
     code, out = run(capsys, "verify", "--suite", "all", "--only", "ctilde*")
     assert code == 0
     assert [line.split()[1] for line in out.splitlines()[:-1]] == [
@@ -948,15 +954,7 @@ def test_not_polynomial_finding_renders_the_remainder(capsys):
 
 def test_verify_all_writes_the_benchmark_bytes():
     # the benchmark's verify-all job compares every detail line verbatim
-    root = Path(__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if not k.startswith("KLMOV_")}
-    env["PYTHONPATH"] = str(root / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "klmov", "verify", "--suite", "all", "--seed", "3"],
-        capture_output=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 1
-    assert proc.stdout == (root / "perfbench/expected/verify-all.stdout").read_bytes()
+    assert_benchmark_job("verify-all", run_klmov("verify", "--suite", "all", "--seed", "3"))
 
 
 @pytest.mark.parametrize("key, argv", [
@@ -969,40 +967,30 @@ def test_verify_all_writes_the_benchmark_bytes():
     ("lmov-t25-0", ("--torus", "2,5,1", "--mu", "4")),
     ("lmov-t25-1", ("--torus", "2,5,1", "--mu", "3,1")),
     ("lmov-t25-2", ("--torus", "2,5,1", "--mu", "2,2")),
+    ("smoke-lmov", ("--torus", "1,1,2", "--mu", "1|1")),
 ])
 def test_lmov_writes_the_benchmark_bytes(key, argv):
     # the benchmark's table jobs compare their csv tables verbatim
-    root = Path(__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if not k.startswith("KLMOV_")}
-    env["PYTHONPATH"] = str(root / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "klmov", "lmov", *argv, "--format", "csv"],
-        capture_output=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout == (root / f"perfbench/expected/{key}.stdout").read_bytes()
+    assert_benchmark_job(key, run_klmov("lmov", *argv, "--format", "csv"))
 
 
 @pytest.mark.parametrize("key, argv", [
     ("char-table-12", ("char-table", "--n", "12")),
     ("ctilde-0", ("ctilde", "--colors", "3|3", "--r", "2")),
+    ("ctilde-1", ("ctilde", "--colors", "4,2", "--r", "2")),
+    ("ctilde-2", ("ctilde", "--colors", "2,1|2|1", "--r", "2")),
+    ("smoke-char-table", ("char-table", "--n", "4")),
+    ("setup", ("char-table", "--n", "1")),
 ])
 def test_character_jobs_write_the_benchmark_bytes(key, argv, tmp_path):
-    # the benchmark's characters jobs run cold, then warm; both compare their
-    # stdout verbatim.  Only char-table builds a whole table and caches it:
-    # ctilde reads class columns and writes no file
-    root = Path(__file__).resolve().parents[1]
-    env = {k: v for k, v in os.environ.items() if not k.startswith("KLMOV_")}
-    env["PYTHONPATH"] = str(root / "src")
-    expected = (root / f"perfbench/expected/{key}.stdout").read_bytes()
+    # the benchmark's characters jobs run cold, then warm, each with its own
+    # --cache-dir; both compare their stdout verbatim.  Only char-table
+    # builds a whole table and caches it: ctilde reads class columns and
+    # writes no file.  The setup job runs with no cache at all
+    cache = () if key == "setup" else ("--cache-dir", str(tmp_path))
     for _ in ("cold", "warm"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "klmov", *argv, "--cache-dir", str(tmp_path)],
-            capture_output=True, env=env, timeout=300,
-        )
-        assert proc.returncode == 0
-        assert proc.stdout == expected
-    written = ["brauer_12.json"] if key == "char-table-12" else []
+        assert_benchmark_job(key, run_klmov(*argv, *cache))
+    written = [f"brauer_{argv[-1]}.json"] if cache and argv[0] == "char-table" else []
     assert [p.name for p in tmp_path.iterdir()] == written
 
 
@@ -1065,14 +1053,15 @@ _COLORS = ((*_PARTITIONS[0], "1|1", "2|0", "1,1|1", "1|1|1", "2|1|1,1"),
 _TORI = (("2,3,1", "3,2,1", "1,1,2", "1,2,2", "2,3,2", "1,1,3"),
          ("2,4,1", "0,1,1", "-2,3,1", "1,1", "1,1,1,1", "\u0662,3,1", "+2,3,1",
           f"1,{'9' * 30},1", f"{'9' * 30},1,2", f"1,1,{'9' * 30}", "", "a,b,c"))
+_COMMANDS = (("char-table", "sb", "ctilde", "invariant", "lmov", "degree", "rmatrix",
+              "verify"), ("bmw", "", "help", "LMOV"))
 _STRAY = (("--format", "json"), ("--bound", "3"), ("--no-cache",), ("--torus", "2,3,1"),
           ("--frobnicate",), ("--mu",))
 
 
 def _draw_argv(rng, tmp_path):
     """One klmov argument list, drawn from valid and broken tokens."""
-    command = rng.choice(("char-table", "sb", "ctilde", "invariant", "lmov", "degree",
-                          "bmw", "rmatrix", "verify"))
+    command = rng.choice(_COMMANDS[rng.random() < 0.05])
     argv = [command]
 
     def maybe(flag, pool=None, p=0.9):
@@ -1116,9 +1105,9 @@ def _draw_argv(rng, tmp_path):
         maybe("--only", (("ring*", "kappa*", "z-basis*", "bmw*", "hopf*"), ("nothing", "")))
         maybe("--seed", _NUMBERS, 0.3)
     formats = ("text", "json", "csv") if command == "lmov" else ("text", "json")
-    if command not in ("bmw", "rmatrix", "verify"):
+    if command not in ("rmatrix", "verify"):
         maybe("--format", (formats, ("csv", "xml", "")), 0.3)
-    if command not in ("bmw", "verify"):
+    if command != "verify":
         maybe("--bound", _BOUNDS, 0.2)
     maybe("--out", ((str(tmp_path / "out.txt"),), (str(tmp_path / "no" / "out.txt"),
                                                     str(tmp_path))), 0.1)

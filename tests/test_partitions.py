@@ -10,7 +10,6 @@ import pytest
 from klmov.errors import ParityMismatch
 from klmov.partitions import (
     common_divisors,
-    format_multipartition,
     format_partition,
     is_partition,
     kappa,
@@ -285,6 +284,5 @@ def test_parse_format():
     assert parse_multipartition("1,1|1") == ((1, 1), (1,))
     assert parse_multipartition("0|2") == ((), (2,))
     assert format_partition((2, 1)) == "2,1"
-    assert format_multipartition(((1, 1), ())) == "1,1|0"
     with pytest.raises(ValueError):
         parse_partition("1,2")
