@@ -65,9 +65,9 @@ _CACHE_SCHEMA = "brauer-chars-v1"
 
 
 def set_cache_dir(path):
-    """Enable (path) or disable (None) the on-disk character table cache.
-    Only the path is recorded: the directory is made when a table is
-    stored."""
+    """Enable (path) or disable (None) the on-disk character table cache,
+    which ``char-table``'s ``--cache-dir`` sets on every call.  Only the
+    path is recorded: the directory is made when a table is stored."""
     global _CACHE_DIR
     _CACHE_DIR = path
 
@@ -280,15 +280,15 @@ def brauer_character(a, mu):
 def brauer_table(n):
     """The rank-n Brauer table as the tuple of its class columns: entry
     [j][i] is chi_a(gamma_mu) for the j-th class mu of partitions_of(n) and
-    the i-th label a of brauer_labels(n).  It is read from the disk cache
-    when one is set and holds it, else computed and stored there; it is not
-    memoised, but computed columns are the memoised brauer_column tuples."""
-    if _CACHE_DIR:
-        table = _load_brauer_table(n)
-        if table is not None:
-            return table
-    table = _compute_brauer_table(n)
-    if _CACHE_DIR:
+    the i-th label a of brauer_labels(n).  Without a disk cache it is
+    computed; with one it is read from it, or else computed and stored
+    there.  It is not memoised, but computed columns are the memoised
+    brauer_column tuples."""
+    if not _CACHE_DIR:
+        return _compute_brauer_table(n)
+    table = _load_brauer_table(n)
+    if table is None:
+        table = _compute_brauer_table(n)
         _store_brauer_table(n, table)
     return table
 

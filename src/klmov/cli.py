@@ -23,10 +23,10 @@ and ``--unlink L``.  Each command takes only the options it acts on.
 ``--format`` is taken by the commands that write more than one format:
 ``lmov`` text, json and csv; ``char-table``, ``sb``, ``ctilde``,
 ``invariant`` and ``degree`` text and json.  ``rmatrix`` and ``verify``
-write text and take no ``--format``.  ``--cache-dir`` and
-``--no-cache`` (and ``KLMOV_CACHE``) belong to ``char-table``, the one
-command that reads or writes the character-table cache.  Any other choice
-or option is a usage error.
+write text and take no ``--format``.  ``--cache-dir`` belongs to
+``char-table``, the one command that reads or writes the character-table
+cache, and is the cache's only switch: without it no table is read from or
+written to disk.  Any other choice or option is a usage error.
 
 Each command executes only the modules it runs: ``characters``,
 ``partitions`` and ``errors`` load with this module and the other layers on
@@ -150,12 +150,6 @@ def _emit_lines(args, lines):
             fh.write("\n")
 
 
-def _configure_cache(args):
-    # every char-table call sets it, so that none inherits the last one's
-    cache_dir = None if args.no_cache else args.cache_dir or os.environ.get("KLMOV_CACHE")
-    characters.set_cache_dir(cache_dir)
-
-
 def _check_size(args, what, size):
     """Refuse a request above its command's limit on what, before any
     computation."""
@@ -201,7 +195,8 @@ def _source_json(src):
 
 def cmd_char_table(args):
     _check_size(args, "rank", args.n)
-    _configure_cache(args)
+    # every call sets it, so that none inherits the last one's
+    characters.set_cache_dir(args.cache_dir)
     table = characters.brauer_table(args.n)
     labels = characters.brauer_labels(args.n)
     classes = partitions_of(args.n)
@@ -456,8 +451,7 @@ def build_parser():
     p = command("char-table", cmd_char_table, "print a character table", ("text", "json"))
     p.add_argument("--n", type=rank, required=True)
     p.add_argument("--cache-dir", help="directory for the character-table cache "
-                   "(default: $KLMOV_CACHE)")
-    p.add_argument("--no-cache", action="store_true", help="disable the disk cache")
+                   "(default: no cache)")
 
     p = command("sb", cmd_sb, "type-B Schur data for a partition", ("text", "json"))
     p.add_argument("--partition", required=True)

@@ -653,17 +653,20 @@ class RationalQT:
     def specialize_t(self, m):
         """Substitute t = q^m: the q-only dict {qexp: int or Fraction} of a
         Laurent polynomial.  The rows merge into one int row, which the
-        product of the Phi_d of mults must divide, by _div_flat (else
-        NotDivisible); the quotient is divided by scale at the end."""
+        product of the Phi_d of mults, a monic q-only divisor, must divide,
+        by _div_monic (else NotDivisible); the quotient is divided by scale
+        at the end."""
         acc = {}
         _mul_into(acc, [(0, lo + m * b, p) for b, lo, p in self.rows], ((0, 0, (1,)),))
         merged = _trimmed(acc)
         if not merged:
             return {}
-        k, rows = _div_flat(merged, ((0, 0, _cyclotomic_product(self.mults)),))
-        s = k * self.scale
-        return {lo + i: Fraction(c, s) if c % s else c // s
-                for _, lo, p in rows for i, c in enumerate(p) if c}
+        [(_, lo, p)] = merged
+        quo, rem = _div_monic(p, _cyclotomic_product(self.mults))
+        if any(rem):
+            raise NotDivisible("the divisor does not divide exactly")
+        s = self.scale
+        return {lo + i: Fraction(c, s) if c % s else c // s for i, c in enumerate(quo) if c}
 
     def __str__(self):
         num = render_qt(self.num)
@@ -789,27 +792,25 @@ def valuation_at_q1(x):
 # ---------------------------------------------------------------------------
 
 
-def render_qt(terms):
-    """q-exponents descending, then t-exponents descending."""
-    if not terms:
-        return "0"
+def render_terms(terms):
+    """Text of signed (coefficient, name) terms in the order given, "0" for
+    none: each is str(|c|) when its name is empty, name when |c| is 1, else
+    |c|*name; the first is signed and later ones joined with "+ " or "- "."""
     pieces = []
-    for (a, b) in sorted(terms, key=lambda k: (-k[0], -k[1])):
-        c = Fraction(terms[(a, b)])
-        mono = []
-        if a:
-            mono.append("q" if a == 1 else f"q^{a}")
-        if b:
-            mono.append("t" if b == 1 else f"t^{b}")
+    for c, name in terms:
         mag = abs(c)
-        if not mono:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(mono)
-        else:
-            body = "*".join([str(mag)] + mono)
+        body = str(mag) if not name else name if mag == 1 else f"{mag}*{name}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:
             pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces)
+    return " ".join(pieces) or "0"
+
+
+def render_qt(terms):
+    """q-exponents descending, then t-exponents descending."""
+    return render_terms(
+        (terms[a, b], "*".join(x if e == 1 else f"{x}^{e}"
+                               for x, e in (("q", a), ("t", b)) if e))
+        for a, b in sorted(terms, key=lambda k: (-k[0], -k[1]))
+    )

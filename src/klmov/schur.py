@@ -25,25 +25,11 @@ from .partitions import is_partition, partitions_of, transpose, z_stat
 
 def render_basis(coeffs, symbol):
     """Text of a {partition: coefficient} combination over symbol(...),
-    largest size first."""
-    if not coeffs:
-        return "0"
-    bits = []
-    for key in sorted(coeffs, key=lambda k: (sum(k), k), reverse=True):
-        c = coeffs[key]
-        name = f"{symbol}({','.join(map(str, key))})" if key else ""
-        mag = abs(c)
-        if not name:
-            body = str(mag)
-        elif mag == 1:
-            body = name
-        else:
-            body = f"{mag}*{name}"
-        if not bits:
-            bits.append(body if c > 0 else f"-{body}")
-        else:
-            bits.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(bits)
+    largest size first; the empty partition is the constant."""
+    return laurent.render_terms(
+        (coeffs[key], f"{symbol}({','.join(map(str, key))})" if key else "")
+        for key in sorted(coeffs, key=lambda k: (sum(k), k), reverse=True)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,6 @@
 """Command-line interface: flags, formats, exit codes, JSON round trips."""
 
+import ast
 import json
 import os
 import random
@@ -189,7 +190,7 @@ def test_char_table_closed_pipe_exits_quietly():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "klmov", "char-table", "--n", "12", "--no-cache"],
+        [sys.executable, "-m", "klmov", "char-table", "--n", "12"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         env=env,
@@ -240,9 +241,9 @@ def loads_json(*argv):
 
 
 @pytest.mark.parametrize("argv, loads", [
-    (("char-table", "--n", "3", "--no-cache"), False),
+    (("char-table", "--n", "3"), False),
     (("lmov", "--torus", "1,1,2", "--mu", "1|1", "--format", "csv"), False),
-    (("char-table", "--n", "3", "--no-cache", "--format", "json"), True),
+    (("char-table", "--n", "3", "--format", "json"), True),
     (("lmov", "--torus", "1,1,2", "--mu", "1|1", "--format", "json"), True),
 ], ids=["char-table-text", "lmov-csv", "char-table-json", "lmov-json"])
 def test_json_loads_only_for_json_output(argv, loads):
@@ -280,7 +281,7 @@ LAYERS = {"cli", "errors", "partitions", "characters", "laurent", "schur", "toru
 
 
 @pytest.mark.parametrize("argv, used, unused", [
-    (("char-table", "--n", "1", "--no-cache"), {"cli", "characters", "partitions"},
+    (("char-table", "--n", "1"), {"cli", "characters", "partitions"},
      {"laurent", "lmov", "verify", "bmw", "rmatrix"}),
     (("ctilde", "--colors", "2", "--r", "2"), {"schur", "torus"},
      {"laurent", "lmov", "verify", "bmw", "rmatrix"}),
@@ -879,13 +880,14 @@ def test_internal_arithmetic_error_exits_4(monkeypatch, capsys, error, target, a
     (("ctilde", "--colors", "1", "--r", "2", "--no-cache"),
      "unrecognized arguments: --no-cache"),
     (("rmatrix", "--N", "1", "--cache-dir", "D"), "unrecognized arguments: --cache-dir D"),
+    (("char-table", "--n", "3", "--no-cache"), "unrecognized arguments: --no-cache"),
     (("bmw",), "argument command: invalid choice: 'bmw'"),
 ], ids=["invariant-both", "lmov-both", "degree-both", "invariant-neither",
         "lmov-neither", "degree-neither", "verify-json", "rmatrix-json",
         "char-table-csv", "sb-csv", "ctilde-csv", "invariant-csv", "degree-csv",
         "verify-bound", "verify-text",
         "lmov-no-cache", "lmov-cache-dir", "verify-cache-dir", "sb-no-cache",
-        "ctilde-no-cache", "rmatrix-cache-dir", "bmw"])
+        "ctilde-no-cache", "rmatrix-cache-dir", "char-table-no-cache", "bmw"])
 def test_flag_misuse_is_a_usage_error(capsys, argv, message):
     code, err = run_failing(capsys, *argv)
     assert code == 2
@@ -922,6 +924,34 @@ def test_commands_without_a_table_leave_the_cache_dir_alone(tmp_path, capsys):
     new = tmp_path / "new"
     code, _ = run(capsys, "ctilde", "--colors", "1", "--r", "2", "--cache-dir", str(new))
     assert code == 0 and not new.exists()
+
+
+def test_char_table_reads_no_cache_setting_from_the_environment(tmp_path, monkeypatch, capsys):
+    # --cache-dir is the cache's one switch: a KLMOV_CACHE directory is
+    # neither read nor written, and an unusable one is no error
+    _, expected = run(capsys, "char-table", "--n", "3")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("KLMOV_CACHE", str(cache))
+    assert run(capsys, "char-table", "--n", "3") == (0, expected)
+    assert list(cache.iterdir()) == []
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("KLMOV_CACHE", str(blocker / "x"))
+    assert run(capsys, "char-table", "--n", "3") == (0, expected)
+
+
+def test_no_module_reads_the_environment():
+    # configuration through the environment cannot come back unnoticed
+    readers = []
+    for path in sorted(Path(characters.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [node.attr] if isinstance(node, ast.Attribute) else []
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            readers += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name in ("environ", "environb", "getenv", "getenvb")]
+    assert readers == []
 
 
 def test_char_table_makes_a_nested_cache_dir(tmp_path, capsys):
@@ -1089,7 +1119,7 @@ def _draw_argv(rng, tmp_path):
     elif command == "char-table":
         maybe("--n", _NUMBERS)
         maybe("--cache-dir", ((str(tmp_path / "cache"),), ("",)), 0.2)
-        maybe("--no-cache", p=0.2)
+        maybe("--no-cache", p=0.2)  # a usage error: --cache-dir is the one switch
     elif command == "sb":
         maybe("--partition", _PARTITIONS)
         maybe("--pb", p=0.3)
@@ -1116,11 +1146,10 @@ def _draw_argv(rng, tmp_path):
     return argv
 
 
-def test_cli_fuzz_ends_with_an_exit_code_and_no_traceback(capsys, monkeypatch, tmp_path):
+def test_cli_fuzz_ends_with_an_exit_code_and_no_traceback(capsys, tmp_path):
     # a fixed-seed set of argument lists over every command, each run in
     # process under an alarm: each ends with exit code 0-4, never with an
-    # exception, and prints no traceback
-    monkeypatch.delenv("KLMOV_CACHE", raising=False)
+    # exception, and prints no traceback; --no-cache is a usage error
     rng = random.Random(2010)
     failures, codes = [], set()
     for _ in range(400):
@@ -1134,7 +1163,7 @@ def test_cli_fuzz_ends_with_an_exit_code_and_no_traceback(capsys, monkeypatch, t
             code = f"{type(exc).__name__}: {exc}"
         err = capsys.readouterr().err
         codes.add(code)
-        if code not in range(5) or "Traceback" in err:
+        if code not in range(5) or "Traceback" in err or ("--no-cache" in argv and code != 2):
             failures.append((argv, code, err[-300:]))
     assert failures == []
     assert {0, 1, 2, 3} <= codes
