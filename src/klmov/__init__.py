@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "laurent": ("RationalQT", "to_z_basis", "valuation_at_q1"),
     "lmov": (
-        "NTable", "UnlinkSpec", "column_integrality_check", "conjecture_lhs",
-        "degree_check", "extract_n_table", "free_energy", "lickorish_millett_check",
-        "reformulated_g", "z_coefficient",
+        "UnlinkSpec", "column_integrality_check", "conjecture_lhs", "degree_check",
+        "extract_n_table", "free_energy", "lickorish_millett_check", "reformulated_g",
+        "z_coefficient",
     ),
     "partitions": (
         "common_divisors", "kappa", "lemma72_sum", "mobius", "parse_multipartition",

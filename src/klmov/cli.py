@@ -28,6 +28,25 @@ write text and take no ``--format``.  ``--cache-dir`` belongs to
 cache, and is the cache's only switch: without it no table is read from or
 written to disk.  Any other choice or option is a usage error.
 
+``_write`` writes the result of each command that takes ``--format``, and
+``_emit_lines`` every line, to ``--out`` or standard output.  A JSON result
+is one record, indented by two spaces, that opens with its schema,
+``klmov-v1``, and its kind, the command's name (both from ``_record``), and
+then gives its fields:
+
+    char-table    n, labels, classes, values (a row per label, written as
+                  each row is made)
+    sb            partition, closed, pb_expansion (--closed or --pb alone
+                  keeps its own field, as it keeps its own text line)
+    ctilde        colors, r, entries
+    invariant     link, colors, value
+    lmov          link, mu, integral, then entries or a finding
+    degree        link, mu, valuation, bound, pass
+
+``lmov`` writes its N table, the ``{(g, beta): n}`` dict of
+``lmov.extract_n_table``, as text by ``n_table_text``, as csv rows
+``g,beta,N`` or as JSON entries.
+
 Each command executes only the modules it runs: ``characters``,
 ``partitions`` and ``errors`` load with this module and the other layers on
 first use, which matters because with ``PYTHONDONTWRITEBYTECODE`` set every
@@ -132,14 +151,22 @@ def rationalqt_to_json(x):
     }
 
 
-def _emit(args, text):
-    _emit_lines(args, (text,))
+def _record(args, fields):
+    """A command's JSON record: the schema, the command's name as its kind,
+    then fields."""
+    return {"schema": SCHEMA, "kind": args.command, **fields}
 
 
-def _emit_json(args, data):
-    import json  # only JSON output loads it
+def _write(args, fields, text, csv=None):
+    """Write a command's result in its --format: fields as one indented JSON
+    record, or the lines of csv where the command gives them, or of text."""
+    if args.format == "json":
+        import json  # only JSON output loads it
 
-    _emit(args, json.dumps(data, indent=2))
+        text = (json.dumps(_record(args, fields), indent=2),)
+    elif args.format == "csv" and csv is not None:
+        text = csv
+    _emit_lines(args, text)
 
 
 def _emit_lines(args, lines):
@@ -205,14 +232,12 @@ def cmd_char_table(args):
 
         # the bytes of json.dumps(..., indent=2) with "values" filled in, one
         # row per label, written as each row is made
-        head = json.dumps({
-            "schema": SCHEMA,
-            "kind": "char-table",
+        head = json.dumps(_record(args, {
             "n": args.n,
             "labels": [list(a) for a in labels],
             "classes": [list(m) for m in classes],
             "values": [],
-        }, indent=2)
+        }), indent=2)
         last = len(labels) - 1
         rows = (
             "    "
@@ -236,26 +261,21 @@ def cmd_char_table(args):
 def cmd_sb(args):
     lam = parse_partition(args.partition)
     _check_size(args, "partition size", sum(lam))
-    if args.format == "json":
-        data = {
-            "schema": SCHEMA,
-            "kind": "sb",
-            "partition": list(lam),
-            "closed": rationalqt_to_json(schur.sb_closed_form(lam)),
-            "pb_expansion": {
-                format_partition(mu): str(Fraction(c))
-                for mu, c in schur.pb_in_sb(lam).items()
-            },
-        }
-        _emit_json(args, data)
-        return 0
-    lines = []
-    if args.pb or not args.closed:
-        expansion = schur.render_basis(schur.pb_in_sb(lam), "sb")
-        lines.append(f"pb expansion of {format_partition(lam)}: {expansion}")
+    # --pb or --closed alone selects its part; neither or both select both
+    fields, lines = {"partition": list(lam)}, []
     if args.closed or not args.pb:
-        lines.append(f"closed form: {schur.sb_closed_form(lam)}")
-    _emit(args, "\n".join(lines))
+        closed = schur.sb_closed_form(lam)
+        fields["closed"] = rationalqt_to_json(closed)
+        lines.append(f"closed form: {closed}")
+    if args.pb or not args.closed:
+        pb = schur.pb_in_sb(lam)
+        fields["pb_expansion"] = {
+            format_partition(mu): str(Fraction(c)) for mu, c in pb.items()
+        }
+        # the text gives the expansion first
+        lines.insert(0, f"pb expansion of {format_partition(lam)}: "
+                        f"{schur.render_basis(pb, 'sb')}")
+    _write(args, fields, lines)
     return 0
 
 
@@ -264,20 +284,13 @@ def cmd_ctilde(args):
     _check_size(args, "cable size", args.r * mp_norm(colors))
     table = torus.ctilde(colors, args.r)
     entries = sorted(table.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
-    if args.format == "json":
-        data = {
-            "schema": SCHEMA,
-            "kind": "ctilde",
-            "colors": [list(a) for a in colors],
-            "r": args.r,
-            "entries": [[list(lam), str(Fraction(c))] for lam, c in entries],
-        }
-        _emit_json(args, data)
-        return 0
-    lines = [f"cabling constants for colors {args.colors} at r={args.r}:"]
-    for lam, c in entries:
-        lines.append(f"  {format_partition(lam):>10} : {c}")
-    _emit(args, "\n".join(lines))
+    _write(
+        args,
+        {"colors": [list(a) for a in colors], "r": args.r,
+         "entries": [[list(lam), str(Fraction(c))] for lam, c in entries]},
+        chain((f"cabling constants for colors {args.colors} at r={args.r}:",),
+              (f"  {format_partition(lam):>10} : {c}" for lam, c in entries)),
+    )
     return 0
 
 
@@ -286,62 +299,52 @@ def cmd_invariant(args):
     colors = parse_multipartition(args.colors)
     _check_cable(args, src, colors)
     value = lmov.invariant(src, colors)
-    if args.format == "json":
-        data = {
-            "schema": SCHEMA,
-            "kind": "invariant",
-            "link": _source_json(src),
-            "colors": [list(a) for a in colors],
-            "value": rationalqt_to_json(value),
-        }
-        _emit_json(args, data)
-    else:
-        _emit(args, str(value))
+    _write(args, {"link": _source_json(src), "colors": [list(a) for a in colors],
+                  "value": rationalqt_to_json(value)}, (str(value),))
     return 0
+
+
+def n_table_text(table):
+    """The text lines of an N table {(g, beta): n}: a row per genus g and a
+    column per beta, made as they are written."""
+    if not table:
+        yield "all coefficients vanish"
+        return
+    rows = {}
+    for (g, b), n in sorted(table.items()):
+        rows.setdefault(g, {})[b] = n
+    betas = sorted({b for _, b in table})
+    head = ["g\\beta", *map(str, betas)]
+    cells = [[str(g), *(str(row.get(b, 0)) for b in betas)] for g, row in rows.items()]
+    # each column as wide as its widest entry, and never under 6; the genus
+    # names are right-aligned under a left-aligned header
+    widths = [max(6, *map(len, col)) for col in zip(head, *cells)]
+    head[0] = head[0].ljust(widths[0])
+    for line in (head, *cells):
+        yield "  ".join(c.rjust(w) for c, w in zip(line, widths))
 
 
 def cmd_lmov(args):
     src = _parse_source(args)
     mu = _parse_mu(args, src)
+    head = {"link": _source_json(src), "mu": args.mu}
+    title = f"{src.describe()} colored {args.mu}"
     try:
         poly = lmov.conjecture_lhs(src, mu, antisymmetrize=not args.no_antisym)
         table = lmov.extract_n_table(poly, mu)
     except _FINDINGS as exc:
-        finding = {
-            "schema": SCHEMA,
-            "kind": "lmov",
-            "link": _source_json(src),
-            "mu": args.mu,
-            "integral": False,
-            "finding": f"{type(exc).__name__}: {exc}",
-        }
-        if args.format == "json":
-            _emit_json(args, finding)
-        else:
-            _emit(args, f"FINDING for {src.describe()} colored {args.mu}: "
-                        f"{finding['finding']}")
+        finding = f"{type(exc).__name__}: {exc}"
+        _write(args, {**head, "integral": False, "finding": finding},
+               (f"FINDING for {title}: {finding}",))
         return 1
-    if args.format == "json":
-        data = {
-            "schema": SCHEMA,
-            "kind": "lmov",
-            "link": _source_json(src),
-            "mu": args.mu,
-            "integral": True,
-            "entries": [
-                {"g": str(g), "beta": b, "N": n}
-                for (g, b), n in sorted(table.entries.items())
-            ],
-        }
-        _emit_json(args, data)
-    elif args.format == "csv":
-        lines = ["g,beta,N"]
-        for (g, b), n in sorted(table.entries.items()):
-            lines.append(f"{g},{b},{n}")
-        _emit(args, "\n".join(lines))
-    else:
-        head = f"{src.describe()} colored {args.mu}"
-        _emit(args, head + "\n" + table.render_text())
+    entries = sorted(table.items())
+    _write(
+        args,
+        {**head, "integral": True,
+         "entries": [{"g": str(g), "beta": b, "N": n} for (g, b), n in entries]},
+        chain((title,), n_table_text(table)),
+        csv=chain(("g,beta,N",), (f"{g},{b},{n}" for (g, b), n in entries)),
+    )
     return 0
 
 
@@ -349,21 +352,10 @@ def cmd_degree(args):
     src = _parse_source(args)
     mu = _parse_mu(args, src)
     res = lmov.degree_check(src, mu)
-    if args.format == "json":
-        data = {
-            "schema": SCHEMA,
-            "kind": "degree",
-            "link": _source_json(src),
-            "mu": args.mu,
-            "valuation": res.valuation,
-            "bound": res.bound,
-            "pass": res.passed,
-        }
-        _emit_json(args, data)
-    else:
-        val = "vacuous (zero)" if res.valuation is None else str(res.valuation)
-        _emit(args, f"valuation {val}, bound {res.bound}: "
-                    f"{'pass' if res.passed else 'FAIL'}")
+    val = "vacuous (zero)" if res.valuation is None else str(res.valuation)
+    _write(args, {"link": _source_json(src), "mu": args.mu, "valuation": res.valuation,
+                  "bound": res.bound, "pass": res.passed},
+           (f"valuation {val}, bound {res.bound}: {'pass' if res.passed else 'FAIL'}",))
     return 0 if res.passed else 1
 
 
@@ -377,8 +369,7 @@ def cmd_rmatrix(args):
         results.append(("braid", rmatrix.braid_relation_check(n)))
     if args.check in ("all", "bmw"):
         results.append(("bmw", rmatrix.bmw_relations_check(n)))
-    lines = [f"{'PASS' if ok else 'FAIL'}  {name} (N={n})" for name, ok in results]
-    _emit(args, "\n".join(lines))
+    _emit_lines(args, (f"{'PASS' if ok else 'FAIL'}  {name} (N={n})" for name, ok in results))
     return 0 if all(ok for _, ok in results) else 1
 
 
@@ -389,7 +380,7 @@ def cmd_verify(args):
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name:<28} {detail}")
     passed = sum(1 for _, ok, _ in results if ok)
     lines.append(f"{passed}/{len(results)} checks passed")
-    _emit(args, "\n".join(lines))
+    _emit_lines(args, lines)
     return 0 if passed == len(results) else 1
 
 

@@ -636,10 +636,13 @@ class RationalQT:
         return RationalQT(_sum([(rows, s * self.scale, other.scale, mults)]))
 
     def substitute(self, qpow=1, tsign=1, tpow=1):
-        """Map q -> q^qpow and t -> (tsign * t)^... i.e. t^b -> tsign^b t^(b*tpow).
+        """The value under q -> q^qpow, t^b -> tsign^b t^(b*tpow).
 
-        The result stays canonical: Phi_e(q) divides p(q^qpow) exactly when
-        Phi_d divides p for the d that e contributes to in Phi_d(q^qpow).
+        Its domain is qpow >= 1, tpow >= 1 and tsign in {1, -1}; anything
+        else is a ValueError.  So q -> -1/q, a negative power of q, is not
+        one of its maps.  The result stays canonical: Phi_e(q) divides
+        p(q^qpow) exactly when Phi_d divides p for the d that e contributes to
+        in Phi_d(q^qpow).
         """
         if qpow < 1 or tpow < 1 or tsign not in (1, -1):
             raise ValueError("substitution wants positive powers and tsign in {1,-1}")

@@ -190,45 +190,9 @@ def conjecture_lhs(src, mu, antisymmetrize=True):
     return to_z_basis(rational_sum([((g,) + factors, z_stat_multi(mu))], expect={}))
 
 
-class NTable(NamedTuple):
-    """Integer coefficients indexed by genus (half-integers) and t-degree."""
-
-    mu: tuple
-    entries: dict  # (Fraction g, int beta) -> int
-
-    def beta_values(self):
-        return sorted({b for _, b in self.entries})
-
-    def rows(self):
-        out = {}
-        for (g, b), n in sorted(self.entries.items()):
-            out.setdefault(g, {})[b] = n
-        return out
-
-    def is_empty(self):
-        return not self.entries
-
-    def render_text(self):
-        if not self.entries:
-            return "all coefficients vanish"
-        betas = self.beta_values()
-        head = ["g\\beta", *map(str, betas)]
-        rows = [
-            [str(g), *(str(row.get(b, 0)) for b in betas)]
-            for g, row in self.rows().items()
-        ]
-        # each column as wide as its widest entry, and never under 6; the
-        # genus names are right-aligned under a left-aligned header
-        widths = [max(6, *map(len, col)) for col in zip(head, *rows)]
-        head[0] = head[0].ljust(widths[0])
-        return "\n".join(
-            "  ".join(c.rjust(w) for c, w in zip(line, widths)) for line in (head, *rows)
-        )
-
-
 def extract_n_table(poly, mu):
-    """Read the (z^2g, t^beta) coefficients of a z-basis dict; they must all
-    be integers."""
+    """The N table {(g, beta): n} of a z-basis dict: its coefficient of
+    z^2g t^beta, for g a half-integer Fraction, must be the integer n."""
     entries = {}
     for (zp, b), c in poly.items():
         frac = Fraction(c)
@@ -237,7 +201,7 @@ def extract_n_table(poly, mu):
                 f"coefficient {frac} at z^{zp} t^{b} for mu={mu}"
             )
         entries[(Fraction(zp, 2), b)] = int(frac)
-    return NTable(tuple(mu), entries)
+    return entries
 
 
 class DegreeResult(NamedTuple):

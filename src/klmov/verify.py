@@ -219,9 +219,9 @@ def check_n_tables():
     for src, mu, table in cases:
         got = extract_n_table(conjecture_lhs(src, mu, antisymmetrize=True), mu)
         want = _ntable_from_golden(table)
-        if got.entries != want:
+        if got != want:
             mismatches.append(
-                f"{src.describe()} colored {mu}: computed {got.entries or 'empty'}, "
+                f"{src.describe()} colored {mu}: computed {got or 'empty'}, "
                 f"published {want or 'empty'}"
             )
         else:

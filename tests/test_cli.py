@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import random
+import shlex
 import signal
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from klmov import characters
-from klmov.cli import build_parser, main, rationalqt_to_json
+from klmov.cli import build_parser, main, n_table_text, rationalqt_to_json
 from klmov.laurent import RationalQT
 from klmov.schur import sb_closed_form
 from klmov.torus import TorusLinkSpec, torus_invariant
@@ -106,10 +107,8 @@ def test_lmov_wide_table_aligns_its_columns(capsys):
 
 
 def test_lmov_wide_genus_names_widen_their_column():
-    from klmov.lmov import NTable
-
-    table = NTable((1,), {(Fraction(1234567, 2), -3): 5, (Fraction(1, 2), 1): -1234567})
-    assert table.render_text().splitlines() == [
+    table = {(Fraction(1234567, 2), -3): 5, (Fraction(1, 2), 1): -1234567}
+    assert list(n_table_text(table)) == [
         "g\\beta         -3         1",
         "      1/2       0  -1234567",
         "1234567/2       5         0",
@@ -358,6 +357,14 @@ _SB_STDOUT = (
      "pb expansion of 2,2: sb(4) - sb(3,1) + 2*sb(2,2) - sb(2,1,1) + sb(1,1,1,1)"
      " + 2*sb(2) - 2*sb(1,1) + 3\n"),
     (("--partition", "3", "--format", "json"), json.dumps(_SB_JSON_3, indent=2) + "\n"),
+    (("--partition", "3", "--pb", "--closed", "--format", "json"),
+     json.dumps(_SB_JSON_3, indent=2) + "\n"),
+    # --pb and --closed select the JSON fields as they select the text lines
+    (("--partition", "3", "--closed", "--format", "json"),
+     json.dumps({k: v for k, v in _SB_JSON_3.items() if k != "pb_expansion"}, indent=2)
+     + "\n"),
+    (("--partition", "3", "--pb", "--format", "json"),
+     json.dumps({k: v for k, v in _SB_JSON_3.items() if k != "closed"}, indent=2) + "\n"),
     (("--partition", "1,1,1", "--closed"),
      "closed form: (-q^10 + q^10*t^-2 + q^9*t^-1 - q^9*t^-3 + q^8*t^2 - q^8 - q^7*t"
      " + q^7*t^-1 - q^5*t + q^5*t^-1 + q^4 - q^4*t^-2 + q^3*t^3 - q^3*t - q^2*t^2"
@@ -369,6 +376,43 @@ def test_sb_command(capsys):
     # the exact stdout of the sb renderer and closed forms
     for argv, want in _SB_STDOUT:
         assert run(capsys, "sb", *argv) == (0, want), argv
+
+
+def dumped(kind, **fields):
+    """The stdout of a JSON record of the command kind."""
+    return json.dumps({"schema": "klmov-v1", "kind": kind, **fields}, indent=2) + "\n"
+
+
+_T22_22 = {"link": {"torus": [1, 1, 2]}, "mu": "2|2"}
+_T22_FINDING = "NotPolynomial: remainder 4 in univariate division"
+
+
+@pytest.mark.parametrize("argv, code, want", [
+    (("ctilde", "--colors", "1|1", "--r", "1", "--format", "json"), 0,
+     dumped("ctilde", colors=[[1], [1]], r=1,
+            entries=[[[1, 1], "1"], [[2], "1"], [[], "1"]])),
+    (("invariant", "--unlink", "2", "--colors", "1|1", "--format", "json"), 0,
+     dumped("invariant", link={"unlink": 2}, colors=[[1], [1]], value={
+         "num": [[0, 0, "1"], [1, -1, "2"], [1, 1, "-2"], [2, -2, "1"], [2, 0, "-4"],
+                 [2, 2, "1"], [3, -1, "-2"], [3, 1, "2"], [4, 0, "1"]],
+         "den": [[0, "1"], [2, "-2"], [4, "1"]],
+     })),
+    (("lmov", "--torus", "1,1,2", "--mu", "2|2", "--no-antisym"), 1,
+     f"FINDING for T(2,2) colored 2|2: {_T22_FINDING}\n"),
+    (("lmov", "--torus", "1,1,2", "--mu", "2|2", "--no-antisym", "--format", "json"), 1,
+     dumped("lmov", **_T22_22, integral=False, finding=_T22_FINDING)),
+    (("degree", "--torus", "1,1,2", "--mu", "2|2", "--format", "json"), 0,
+     dumped("degree", **_T22_22, valuation=0, bound=0, **{"pass": True})),
+    (("degree", "--unlink", "2", "--mu", "1|1", "--format", "json"), 0,
+     dumped("degree", link={"unlink": 2}, mu="1|1", valuation=None, bound=0,
+            **{"pass": True})),
+    (("rmatrix", "--N", "1"), 0,
+     "PASS  ribbon (N=1)\nPASS  braid (N=1)\nPASS  bmw (N=1)\n"),
+], ids=["ctilde-json", "invariant-unlink-json", "lmov-finding-text", "lmov-finding-json",
+        "degree-torus-json", "degree-unlink-json", "rmatrix-text"])
+def test_command_writes_its_bytes(capsys, argv, code, want):
+    # the exact stdout and exit code of each output form that no other test pins
+    assert run(capsys, *argv) == (code, want)
 
 
 def test_ctilde_command(capsys):
@@ -1196,3 +1240,25 @@ def test_cable_size_refuses_a_color_that_passes_the_framing_limit(capsys, comman
     assert code == 3
     assert captured.out == ""
     assert captured.err == "error: cable size 24 exceeds bound 8\n"
+
+
+def readme_command_lines():
+    """The klmov lines of the README's "Command line" block."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("klmov ")]
+    assert lines
+    return lines
+
+
+@pytest.mark.parametrize("line", readme_command_lines())
+def test_readme_command_lines_run(capsys, line):
+    # each documented example is accepted and ends in an exit code of its
+    # own: 0, or 1 for a finding (verify --suite paper reports criterion
+    # 6); never a usage error, a size limit or an internal error
+    try:
+        code = main(shlex.split(line, comments=True)[1:])
+    except SystemExit as exc:
+        code = exc.code
+    assert code not in (2, 3, 4)
+    assert capsys.readouterr().err == ""

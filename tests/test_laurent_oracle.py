@@ -18,7 +18,9 @@ as a reference: dict products with each cofactor, then one Phi_d cancelled
 per round while every t-slice allows it.  A sum over a predicted denominator
 must equal sympy's value whether the prediction is right, one Phi_d short
 (it falls back to the search over the whole lcm), one Phi_d long, names a
-Phi_d outside the lcm, or the sum is zero.
+Phi_d outside the lcm, or the sum is zero.  The quantum dimension of the
+transpose of a label, with q -> -1/q substituted by sympy, must equal the
+label's own.
 """
 
 import random
@@ -41,6 +43,8 @@ from klmov.laurent import (  # noqa: E402
     to_z_basis,
     valuation_at_q1,
 )
+from klmov.partitions import partitions_of, transpose  # noqa: E402
+from klmov.schur import sb_closed_form  # noqa: E402
 
 q, t = sympy.symbols("q t")
 
@@ -635,6 +639,16 @@ def test_substitute_matches_sympy(k):
         num = {(a * k, b * j): -c if sign < 0 and b % 2 else c for (a, b), c in num.items()}
         den = {a * k: c for a, c in den.items()}
         assert canonical(got) == Frac.of(num, den).canonical()
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_quantum_dimension_transpose_duality(n):
+    # sb_closed_form(A^T)(-1/q, t) = sb_closed_form(A)(q, t): transposing
+    # keeps each hook length and negates each cell's content
+    for a in partitions_of(n):
+        x, y = sb_closed_form(transpose(a)), sb_closed_form(a)
+        dual = Frac.of(x.num, x.den).expr().subs(q, -1 / q)
+        assert sympy.cancel(dual - Frac.of(y.num, y.den).expr()) == 0, a
 
 
 # ---------------------------------------------------------------------------
