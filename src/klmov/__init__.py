@@ -26,7 +26,7 @@ _EXPORTS = {
     ),
     "characters": (
         "brauer_character", "brauer_column", "brauer_labels", "lr_coefficient",
-        "multi_character", "sn_character", "sn_column",
+        "sn_character", "sn_column",
     ),
     "schur": (
         "evaluate_sb_element", "pb_in_sb", "sb_closed_form", "sb_in_pb",

@@ -35,12 +35,11 @@ column, the characters of all partitions of |mu| at mu.  ``brauer_column``
 memoises the Brauer column, the characters of all labels of its rank at
 gamma_mu, which opens with the S_n column.  The pipeline reads characters
 only there: ``schur.pb_in_sb`` (and through it ``lmov.z_coefficient``) and
-``schur.sb_in_pb_scaled``.  ``sn_character``, ``brauer_character`` and
-``multi_character`` read single entries for ``verify`` and the tests'
-independent routes.  A whole table (``brauer_table``, which only
-``char-table`` asks for) is the tuple of its class columns, those same
-memoised tuples, and is the one thing mirrored to the JSON cache on disk,
-which stores it label-major.
+``schur.sb_in_pb_scaled``.  ``sn_character`` and ``brauer_character``
+read single entries for ``verify`` and the tests' independent routes.  A
+whole table (``brauer_table``, which only ``char-table`` asks for) is the
+tuple of its class columns, those same memoised tuples, and is the one
+thing mirrored to the JSON cache on disk, which stores it label-major.
 """
 
 from __future__ import annotations
@@ -291,15 +290,3 @@ def brauer_table(n):
         table = _compute_brauer_table(n)
         _store_brauer_table(n, table)
     return table
-
-
-def multi_character(avec, mu):
-    """Product of component-wise Brauer characters."""
-    if len(avec) != len(mu):
-        raise SizeMismatch("component counts differ")
-    out = 1
-    for a, m in zip(avec, mu):
-        out *= brauer_character(a, m)
-        if not out:
-            return 0
-    return out

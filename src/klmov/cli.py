@@ -11,7 +11,6 @@ request once, before computing anything, against ``LIMITS`` raised by
       degree             framing degree max(r, k) * |colors|    100
                          (|mu| for lmov and degree; r = k = 1 for
                          an unlink)
-    rmatrix              N                                        4
 
 Only these commands take ``--bound``.  A torus link T(rL, kL) equals
 T(kL, rL) and is cabled through min(r, k).  The framing degree is the
@@ -22,11 +21,11 @@ invariant grow with it, so a small color on a large r or k is refused.
 and ``--unlink L``.  Each command takes only the options it acts on.
 ``--format`` is taken by the commands that write more than one format:
 ``lmov`` text, json and csv; ``char-table``, ``sb``, ``ctilde``,
-``invariant`` and ``degree`` text and json.  ``rmatrix`` and ``verify``
-write text and take no ``--format``.  ``--cache-dir`` belongs to
-``char-table``, the one command that reads or writes the character-table
-cache, and is the cache's only switch: without it no table is read from or
-written to disk.  Any other choice or option is a usage error.
+``invariant`` and ``degree`` text and json.  ``verify`` writes text and
+takes no ``--format``.  ``--cache-dir`` belongs to ``char-table``, the one
+command that reads or writes the character-table cache, and is the cache's
+only switch: without it no table is read from or written to disk.  Any
+other choice or option is a usage error.
 
 ``_write`` writes the result of each command that takes ``--format``, and
 ``_emit_lines`` every line, to ``--out`` or standard output.  A JSON result
@@ -57,7 +56,6 @@ process compiles each module it executes from source:
                                  integers and fractions: no laurent)
     sb                           laurent, schur
     invariant, lmov, degree      laurent, schur, torus, lmov
-    rmatrix                      laurent, rmatrix
     verify                       all
 
 ``verify --only NAME`` runs the checks whose names match NAME exactly, or
@@ -123,7 +121,8 @@ def _lazy(name):
     return sys.modules[full]
 
 
-# bmw has no command: verify runs it, and perfbench's tracer wraps the layers registered here
+# bmw and rmatrix have no command: verify runs them, and perfbench's tracer
+# wraps the layers registered here
 laurent, lmov, schur, torus, verify, bmw, rmatrix = map(
     _lazy, ("laurent", "lmov", "schur", "torus", "verify", "bmw", "rmatrix")
 )
@@ -140,7 +139,6 @@ LIMITS = {
     "invariant": {"cable size": 8, "framing degree": 100},
     "lmov": {"cable size": 8, "framing degree": 100},
     "degree": {"cable size": 8, "framing degree": 100},
-    "rmatrix": {"N =": 4},
 }
 
 
@@ -359,20 +357,6 @@ def cmd_degree(args):
     return 0 if res.passed else 1
 
 
-def cmd_rmatrix(args):
-    n = args.N
-    _check_size(args, "N =", n)
-    results = []
-    if args.check in ("all", "ribbon"):
-        results.append(("ribbon", rmatrix.ribbon_check(n)))
-    if args.check in ("all", "braid"):
-        results.append(("braid", rmatrix.braid_relation_check(n)))
-    if args.check in ("all", "bmw"):
-        results.append(("bmw", rmatrix.bmw_relations_check(n)))
-    _emit_lines(args, (f"{'PASS' if ok else 'FAIL'}  {name} (N={n})" for name, ok in results))
-    return 0 if all(ok for _, ok in results) else 1
-
-
 def cmd_verify(args):
     results = verify.run_suite(suite=args.suite, only=args.only, seed=args.seed)
     lines = []
@@ -467,10 +451,6 @@ def build_parser():
     p = command("degree", cmd_degree, "free-energy degree check", ("text", "json"))
     link_source(p)
     p.add_argument("--mu", required=True)
-
-    p = command("rmatrix", cmd_rmatrix, "braiding matrix checks")
-    p.add_argument("--N", type=positive("N"), required=True)
-    p.add_argument("--check", choices=("all", "ribbon", "braid", "bmw"), default="all")
 
     p = command("verify", cmd_verify, "run a verification suite")
     p.add_argument("--suite", choices=("paper", "properties", "all"), default="paper")

@@ -18,13 +18,13 @@ from klmov.characters import (
     brauer_labels,
     brauer_table,
     lr_coefficient,
-    multi_character,
     sn_character,
     sn_column,
 )
 from klmov.errors import ParityMismatch, SizeMismatch
 from klmov.golden import BRAUER_EXTRA_ROWS, SN_TABLES
 from klmov.partitions import brauer_label_sizes, partitions_of, z_stat
+from reference import multi_character
 
 
 # The beta-set Murnaghan-Nakayama recursion, one character at a time: the

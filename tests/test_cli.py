@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from klmov import characters
-from klmov.cli import build_parser, main, n_table_text, rationalqt_to_json
+from klmov.cli import LIMITS, build_parser, main, n_table_text, rationalqt_to_json
 from klmov.laurent import RationalQT
 from klmov.schur import sb_closed_form
 from klmov.torus import TorusLinkSpec, torus_invariant
@@ -292,11 +292,8 @@ LAYERS = {"cli", "errors", "partitions", "characters", "laurent", "schur", "toru
      {"laurent", "lmov", "schur", "torus"}, {"verify", "golden", "bmw", "rmatrix"}),
     (("degree", "--torus", "2,3,1", "--mu", "2"),
      {"laurent", "lmov", "schur", "torus"}, {"verify", "golden", "bmw", "rmatrix"}),
-    (("rmatrix", "--N", "1"), {"laurent", "rmatrix"},
-     {"schur", "torus", "lmov", "verify", "golden", "bmw"}),
     (("verify", "--suite", "all"), LAYERS, set()),
-], ids=["char-table", "ctilde", "lmov", "sb", "invariant", "degree", "rmatrix",
-        "verify-all"])
+], ids=["char-table", "ctilde", "lmov", "sb", "invariant", "degree", "verify-all"])
 def test_command_executes_only_the_modules_it_runs(argv, used, unused):
     # verify exits 1 on criterion 6's finding
     executed = executed_modules(*argv, code=int(argv[0] == "verify"))
@@ -406,10 +403,8 @@ _T22_FINDING = "NotPolynomial: remainder 4 in univariate division"
     (("degree", "--unlink", "2", "--mu", "1|1", "--format", "json"), 0,
      dumped("degree", link={"unlink": 2}, mu="1|1", valuation=None, bound=0,
             **{"pass": True})),
-    (("rmatrix", "--N", "1"), 0,
-     "PASS  ribbon (N=1)\nPASS  braid (N=1)\nPASS  bmw (N=1)\n"),
 ], ids=["ctilde-json", "invariant-unlink-json", "lmov-finding-text", "lmov-finding-json",
-        "degree-torus-json", "degree-unlink-json", "rmatrix-text"])
+        "degree-torus-json", "degree-unlink-json"])
 def test_command_writes_its_bytes(capsys, argv, code, want):
     # the exact stdout and exit code of each output form that no other test pins
     assert run(capsys, *argv) == (code, want)
@@ -462,23 +457,6 @@ def assert_benchmark_job(key, proc):
     assert proc.stdout == (expected / f"{key}.stdout").read_bytes()
 
 
-@pytest.mark.parametrize("argv, names", [
-    (("rmatrix", "--N", "3", "--check", "all"),
-     ["ribbon (N=3)", "braid (N=3)", "bmw (N=3)"]),
-], ids=["rmatrix"])
-def test_crosscheck_bytes(argv, names):
-    # every crosscheck line, in order, and nothing else
-    proc = run_klmov(*argv)
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout == "".join(f"PASS  {name}\n" for name in names).encode()
-
-
-def test_rmatrix_command(capsys):
-    code, out = run(capsys, "rmatrix", "--N", "1", "--check", "all")
-    assert code == 0
-    assert out.count("PASS") == 3
-
-
 def test_verify_subset(capsys):
     code, out = run(capsys, "verify", "--suite", "properties", "--only", "kappa*")
     assert code == 0
@@ -524,13 +502,12 @@ def test_size_limit_exit_code(capsys):
     ("sb", "--partition", "13", "--closed"),
     ("sb", "--partition", "100", "--closed"),
     ("char-table", "--n", "21"),
-    ("rmatrix", "--N", "5"),
     ("invariant", "--torus", "2,3,1", "--colors", "7"),
     ("invariant", "--unlink", "1", "--colors", "13"),
     ("invariant", "--unlink", "2", "--colors", "50|50"),
     ("lmov", "--unlink", "1", "--mu", "9"),
-], ids=["sb", "sb-closed", "sb-closed-100", "char-table", "rmatrix", "invariant",
-        "unlink", "unlink-100", "lmov"])
+], ids=["sb", "sb-closed", "sb-closed-100", "char-table", "invariant", "unlink",
+        "unlink-100", "lmov"])
 def test_size_limit_at_entry(capsys, argv):
     # each command checks its default limit once, before computing anything
     # (an unlink is cabled as r = k = 1): refused within a second
@@ -580,9 +557,8 @@ def test_framing_degree_limit_admits_its_default_and_bound_raises_it(capsys, arg
 @pytest.mark.parametrize("argv", [
     ("sb", "--partition", "13", "--bound", "13"),
     ("sb", "--partition", "13", "--closed", "--bound", "13"),
-    ("rmatrix", "--N", "5", "--bound", "5"),
     ("invariant", "--unlink", "1", "--colors", "13", "--bound", "13"),
-], ids=["sb", "sb-closed", "rmatrix", "unlink"])
+], ids=["sb", "sb-closed", "unlink"])
 def test_bound_raises_every_limit(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 0 and out
@@ -612,8 +588,7 @@ def test_only_ascii_decimal_digits_are_read(capsys, argv, message):
 
 @pytest.mark.parametrize("argv, message", [
     (("char-table", "--n", "\u0663"), "argument --n: invalid rank value: '\u0663'"),
-    (("rmatrix", "--N", "+2", "--check", "ribbon"),
-     "argument --N: invalid positive value: '+2'"),
+    (("ctilde", "--colors", "1", "--r", "+2"), "argument --r: invalid positive value: '+2'"),
     (("ctilde", "--colors", "1", "--r", "1_0"), "argument --r: invalid positive value: '1_0'"),
     (("sb", "--partition", "2", "--bound", "\u0663\u0663"),
      "argument --bound: invalid int value: '\u0663\u0663'"),
@@ -627,16 +602,16 @@ def test_only_ascii_decimal_digits_are_read(capsys, argv, message):
      "argument --seed: invalid int value: '3_0'"),
     # ASCII input is refused with the messages it always had
     (("char-table", "--n", "-1"), "argument --n: rank must be nonnegative, got -1"),
-    (("rmatrix", "--N", "x"), "argument --N: invalid positive value: 'x'"),
+    (("ctilde", "--colors", "1", "--r", "x"), "argument --r: invalid positive value: 'x'"),
     (("ctilde", "--colors", "1", "--r", "0"), "argument --r: r must be positive, got 0"),
     (("sb", "--partition", "2", "--bound", "x"), "argument --bound: invalid int value: 'x'"),
     (("verify", "--suite", "properties", "--seed", "x"),
      "argument --seed: invalid int value: 'x'"),
     (("invariant", "--unlink", "0", "--colors", "1"),
      "argument --unlink: L must be positive, got 0"),
-], ids=["n-arabic-indic", "N-plus", "r-underscore", "bound-arabic-indic",
+], ids=["n-arabic-indic", "r-plus", "r-underscore", "bound-arabic-indic",
         "unlink-fullwidth", "seed-arabic-indic", "seed-plus", "seed-underscore",
-        "n-negative", "N-letter", "r-zero", "bound-letter", "seed-letter",
+        "n-negative", "r-letter", "r-zero", "bound-letter", "seed-letter",
         "unlink-zero"])
 def test_flag_numbers_are_ascii_decimal_digits(capsys, argv, message):
     code, err = run_failing(capsys, *argv)
@@ -673,14 +648,6 @@ def test_lmov_is_cabled_through_the_smaller_parameter(monkeypatch, capsys):
     assert code == 0
     assert 7 in cabled
     assert swapped == out
-
-
-@pytest.mark.parametrize("value", ["-1", "0"])
-def test_rmatrix_rank_must_be_positive(capsys, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["rmatrix", "--N", value])
-    assert exc.value.code == 2
-    assert f"N must be positive, got {value}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["-1", "0"])
@@ -904,7 +871,6 @@ def test_internal_arithmetic_error_exits_4(monkeypatch, capsys, error, target, a
     (("lmov", "--mu", "1"), "one of the arguments --torus --unlink is required"),
     (("degree", "--mu", "1"), "one of the arguments --torus --unlink is required"),
     (("verify", "--format", "json"), "unrecognized arguments: --format json"),
-    (("rmatrix", "--N", "1", "--format", "json"), "unrecognized arguments: --format json"),
     (("char-table", "--n", "2", "--format", "csv"), "argument --format: invalid choice: 'csv'"),
     (("sb", "--partition", "2", "--format", "csv"), "argument --format: invalid choice: 'csv'"),
     (("ctilde", "--colors", "1", "--r", "2", "--format", "csv"),
@@ -923,15 +889,15 @@ def test_internal_arithmetic_error_exits_4(monkeypatch, capsys, error, target, a
     (("sb", "--partition", "2", "--no-cache"), "unrecognized arguments: --no-cache"),
     (("ctilde", "--colors", "1", "--r", "2", "--no-cache"),
      "unrecognized arguments: --no-cache"),
-    (("rmatrix", "--N", "1", "--cache-dir", "D"), "unrecognized arguments: --cache-dir D"),
     (("char-table", "--n", "3", "--no-cache"), "unrecognized arguments: --no-cache"),
     (("bmw",), "argument command: invalid choice: 'bmw'"),
+    (("rmatrix", "--N", "1"), "argument command: invalid choice: 'rmatrix'"),
 ], ids=["invariant-both", "lmov-both", "degree-both", "invariant-neither",
-        "lmov-neither", "degree-neither", "verify-json", "rmatrix-json",
+        "lmov-neither", "degree-neither", "verify-json",
         "char-table-csv", "sb-csv", "ctilde-csv", "invariant-csv", "degree-csv",
         "verify-bound", "verify-text",
         "lmov-no-cache", "lmov-cache-dir", "verify-cache-dir", "sb-no-cache",
-        "ctilde-no-cache", "rmatrix-cache-dir", "char-table-no-cache", "bmw"])
+        "ctilde-no-cache", "char-table-no-cache", "bmw", "rmatrix"])
 def test_flag_misuse_is_a_usage_error(capsys, argv, message):
     code, err = run_failing(capsys, *argv)
     assert code == 2
@@ -1127,6 +1093,9 @@ _COLORS = ((*_PARTITIONS[0], "1|1", "2|0", "1,1|1", "1|1|1", "2|1|1,1"),
 _TORI = (("2,3,1", "3,2,1", "1,1,2", "1,2,2", "2,3,2", "1,1,3"),
          ("2,4,1", "0,1,1", "-2,3,1", "1,1", "1,1,1,1", "\u0662,3,1", "+2,3,1",
           f"1,{'9' * 30},1", f"{'9' * 30},1,2", f"1,1,{'9' * 30}", "", "a,b,c"))
+# rmatrix is no command (verify runs its checks), but it stays among the drawn
+# names, with its --N and --check branch, so that the seed's draws stay the
+# same; each of its draws is a usage error
 _COMMANDS = (("char-table", "sb", "ctilde", "invariant", "lmov", "degree", "rmatrix",
               "verify"), ("bmw", "", "help", "LMOV"))
 _STRAY = (("--format", "json"), ("--bound", "3"), ("--no-cache",), ("--torus", "2,3,1"),
@@ -1193,9 +1162,10 @@ def _draw_argv(rng, tmp_path):
 def test_cli_fuzz_ends_with_an_exit_code_and_no_traceback(capsys, tmp_path):
     # a fixed-seed set of argument lists over every command, each run in
     # process under an alarm: each ends with exit code 0-4, never with an
-    # exception, and prints no traceback; --no-cache is a usage error
+    # exception, and prints no traceback; --no-cache and the rmatrix command
+    # are usage errors, and rmatrix prints nothing on standard output
     rng = random.Random(2010)
-    failures, codes = [], set()
+    failures, codes, rmatrix_draws = [], set(), 0
     for _ in range(400):
         argv = _draw_argv(rng, tmp_path)
         try:
@@ -1205,12 +1175,17 @@ def test_cli_fuzz_ends_with_an_exit_code_and_no_traceback(capsys, tmp_path):
             code = exc.code
         except (_Alarm, Exception) as exc:
             code = f"{type(exc).__name__}: {exc}"
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         codes.add(code)
-        if code not in range(5) or "Traceback" in err or ("--no-cache" in argv and code != 2):
+        rmatrix = argv[0] == "rmatrix"
+        rmatrix_draws += rmatrix
+        if (code not in range(5) or "Traceback" in err
+                or (("--no-cache" in argv or rmatrix) and code != 2)
+                or (rmatrix and (out or err.count("error:") != 1))):
             failures.append((argv, code, err[-300:]))
     assert failures == []
     assert {0, 1, 2, 3} <= codes
+    assert rmatrix_draws == 57
 
 
 def test_largest_admitted_inputs_end_in_bounded_time(capsys):
@@ -1262,3 +1237,22 @@ def test_readme_command_lines_run(capsys, line):
         code = exc.code
     assert code not in (2, 3, 4)
     assert capsys.readouterr().err == ""
+
+
+def readme_size_limits():
+    """(command, defaults) for each command of the README's size-limit table,
+    in its order."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("| command | size checked | default |\n", 1)[1].split("\n\n", 1)[0]
+    rows = []
+    for line in table.splitlines()[1:]:
+        commands, _, defaults = line.strip("| ").split(" | ")
+        for command in commands.split(", "):
+            rows.append((command.strip("`"), tuple(map(int, defaults.split(", ")))))
+    return rows
+
+
+def test_readme_size_limits_are_the_limits():
+    # the README's table lists the commands of LIMITS, in order, with their defaults
+    assert readme_size_limits() == [
+        (command, tuple(limits.values())) for command, limits in LIMITS.items()]

@@ -9,7 +9,8 @@ few points is strong evidence of equality (Schwartz, J. ACM 27, 1980; Zippel,
 EUROSAM 1979).
 
 The oracle takes only integer data from the library: Brauer characters
-(multi_character), z_mu (z_stat_multi), the cabling tables (ctilde), kappa,
+(brauer_character, multiplied over the components by the tests'
+multi_character), z_mu (z_stat_multi), the cabling tables (ctilde), kappa,
 the splittings and the Moebius function.  The framing exponents, the
 hook-content quantum dimensions, the label-tuple sum, the Moebius sum over
 the common row divisors and the conjecture's prefactor are written out here,
@@ -24,10 +25,11 @@ from math import gcd
 
 import pytest
 
-from klmov.characters import brauer_character, brauer_labels, multi_character
+from klmov.characters import brauer_character, brauer_labels
 from klmov.lmov import conjecture_lhs, free_energy, reformulated_g, z_coefficient
 from klmov.partitions import kappa, mobius, splittings, z_stat_multi
 from klmov.torus import TorusLinkSpec, ctilde
+from reference import multi_character
 
 P = 2**61 - 1
 
