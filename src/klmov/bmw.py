@@ -49,11 +49,6 @@ class C2Element(NamedTuple):
     def scale(self, s):
         return C2Element(self.c1 * s, self.cg * s, self.ce * s)
 
-    def __eq__(self, other):
-        return self.c1 == other.c1 and self.cg == other.cg and self.ce == other.ce
-
-    __hash__ = tuple.__hash__
-
     def is_zero(self):
         return self.c1.is_zero and self.cg.is_zero and self.ce.is_zero
 

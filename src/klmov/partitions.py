@@ -2,8 +2,8 @@
 
 A partition is a plain tuple of weakly decreasing positive ints; the empty
 tuple is the zero partition.  A multi-partition is a tuple of L partitions,
-one per link component.  One enumerator of multiset partitions, Knuth's
-Algorithm M, feeds both the splittings of a multi-partition (the multiset
+one per link component.  One enumerator of multiset partitions, a memoised
+recursion, feeds both the splittings of a multi-partition (the multiset
 partitions of its rows) and the vanishing sum over vector partitions; the
 sub-multisets of a multi-partition's rows feed the free-energy recursion.
 """
@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import factorial, gcd, lcm
+from operator import sub
 
 from .errors import ParityMismatch
 
@@ -167,59 +168,27 @@ def sub_multisets(mu):
 def _multiset_partitions(counts):
     """Each partition of the multiset with counts[i] copies of atom i, once.
 
-    Knuth's Algorithm M (TAOCP Vol. 4A, 7.2.1.5).  A partition is a tuple of
-    parts, each a count vector as long as counts, in lexicographically
-    decreasing order, so equal parts are adjacent.  The stack holds the
-    parts one after another: part i is entries f[i] to f[i+1] - 1, entry k
-    has v[k] of the u[k] copies of atom c[k] not in earlier parts.
+    A partition is a tuple of parts, each a nonzero count vector as long as
+    counts, in lexicographically decreasing order, so equal parts are
+    adjacent; the partitions come out in decreasing lexicographic order.
+    below(counts, cap) holds those whose parts are all <= cap, memoised for
+    this call only.  The memo keeps every partition at once (Bell(9) = 21147
+    for nine atoms); only fixed inputs reach it from the CLI.
     """
-    atoms = [i for i, n in enumerate(counts) if n]  # M wants positive counts
-    total = sum(counts)
-    if not total:
-        yield ()
-        return
-    size = len(atoms) * total + 1
-    c, u, v, f = [0] * size, [0] * size, [0] * size, [0] * (total + 1)
-    for j, i in enumerate(atoms):
-        c[j], u[j], v[j] = i, counts[i], counts[i]
-    a, b, l = 0, len(atoms), 0
-    f[1] = b
-    while True:
-        while True:  # M2-M3: push the largest next part of what is left
-            k, smaller = b, False  # whether the new part is below the last
-            for j in range(a, b):
-                left = u[j] - v[j]
-                if not left:
-                    smaller = True
-                    continue
-                c[k], u[k] = c[j], left
-                v[k] = left if smaller else min(v[j], left)
-                smaller = smaller or left < v[j]
-                k += 1
-            if k == b:
-                break
-            a, b, l = b, k, l + 1
-            f[l + 1] = b
-        parts = []  # M4
-        for i in range(l + 1):
-            vec = [0] * len(counts)
-            for k in range(f[i], f[i + 1]):
-                vec[c[k]] = v[k]
-            parts.append(tuple(vec))
-        yield tuple(parts)
-        while True:  # M5-M6: decrease the last part that can be, or pop
-            j = b - 1
-            while not v[j]:
-                j -= 1
-            if j > a or v[j] > 1:
-                break
-            if l == 0:
-                return
-            l, b = l - 1, a
-            a = f[l]
-        v[j] -= 1
-        for k in range(j + 1, b):
-            v[k] = u[k]
+
+    @lru_cache(maxsize=None)
+    def below(counts, cap):
+        if not any(counts):
+            return ((),)
+        first = next(i for i, n in enumerate(counts) if n)  # in the largest part
+        out = []
+        for part in product(*[range(n, -1, -1) for n in counts]):
+            if part[first] and part <= cap:
+                rest = tuple(map(sub, counts, part))
+                out += [(part,) + tail for tail in below(rest, part)]
+        return tuple(out)
+
+    return below(tuple(counts), tuple(counts))
 
 
 def _sign_and_aut(parts):

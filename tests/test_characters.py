@@ -23,7 +23,7 @@ from klmov.characters import (
 )
 from klmov.errors import ParityMismatch, SizeMismatch
 from klmov.golden import BRAUER_EXTRA_ROWS, SN_TABLES
-from klmov.partitions import brauer_label_sizes, partitions_of, z_stat
+from klmov.partitions import brauer_label_sizes, partitions_of, updown_dimension, z_stat
 from reference import multi_character
 
 
@@ -272,6 +272,13 @@ def test_brauer_column_is_aligned_with_the_labels():
             want = tuple(reference[(a, mu)] for a in brauer_labels(n))
             assert brauer_column(mu) == want
             assert brauer_column(mu[::-1]) == want
+
+
+def test_brauer_degrees_count_updown_tableaux():
+    # the character at the identity class is the dimension of the irreducible
+    for n in range(9):
+        assert brauer_column((1,) * n) == tuple(
+            updown_dimension(a, n) for a in brauer_labels(n))
 
 
 @pytest.mark.parametrize("mu", [(2, 0), (1, 1, 0), (3, -1)])

@@ -28,9 +28,10 @@ from klmov.partitions import (
 )
 
 
-# The enumerators the library used before Algorithm M, kept as the reference
-# route: splittings by subtracting sub-multisets of the rows, and vector
-# partitions by filtering every vector below a cap.
+# Reference enumerators: splittings by subtracting sub-multisets of the rows,
+# and vector partitions by filtering every vector below a cap.  The second is
+# the library's own recursion without its memo and its first-atom pruning, so
+# test_partitions_oracle.py checks the vanishing sum against sympy as well.
 
 
 def _sub_multisets(counter_items):
@@ -223,6 +224,34 @@ def test_multiset_partitions_sorted_and_distinct():
             assert all(any(v) and len(v) == len(counts) for v in parts)
             assert tuple(map(sum, zip(*parts))) == (tuple(counts) if parts else ())
     assert list(_multiset_partitions((0, 0))) == [()]
+
+
+def test_enumeration_order_is_pinned():
+    # parts decreasing within a partition, partitions decreasing in turn
+    assert list(_multiset_partitions((2, 1))) == [
+        ((2, 1),),
+        ((2, 0), (0, 1)),
+        ((1, 1), (1, 0)),
+        ((1, 0), (1, 0), (0, 1)),
+    ]
+    assert list(_multiset_partitions((1, 0, 2))) == [
+        ((1, 0, 2),),
+        ((1, 0, 1), (0, 0, 1)),
+        ((1, 0, 0), (0, 0, 2)),
+        ((1, 0, 0), (0, 0, 1), (0, 0, 1)),
+    ]
+    assert splittings(((2, 1), (1,))) == [
+        ((((2, 1), (1,)),), Fraction(1)),
+        ((((2, 1), ()), ((), (1,))), Fraction(-1)),
+        ((((2,), (1,)), ((1,), ())), Fraction(-1)),
+        ((((2,), ()), ((1,), (1,))), Fraction(-1)),
+        ((((2,), ()), ((1,), ()), ((), (1,))), Fraction(2)),
+    ]
+
+
+def test_nine_atoms():
+    assert len(list(_multiset_partitions((1,) * 9))) == 21147  # Bell(9)
+    assert lemma72_sum((1,) * 9) == 0
 
 
 def test_common_divisors():
